@@ -12,26 +12,57 @@ from itertools import combinations
 
 
 def rational(value) -> Fraction:
-    """Coerce ints, strings like "a/b", and Fractions to an exact rational."""
+    """Coerce ints, strings like "a/b", and Fractions to an exact rational.
+
+    Raises ValueError for a string that is not a finite rational (a zero
+    denominator included) and TypeError for any other type, bool included.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"not an exact rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def format_rational(value: Fraction) -> str:
+def format_rational(value: int | Fraction) -> str:
     return str(value)
+
+
+def _coefficient(value):
+    """``value`` as a stored coefficient: an int when it is integral.
+
+    ``str``, ``hash`` and ``==`` agree between an int and the equal
+    Fraction, so renders, JSON and set order do not depend on the choice.
+    """
+    value = rational(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _make(base_dim: int, terms: dict) -> "Polynomial":
+    """Polynomial over terms that are already valid: exponent tuples of
+    length ``base_dim`` and nonzero int or Fraction coefficients.  Skips
+    the validation of ``Polynomial.__init__``."""
+    poly = object.__new__(Polynomial)
+    poly.base_dim = base_dim
+    poly.terms = terms
+    return poly
 
 
 class Polynomial:
     """Multivariate polynomial over the rationals with dense exponent tuples.
 
     Terms map an exponent tuple of length ``base_dim`` to a nonzero
-    Fraction.  base_dim 0 is legal and leaves room for constants only.
-    Instances are immutable; all operations return new values.
+    coefficient, an ``int`` or a ``Fraction``; ``__init__`` and ``scale``
+    store integral values as ints.  base_dim 0 is legal and leaves room
+    for constants only.  Instances are immutable, so an operation may
+    return one of its operands (``f + 0`` is ``f``) instead of a copy.
     """
 
     __slots__ = ("base_dim", "terms")
@@ -44,7 +75,7 @@ class Polynomial:
                 exps = tuple(exps)
                 if len(exps) != base_dim:
                     raise ValueError("exponent tuple has wrong length")
-                coeff = rational(coeff)
+                coeff = _coefficient(coeff)
                 if coeff != 0:
                     clean[exps] = coeff
         self.terms = clean
@@ -52,21 +83,21 @@ class Polynomial:
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, base_dim: int) -> "Polynomial":
-        return cls(base_dim)
+        return _make(base_dim, {})
 
     @classmethod
     def const(cls, base_dim: int, value) -> "Polynomial":
-        value = rational(value)
+        value = _coefficient(value)
         if value == 0:
-            return cls(base_dim)
-        return cls(base_dim, {(0,) * base_dim: value})
+            return _make(base_dim, {})
+        return _make(base_dim, {(0,) * base_dim: value})
 
     @classmethod
     def variable(cls, base_dim: int, index: int) -> "Polynomial":
         if not 0 <= index < base_dim:
             raise IndexError("coordinate index out of range")
         exps = tuple(1 if i == index else 0 for i in range(base_dim))
-        return cls(base_dim, {exps: Fraction(1)})
+        return _make(base_dim, {exps: 1})
 
     # -- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
@@ -75,10 +106,10 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.base_dim, Fraction(0))
+        return self.terms.get((0,) * self.base_dim, 0)
 
     def degree(self) -> int:
         if not self.terms:
@@ -92,17 +123,21 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            total = terms.get(exps, Fraction(0)) + coeff
+            total = terms.get(exps, 0) + coeff
             if total == 0:
-                terms.pop(exps, None)
+                del terms[exps]
             else:
                 terms[exps] = total
-        return Polynomial(self.base_dim, terms)
+        return _make(self.base_dim, terms)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.base_dim, {e: -c for e, c in self.terms.items()})
+        return _make(self.base_dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -111,25 +146,30 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                total = terms.get(exps, Fraction(0)) + c1 * c2
+                total = terms.get(exps, 0) + c1 * c2
                 if total == 0:
-                    terms.pop(exps, None)
+                    del terms[exps]
                 else:
                     terms[exps] = total
-        return Polynomial(self.base_dim, terms)
+        return _make(self.base_dim, terms)
 
     def __rmul__(self, other) -> "Polynomial":
         return self.__mul__(other)
 
     def scale(self, value) -> "Polynomial":
-        value = rational(value)
+        value = _coefficient(value)
         if value == 0:
-            return Polynomial(self.base_dim)
-        return Polynomial(self.base_dim, {e: c * value for e, c in self.terms.items()})
+            return _make(self.base_dim, {})
+        return _make(self.base_dim,
+                     {e: c * value for e, c in self.terms.items()})
 
     def diff(self, index: int) -> "Polynomial":
         if not 0 <= index < self.base_dim:
@@ -142,7 +182,7 @@ class Polynomial:
             new = list(exps)
             new[index] = e - 1
             terms[tuple(new)] = coeff * e
-        return Polynomial(self.base_dim, terms)
+        return _make(self.base_dim, terms)
 
     # -- comparison / rendering ---------------------------------------
     def __eq__(self, other) -> bool:
@@ -197,27 +237,15 @@ class Polynomial:
         for item in data:
             if set(item) != {"coeff", "exps"}:
                 raise ValueError("polynomial term must have exactly coeff and exps")
-            exps = tuple(int(e) for e in item["exps"])
+            exps = tuple(item["exps"])
+            if not all(type(e) is int and e >= 0 for e in exps):
+                raise ValueError(
+                    f"exponents must be non-negative integers: {item['exps']!r}")
             coeff = rational(item["coeff"])
             if exps in terms:
                 raise ValueError("duplicate exponent tuple")
             terms[exps] = coeff
         return cls(base_dim, terms)
-
-
-def poly_arith(a: Polynomial, b, op: str, scalar=None) -> Polynomial:
-    """Dispatch add/mul/scale on polynomials; used by the JSON front end."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a.scale(scalar)
-    raise ValueError(f"unknown polynomial operation: {op}")
-
-
-def poly_diff(f: Polynomial, index: int) -> Polynomial:
-    return f.diff(index)
 
 
 def random_polynomial(rng, base_dim: int, max_degree: int = 2) -> Polynomial:

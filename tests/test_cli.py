@@ -61,6 +61,39 @@ def test_schema_error_is_exit_2(tmp_path):
     assert main(["check", str(tmp_path / "missing.json")]) == 2
 
 
+def _first_term(doc):
+    """The first polynomial term ({"coeff", "exps"}) with an exponent."""
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            if set(node) == {"coeff", "exps"} and node["exps"]:
+                return node
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(node)
+    raise AssertionError("no polynomial term in the document")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("coeff", "1/0"), ("coeff", True),
+    ("exps", -1), ("exps", 1.5), ("exps", "1"), ("exps", True),
+])
+def test_malformed_polynomial_term_is_exit_2(tmp_path, capsys, field, value):
+    path = _emit(tmp_path, "tm_r1_lie1")
+    doc = json.loads(path.read_text())
+    term = _first_term(doc)
+    if field == "coeff":
+        term["coeff"] = value
+    else:
+        term["exps"][0] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_json_reports_are_byte_identical(tmp_path):
     path = _emit(tmp_path, "so3_symplectic_pair")
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"

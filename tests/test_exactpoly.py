@@ -72,6 +72,10 @@ def test_rational_parsing():
     assert rational("-2") == Fraction(-2)
     assert format_rational(Fraction(7, 2)) == "7/2"
     assert format_rational(Fraction(5)) == "5"
+    with pytest.raises(ValueError):
+        rational("1/0")
+    with pytest.raises(TypeError):
+        rational(True)
 
 
 def test_from_json_rejects_bad_terms():
@@ -80,6 +84,9 @@ def test_from_json_rejects_bad_terms():
     with pytest.raises(ValueError):
         Polynomial.from_json(
             1, [{"coeff": "1", "exps": [1]}, {"coeff": "2", "exps": [1]}])
+    for exps in ([-1], [1.5], ["1"], [True]):
+        with pytest.raises(ValueError):
+            Polynomial.from_json(1, [{"coeff": "1", "exps": exps}])
 
 
 def test_matrix_inverse_oracle():
@@ -127,3 +134,150 @@ def test_tensor_json_round_trip():
     t.set((0, 2, 1), Polynomial.variable(1, 0))
     back = PolyTensor.from_json(1, groups, t.to_json())
     assert back == t
+
+
+# -- differential test against the dict-of-Fraction kernel ---------------
+# The reference below is the straightforward kernel: every coefficient a
+# Fraction, every result a fresh dict.  Polynomial shares operands, skips
+# validation on its own results and stores integral coefficients as ints;
+# none of that may change a value, a hash, a render or a JSON form.
+
+def _ref_add(f, g):
+    terms = dict(f)
+    for exps, coeff in g.items():
+        total = terms.get(exps, Fraction(0)) + coeff
+        if total == 0:
+            terms.pop(exps, None)
+        else:
+            terms[exps] = total
+    return terms
+
+
+def _ref_neg(f):
+    return {e: -c for e, c in f.items()}
+
+
+def _ref_mul(f, g):
+    terms = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            total = terms.get(exps, Fraction(0)) + c1 * c2
+            if total == 0:
+                terms.pop(exps, None)
+            else:
+                terms[exps] = total
+    return terms
+
+
+def _ref_scale(f, value):
+    value = Fraction(value)
+    if value == 0:
+        return {}
+    return {e: c * value for e, c in f.items()}
+
+
+def _ref_diff(f, index):
+    terms = {}
+    for exps, coeff in f.items():
+        if exps[index]:
+            new = list(exps)
+            new[index] -= 1
+            terms[tuple(new)] = coeff * exps[index]
+    return terms
+
+
+def _ref_poly(terms):
+    """A Polynomial holding exactly ``terms`` (Fraction coefficients), so
+    the unchanged render and JSON code runs on the reference data."""
+    poly = object.__new__(Polynomial)
+    poly.base_dim = BASE
+    poly.terms = terms
+    return poly
+
+
+def _assert_same(result, ref):
+    assert all(isinstance(c, Fraction) for c in ref.values())
+    assert result.base_dim == BASE
+    assert result == _ref_poly(ref)
+    assert hash(result) == hash((BASE, frozenset(ref.items())))
+    assert result.render() == _ref_poly(ref).render()
+    assert result.to_json() == _ref_poly(ref).to_json()
+    assert all(c != 0 and isinstance(c, (int, Fraction))
+               for c in result.terms.values())
+
+
+def _snapshot(poly):
+    return dict(poly.terms), poly.render(), poly.to_json(), hash(poly)
+
+
+# Raw term dicts: empty ones (zero operands), integral and non-integral
+# coefficients, ints and Fractions, zeros that __init__ drops.
+raw_coeffs = st.one_of(coeffs, st.integers(min_value=-3, max_value=3))
+raw_terms = st.one_of(st.just({}),
+                      st.dictionaries(exponents, raw_coeffs, max_size=4))
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two raw term dicts; g may cancel some or all of f's terms."""
+    f = draw(raw_terms)
+    g = dict(draw(raw_terms))
+    live = sorted(e for e, c in f.items() if c != 0)
+    if live:
+        for exps in draw(st.sets(st.sampled_from(live))):
+            g[exps] = -f[exps]
+    return f, g
+
+
+def _both(raw):
+    ref = {tuple(e): Fraction(c) for e, c in raw.items() if c != 0}
+    return Polynomial(BASE, raw), ref
+
+
+scalars = st.one_of(st.integers(min_value=-3, max_value=3), coeffs)
+
+
+@given(operand_pairs(), scalars, st.integers(min_value=0, max_value=BASE - 1))
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_fraction_reference(pair, scalar, index):
+    (f, rf), (g, rg) = map(_both, pair)
+    _assert_same(f, rf)
+    _assert_same(g, rg)
+    before = _snapshot(f), _snapshot(g)
+    _assert_same(f + g, _ref_add(rf, rg))
+    _assert_same(f - g, _ref_add(rf, _ref_neg(rg)))
+    _assert_same(-f, _ref_neg(rf))
+    _assert_same(f * g, _ref_mul(rf, rg))
+    _assert_same(f.scale(scalar), _ref_scale(rf, scalar))
+    _assert_same(f * scalar, _ref_scale(rf, scalar))
+    _assert_same(scalar * f, _ref_scale(rf, scalar))
+    _assert_same(f.diff(index), _ref_diff(rf, index))
+    _assert_same((f + g) * g - f, _ref_add(_ref_mul(_ref_add(rf, rg), rg),
+                                         _ref_neg(rf)))
+    assert (_snapshot(f), _snapshot(g)) == before
+
+
+@given(operand_pairs(), st.integers(min_value=0, max_value=BASE - 1))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_sympy(pair, index):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x1:{BASE + 1}")
+
+    def expr(poly):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.prod(x ** e for x, e in zip(xs, exps))
+                    for exps, c in poly.terms.items()), sympy.Integer(0))
+
+    f, g = (Polynomial(BASE, raw) for raw in pair)
+    assert sympy.expand(expr(f * g) - expr(f) * expr(g)) == 0
+    assert sympy.expand(expr(f.diff(index)) - sympy.diff(expr(f), xs[index])) == 0
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    f = Polynomial(BASE, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2)})
+    assert type(f.terms[(1, 0)]) is int
+    assert type(f.terms[(0, 1)]) is Fraction
+    assert type(f.scale(Fraction(6, 3)).terms[(1, 0)]) is int
+    assert type(Polynomial.const(BASE, "3").constant_value()) is int
+    assert Polynomial.from_json(BASE, f.to_json()) == f
