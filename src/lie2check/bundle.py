@@ -5,6 +5,15 @@ polynomials over the base coordinates.  All operators are stored by
 their frame components and extended to arbitrary polynomial sections by
 the Leibniz rules, so every check can run both on frames and on random
 polynomial sections.
+
+The Leibniz extension is made in one place, ``covariant_apply``.  An
+operator D with frame values D_{e_i} f_j = sum_k comps[i][j][k] f_k,
+anchored along u by the vector field X_u, acts on sections by
+    (D_u v)_k = X_u(v_k) + sum_{i,j} u_i v_j comps[i][j][k].
+Connections are exactly this; Dorfman connections, dull brackets and
+Courant brackets add their own correction terms to it.  Hom-valued
+2-forms (the curvature tensors) are evaluated in one place too,
+``curvature_matrix``.
 """
 
 from __future__ import annotations
@@ -80,6 +89,36 @@ def field_apply(x, f: Polynomial) -> Polynomial:
     return acc
 
 
+def covariant_apply(field, comps, u, v):
+    """Leibniz extension of an operator stored by its frame components.
+
+    Returns the section with components
+        field(v_k) + sum_{i,j} u_i v_j comps[i][j][k],
+    where field is the vector field (component list) that anchors the
+    operator along u, and comps[i][j][k] is the k-th component of the
+    operator along the i-th frame of u applied to the j-th frame of v.
+    The result has the rank of v.  Zero u_i and zero v_j are skipped.
+    """
+    out = [field_apply(field, c) for c in v]
+    for i, ui in enumerate(u):
+        if ui.is_zero():
+            continue
+        for j, vj in enumerate(v):
+            if vj.is_zero():
+                continue
+            coeff = ui * vj
+            row = comps[i][j]
+            for k in range(len(out)):
+                out[k] = out[k] + coeff * row[k]
+    return out
+
+
+def _dual_comps(comps):
+    """Frame components of the dual operator: out[i][j][k] = -comps[i][k][j]."""
+    return [[[-plane[k][j] for k in range(len(plane))]
+             for j in range(len(plane))] for plane in comps]
+
+
 def random_section(rng, base_dim: int, rank: int, max_degree: int = 2):
     return [random_polynomial(rng, base_dim, max_degree) for _ in range(rank)]
 
@@ -136,22 +175,6 @@ class AnchoredBundle:
                 for i in range(self.rank)]
 
 
-@dataclass
-class BundleMap:
-    """Bundle map over the identity on the base, as a matrix on frames."""
-
-    source: AnchoredBundle
-    target: AnchoredBundle
-    matrix: PolyMatrix
-
-    def __post_init__(self):
-        if (self.matrix.rows, self.matrix.cols) != (self.target.rank, self.source.rank):
-            raise ValueError("bundle map shape mismatch")
-
-    def apply(self, u):
-        return self.matrix.apply(u)
-
-
 # ---------------------------------------------------------------------------
 # connections
 
@@ -173,34 +196,12 @@ class LinearConnection:
         self.gamma = gamma
 
     def apply(self, q, s):
-        p = self.bundle.base_dim
-        out = zero_section(p, self.module_rank)
-        for j in range(self.module_rank):
-            out[j] = out[j] + self.bundle.anchor_apply(q, s[j])
-        for i in range(self.bundle.rank):
-            if q[i].is_zero():
-                continue
-            for j in range(self.module_rank):
-                if s[j].is_zero():
-                    continue
-                coeff = q[i] * s[j]
-                for k in range(self.module_rank):
-                    out[k] = out[k] + coeff * self.gamma[i][j][k]
-        return out
+        return covariant_apply(self.bundle.anchor_field(q), self.gamma, q, s)
 
     def dual(self) -> "LinearConnection":
         """Dual connection on the dual module: gamma*[i][j][k] = -gamma[i][k][j]."""
-        r = self.module_rank
-        gamma = [[[-self.gamma[i][k][j] for k in range(r)] for j in range(r)]
-                 for i in range(self.bundle.rank)]
-        return LinearConnection(self.bundle, r, gamma)
-
-    def shift(self, delta) -> "LinearConnection":
-        """New connection with gamma + delta (same shape)."""
-        r = self.module_rank
-        gamma = [[[self.gamma[i][j][k] + delta[i][j][k] for k in range(r)]
-                  for j in range(r)] for i in range(self.bundle.rank)]
-        return LinearConnection(self.bundle, r, gamma)
+        return LinearConnection(self.bundle, self.module_rank,
+                                _dual_comps(self.gamma))
 
 
 class DorfmanConnection:
@@ -221,40 +222,21 @@ class DorfmanConnection:
         self.comps = comps
 
     def apply(self, q, tau):
-        p = self.bundle.base_dim
-        r = self.bundle.rank
-        out = zero_section(p, r)
-        for j in range(r):
-            out[j] = out[j] + self.bundle.anchor_apply(q, tau[j])
-        for i in range(r):
-            if q[i].is_zero():
-                continue
-            for j in range(r):
-                if tau[j].is_zero():
-                    continue
-                coeff = q[i] * tau[j]
-                for k in range(r):
-                    out[k] = out[k] + coeff * self.comps[i][j][k]
-        for j in range(r):
-            if tau[j].is_zero():
+        out = covariant_apply(self.bundle.anchor_field(q), self.comps, q, tau)
+        for j, tj in enumerate(tau):
+            if tj.is_zero():
                 continue
             pull = self.bundle.anchor_pullback_d(q[j])
-            for k in range(r):
-                out[k] = out[k] + tau[j] * pull[k]
+            for k in range(len(out)):
+                out[k] = out[k] + tj * pull[k]
         return out
 
     def dual_dull_bracket(self) -> "DullBracket":
-        r = self.bundle.rank
-        comps = [[[-self.comps[i][k][j] for k in range(r)] for j in range(r)]
-                 for i in range(r)]
-        return DullBracket(self.bundle, comps)
+        return DullBracket(self.bundle, _dual_comps(self.comps))
 
     @classmethod
     def from_dull_bracket(cls, bracket: "DullBracket") -> "DorfmanConnection":
-        r = bracket.bundle.rank
-        comps = [[[-bracket.comps[i][k][j] for k in range(r)] for j in range(r)]
-                 for i in range(r)]
-        return cls(bracket.bundle, comps)
+        return cls(bracket.bundle, _dual_comps(bracket.comps))
 
 
 class DullBracket:
@@ -273,22 +255,9 @@ class DullBracket:
         self.comps = comps
 
     def apply(self, q1, q2):
-        p = self.bundle.base_dim
-        r = self.bundle.rank
-        out = zero_section(p, r)
-        for i in range(r):
-            if q1[i].is_zero():
-                continue
-            for j in range(r):
-                if q2[j].is_zero():
-                    continue
-                coeff = q1[i] * q2[j]
-                for k in range(r):
-                    out[k] = out[k] + coeff * self.comps[i][j][k]
-        for j in range(r):
-            out[j] = out[j] + self.bundle.anchor_apply(q1, q2[j]) \
-                - self.bundle.anchor_apply(q2, q1[j])
-        return out
+        out = covariant_apply(self.bundle.anchor_field(q1), self.comps, q1, q2)
+        back = self.bundle.anchor_field(q2)
+        return [a - field_apply(back, b) for a, b in zip(out, q1)]
 
     def is_skew(self) -> bool:
         r = self.bundle.rank
@@ -300,27 +269,37 @@ class DullBracket:
 # derived operators
 
 
-def apply_connection(conn: LinearConnection, q, s):
-    return conn.apply(q, s)
+def connection_curvature(conn, bracket: DullBracket, q1, q2, s):
+    """R(q1, q2)s = nabla_q1 nabla_q2 s - nabla_q2 nabla_q1 s - nabla_[q1,q2] s.
 
-
-def apply_dorfman(delta: DorfmanConnection, q, tau):
-    return delta.apply(q, tau)
-
-
-def connection_curvature(conn: LinearConnection, bracket: DullBracket, q1, q2, s):
-    """R(q1, q2)s = nabla_q1 nabla_q2 s - nabla_q2 nabla_q1 s - nabla_[q1,q2] s."""
+    conn is any operator with apply(q, s): a connection or a Dorfman
+    connection.
+    """
     return section_sub(
         section_sub(conn.apply(q1, conn.apply(q2, s)),
                     conn.apply(q2, conn.apply(q1, s))),
         conn.apply(bracket.apply(q1, q2), s))
 
 
-def dorfman_curvature(delta: DorfmanConnection, bracket: DullBracket, q1, q2, tau):
-    return section_sub(
-        section_sub(delta.apply(q1, delta.apply(q2, tau)),
-                    delta.apply(q2, delta.apply(q1, tau))),
-        delta.apply(bracket.apply(q1, q2), tau))
+def curvature_matrix(curv: PolyTensor, u1, u2) -> PolyMatrix:
+    """A Hom-valued 2-form evaluated on two sections, as a matrix.
+
+    curv has index groups (rank, 2, antisym), (n_in, 1), (n_out, 1):
+    entry (i, j, r, m) is the m-th output component of R(e_i, e_j)
+    applied to the r-th input frame.  R is tensorial, so entry [m][r] of
+    the result is sum_{i<j} (u1_i u2_j - u1_j u2_i) curv(i, j, r, m).
+    """
+    _, (n_in, _, _), (n_out, _, _) = curv.groups
+    out = PolyMatrix(curv.base_dim, n_out, n_in)
+    coeffs = {}
+    # stored keys are canonical (i < j) and stored entries are nonzero
+    for (i, j, r, m), entry in curv.entries.items():
+        coeff = coeffs.get((i, j))
+        if coeff is None:
+            coeff = coeffs[i, j] = u1[i] * u2[j] - u1[j] * u2[i]
+        if not coeff.is_zero():
+            out.data[m][r] = out.data[m][r] + coeff * entry
+    return out
 
 
 def jacobiator(bracket: DullBracket, q1, q2, q3):
@@ -407,7 +386,7 @@ class LieAlgebroidData:
 
     def __post_init__(self):
         if self.bracket.bundle is not self.bundle:
-            self.bracket.bundle = self.bundle
+            raise ValueError("the bracket is defined on a different bundle")
 
 
 def _random_sections(rng, base_dim, rank, count=3, max_degree=2):
@@ -476,20 +455,7 @@ class TwoRepData:
 
     def curv_matrix(self, a1, a2) -> PolyMatrix:
         """R(a1, a2) as a Hom(B, C) polynomial matrix (tensorial)."""
-        p = self.algebroid.bundle.base_dim
-        out = PolyMatrix(p, self.rank_c, self.rank_b)
-        ra = self.algebroid.bundle.rank
-        for i in range(ra):
-            for j in range(i + 1, ra):
-                coeff = a1[i] * a2[j] - a1[j] * a2[i]
-                if coeff.is_zero():
-                    continue
-                for r in range(self.rank_b):
-                    for m in range(self.rank_c):
-                        entry = self.curv.get(i, j, r, m)
-                        if not entry.is_zero():
-                            out.data[m][r] = out.data[m][r] + coeff * entry
-        return out
+        return curvature_matrix(self.curv, a1, a2)
 
     def hom_derivative(self, a, phi: PolyMatrix) -> PolyMatrix:
         """nabla^Hom_a phi = connC_a . phi - phi . connB_a on a Hom(B,C) matrix."""

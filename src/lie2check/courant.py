@@ -12,13 +12,13 @@ from .exactpoly import Polynomial, PolyMatrix, PolyTensor, random_polynomial
 from .report import CheckReport
 from .bundle import (
     AnchoredBundle, BaseSpace, DullBracket, LieAlgebroidData,
-    LinearConnection, dorfman_curvature, field_apply, field_bracket,
-    random_section, section_add, section_neg, section_pair, section_smul,
-    section_sub, unit_section, zero_section, DorfmanConnection,
+    LinearConnection, connection_curvature, covariant_apply, field_apply,
+    field_bracket, random_section, section_add, section_neg, section_pair,
+    section_smul, section_sub, unit_section, zero_section, DorfmanConnection,
 )
 from .lie2 import Dorfman2Rep
 from .poisson import SelfDual2Rep
-from .matched import LAPairData, check_la_matched_pair
+from .matched import LAPairData
 
 
 # ---------------------------------------------------------------------------
@@ -85,30 +85,17 @@ class DegenerateCourant:
                 out[k] = out[k] + self.dmat[k, m] * f.diff(m)
         return out
 
-    def _frame_bracket_with(self, i, e2):
-        """[[e_i, e2]] for a frame e_i and a polynomial section e2."""
-        out = zero_section(self.base_dim, self.rank)
-        for j in range(self.rank):
-            if not e2[j].is_zero():
-                for k in range(self.rank):
-                    out[k] = out[k] + e2[j] * self.bracket_comps[i][j][k]
-            out[j] = out[j] + self.rho_apply(
-                unit_section(self.base_dim, self.rank, i), e2[j])
-        return out
-
     def bracket(self, e1, e2):
-        out = zero_section(self.base_dim, self.rank)
-        frame = [unit_section(self.base_dim, self.rank, i)
-                 for i in range(self.rank)]
-        for i in range(self.rank):
-            if e1[i].is_zero():
+        """The frame bracket extended by Leibniz in the second slot, plus
+        -rho(e2)(e1_i) e_i + <e_i, e2> D(e1_i) for the first."""
+        out = covariant_apply(self.rho_field(e1), self.bracket_comps, e1, e2)
+        back = self.rho_field(e2)
+        lowered = self.pairing.apply(e2)
+        for i, f in enumerate(e1):
+            if f.is_zero():
                 continue
-            out = section_add(out, section_smul(e1[i],
-                                                self._frame_bracket_with(i, e2)))
-            out = section_sub(out, section_smul(self.rho_apply(e2, e1[i]),
-                                                frame[i]))
-            out = section_add(out, section_smul(self.pair(frame[i], e2),
-                                                self.dee(e1[i])))
+            out[i] = out[i] - field_apply(back, f)
+            out = section_add(out, section_smul(lowered[i], self.dee(f)))
         return out
 
 
@@ -214,23 +201,17 @@ def standard_courant(p: int) -> DegenerateCourant:
 # Dorfman 2-representations from Courant algebroids and 2-representations
 
 
-def _nabla_vec(ca: DegenerateCourant, gamma, x, e):
+def _nabla_vec(gamma, x, e):
     """Covariant derivative along the vector field x of the section e, for
     a TM-connection with Christoffel data gamma[m][i][j]."""
-    p, n = ca.base_dim, ca.rank
-    out = zero_section(p, n)
-    for j in range(n):
-        out[j] = out[j] + field_apply(x, e[j])
-    for m in range(p):
-        if x[m].is_zero():
-            continue
-        for i in range(n):
-            if e[i].is_zero():
-                continue
-            coeff = x[m] * e[i]
-            for j in range(n):
-                out[j] = out[j] + coeff * gamma[m][i][j]
-    return out
+    return covariant_apply(x, gamma, x, e)
+
+
+def curv_nabla(gamma, x, y, e):
+    """Curvature R(x, y)e of the TM-connection gamma[m][i][j]."""
+    out = section_sub(_nabla_vec(gamma, x, _nabla_vec(gamma, y, e)),
+                      _nabla_vec(gamma, y, _nabla_vec(gamma, x, e)))
+    return section_sub(out, _nabla_vec(gamma, field_bracket(x, y), e))
 
 
 def adjoint_dorfman2rep(ca: DegenerateCourant, gamma) -> Dorfman2Rep:
@@ -261,7 +242,7 @@ def adjoint_dorfman2rep(ca: DegenerateCourant, gamma) -> Dorfman2Rep:
     def delta_prime(e, s):
         """Delta'_e s = [[e, s]] + nabla_{rho(s)} e."""
         return section_add(ca.bracket(e, s),
-                           _nabla_vec(ca, gamma, ca.rho_field(s), e))
+                           _nabla_vec(gamma, ca.rho_field(s), e))
 
     def lower(s):
         """Transport E -> E* via the pairing."""
@@ -291,19 +272,14 @@ def adjoint_dorfman2rep(ca: DegenerateCourant, gamma) -> Dorfman2Rep:
     coord_fields = [unit_section(p, p, m) for m in range(p)]
 
     def bracket_delta(e1, e2):
-        alpha = [ca.pair(_nabla_vec(ca, gamma, coord_fields[m], e1), e2)
+        alpha = [ca.pair(_nabla_vec(gamma, coord_fields[m], e1), e2)
                  for m in range(p)]
         pulled = ca.rho.transpose().apply(alpha)
         return section_sub(ca.bracket(e1, e2), ginv.apply(pulled))
 
     def nabla_bas_field(e, x):
         return section_add(field_bracket(ca.rho_field(e), x),
-                           ca.rho_field(_nabla_vec(ca, gamma, x, e)))
-
-    def curv_nabla(x, y, e):
-        out = section_sub(_nabla_vec(ca, gamma, x, _nabla_vec(ca, gamma, y, e)),
-                          _nabla_vec(ca, gamma, y, _nabla_vec(ca, gamma, x, e)))
-        return section_sub(out, _nabla_vec(ca, gamma, field_bracket(x, y), e))
+                           ca.rho_field(_nabla_vec(gamma, x, e)))
 
     curv = Dorfman2Rep.curv_tensor(p, n, p)
     for i in range(n):
@@ -311,18 +287,17 @@ def adjoint_dorfman2rep(ca: DegenerateCourant, gamma) -> Dorfman2Rep:
             e1, e2 = frames[i], frames[j]
             for m in range(p):
                 x = coord_fields[m]
-                val = section_neg(
-                    _nabla_vec(ca, gamma, x, bracket_delta(e1, e2)))
+                val = section_neg(_nabla_vec(gamma, x, bracket_delta(e1, e2)))
                 val = section_add(val,
-                                  bracket_delta(_nabla_vec(ca, gamma, x, e1), e2))
+                                  bracket_delta(_nabla_vec(gamma, x, e1), e2))
                 val = section_add(val,
-                                  bracket_delta(e1, _nabla_vec(ca, gamma, x, e2)))
+                                  bracket_delta(e1, _nabla_vec(gamma, x, e2)))
                 val = section_add(val, _nabla_vec(
-                    ca, gamma, nabla_bas_field(e2, x), e1))
+                    gamma, nabla_bas_field(e2, x), e1))
                 val = section_sub(val, _nabla_vec(
-                    ca, gamma, nabla_bas_field(e1, x), e2))
-                alpha = [ca.pair(curv_nabla(x, coord_fields[mp], e1), e2)
-                         for mp in range(p)]
+                    gamma, nabla_bas_field(e1, x), e2))
+                alpha = [ca.pair(curv_nabla(gamma, x, coord_fields[mp], e1),
+                                 e2) for mp in range(p)]
                 val = section_sub(val,
                                   ginv.apply(ca.rho.transpose().apply(alpha)))
                 img = lower(val)
@@ -369,7 +344,7 @@ def standard_dorfman2rep(rank_e: int, dull: DullBracket) -> Dorfman2Rep:
         for j in range(i + 1, rq):
             for r in range(rank_e):
                 tau = unit_section(p, rq, p + r)
-                val = dorfman_curvature(delta, dull, frames[i], frames[j], tau)
+                val = connection_curvature(delta, dull, frames[i], frames[j], tau)
                 for k in range(rq):
                     if not val[k].is_zero():
                         curv.set((i, j, r, k), val[k])
@@ -521,17 +496,13 @@ def tangent_double_pair(ca: DegenerateCourant, gamma) -> LAPairData:
 
     coord_fields = [unit_section(p, p, m) for m in range(p)]
 
-    def curv_nabla(x, y, e):
-        out = section_sub(_nabla_vec(ca, gamma, x, _nabla_vec(ca, gamma, y, e)),
-                          _nabla_vec(ca, gamma, y, _nabla_vec(ca, gamma, x, e)))
-        return section_sub(out, _nabla_vec(ca, gamma, field_bracket(x, y), e))
-
     curvB = SelfDual2Rep.curv_tensor(p, p, n)
     frames = ca.frames()
     for l in range(p):
         for m in range(l + 1, p):
             for s in range(n):
-                val = curv_nabla(coord_fields[l], coord_fields[m], frames[s])
+                val = curv_nabla(gamma, coord_fields[l], coord_fields[m],
+                                 frames[s])
                 img = ca.pairing.apply(val)
                 for t in range(n):
                     if not img[t].is_zero():

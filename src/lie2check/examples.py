@@ -291,10 +291,9 @@ def broken_unit_matched_cond2() -> MatchedPair2Reps:
 
 def _so3_lapair(bad_dq=False) -> LAPairData:
     bundle = _so3_bundle()
-    algB = LieAlgebroidData(_so3_bundle(),
-                            DullBracket(_so3_bundle(),
-                                        so3_structure_constants(1)))
-    algB = LieAlgebroidData(algB.bundle, algB.bracket)
+    bundle_b = _so3_bundle()
+    algB = LieAlgebroidData(bundle_b,
+                            DullBracket(bundle_b, so3_structure_constants(1)))
     ident = PolyMatrix.identity(1, 3)
     delta = DorfmanConnection(bundle, so3_structure_constants(1))
     nablaB = LinearConnection(bundle, 3, so3_structure_constants(1))
@@ -386,10 +385,6 @@ EXAMPLES = {
     "broken_so3_bad_pairing": (broken_so3_bad_pairing, ["CA2"]),
     "broken_so3_e12_dirac": (broken_so3_e12_dirac, ["3_bracket_closes_in_U"]),
 }
-
-
-def example_names():
-    return sorted(EXAMPLES)
 
 
 def build_example(name: str):

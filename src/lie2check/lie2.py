@@ -16,9 +16,9 @@ from .exactpoly import Polynomial, PolyMatrix, PolyTensor
 from .report import CheckReport
 from .bundle import (
     AnchoredBundle, DorfmanConnection, DullBracket, LinearConnection,
-    VectorValuedForm, connection_curvature, dorfman_curvature,
-    field_bracket, form_cartan_differential, random_section, section_add,
-    section_pair, section_sub, unit_section, zero_section,
+    VectorValuedForm, connection_curvature, curvature_matrix, field_bracket,
+    form_cartan_differential, random_section, section_add, section_pair,
+    section_sub, unit_section,
 )
 
 
@@ -83,9 +83,6 @@ class GradedFunction:
     # -- structure -----------------------------------------------------
     def is_zero(self):
         return not self.terms
-
-    def degrees(self):
-        return {len(t) + 2 * len(b) for t, b in self.terms}
 
     def _compat(self, other):
         if (self.base_dim, self.rank_q, self.rank_b) != \
@@ -277,20 +274,7 @@ class Dorfman2Rep:
 
     def curv_matrix(self, q1, q2) -> PolyMatrix:
         """R(q1, q2) as a Hom(B, Q*) polynomial matrix (tensorial)."""
-        p = self.bundle.base_dim
-        rq, rb = self.rank_q, self.rank_b
-        out = PolyMatrix(p, rq, rb)
-        for i in range(rq):
-            for j in range(i + 1, rq):
-                coeff = q1[i] * q2[j] - q1[j] * q2[i]
-                if coeff.is_zero():
-                    continue
-                for r in range(rb):
-                    for k in range(rq):
-                        entry = self.curv.get(i, j, r, k)
-                        if not entry.is_zero():
-                            out.data[k][r] = out.data[k][r] + coeff * entry
-        return out
+        return curvature_matrix(self.curv, q1, q2)
 
     def omega_form(self) -> VectorValuedForm:
         """omega_R(q1,q2,q3) = R(q1,q2)^* q3 as a B*-valued 3-form.
@@ -446,7 +430,7 @@ def check_dorfman2rep(rep: Dorfman2Rep, seed: int = 0,
                     witness=f"(q{i + 1}, q{j + 1}, b{ib + 1})")
             for it, tau in enumerate(tau_secs):
                 lhs = rmat.apply(rep.partial_b_apply(tau))
-                rhs = dorfman_curvature(rep.delta, bracket, q1, q2, tau)
+                rhs = connection_curvature(rep.delta, bracket, q1, q2, tau)
                 report.add_residual_section(
                     "D4_delta", section_sub(lhs, rhs),
                     witness=f"(q{i + 1}, q{j + 1}, tau{it + 1})")

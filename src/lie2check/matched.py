@@ -10,16 +10,13 @@ from itertools import combinations
 from .exactpoly import Polynomial, PolyMatrix, PolyTensor
 from .report import CheckReport
 from .bundle import (
-    AnchoredBundle, BaseSpace, DullBracket, LieAlgebroidData,
-    LinearConnection, TwoRepData, check_two_rep, field_apply, field_bracket,
+    AnchoredBundle, DullBracket, LieAlgebroidData, LinearConnection,
+    TwoRepData, check_two_rep, curvature_matrix, field_bracket,
     random_section, section_add, section_is_zero, section_neg, section_pair,
     section_sub, unit_section, zero_section,
 )
-from .lie2 import (
-    Dorfman2Rep, GradedFunction, SplitLie2Data, build_homological_field,
-    check_dorfman2rep,
-)
-from .poisson import PoissonStructure, SelfDual2Rep, check_selfdual2rep
+from .lie2 import Dorfman2Rep, SplitLie2Data, build_homological_field
+from .poisson import PoissonStructure, SelfDual2Rep
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +65,10 @@ class MatchedPair2Reps:
                           self.nablaBA, self.nablaBC, self.curvBA)
 
     def curvAB_matrix(self, a1, a2) -> PolyMatrix:
-        return self.two_rep_of_A().curv_matrix(a1, a2)
+        return curvature_matrix(self.curvAB, a1, a2)
 
     def curvBA_matrix(self, b1, b2) -> PolyMatrix:
-        return self.two_rep_of_B().curv_matrix(b1, b2)
+        return curvature_matrix(self.curvBA, b1, b2)
 
 
 def check_matched_two_reps(pair: MatchedPair2Reps, seed: int = 0,
@@ -272,16 +269,8 @@ def bicrossproduct(pair: MatchedPair2Reps) -> SplitLie2Data:
     bracket = DullBracket(Q, comps)
 
     # connection of Q on C*: dual of nabla^{AC} + nabla^{BC}
-    gamma = [[[zero for _ in range(rc)] for _ in range(rc)] for _ in range(rq)]
-    for i in range(ra):
-        for j in range(rc):
-            for k in range(rc):
-                gamma[i][j][k] = -pair.nablaAC.gamma[i][k][j]
-    for i in range(rb):
-        for j in range(rc):
-            for k in range(rc):
-                gamma[ra + i][j][k] = -pair.nablaBC.gamma[i][k][j]
-    nabla = LinearConnection(Q, rc, gamma)
+    nabla = LinearConnection(Q, rc, pair.nablaAC.dual().gamma +
+                             pair.nablaBC.dual().gamma)
 
     # l3 from both curvature tensors, values in C
     l3 = SplitLie2Data.l3_tensor(p, rq, rc)
@@ -352,7 +341,6 @@ def decompose_bicrossproduct(split: SplitLie2Data, rank_a: int
             anchorB[m, j] = split.bundle.anchor[m, ra + j]
     bundleA = AnchoredBundle(base, ra, anchorA)
     bundleB = AnchoredBundle(base, rb, anchorB)
-    zero = Polynomial.zero(p)
 
     compsA = [[[comps[i][j][k] for k in range(ra)] for j in range(ra)]
               for i in range(ra)]
@@ -377,12 +365,9 @@ def decompose_bicrossproduct(split: SplitLie2Data, rank_a: int
     nablaBA = LinearConnection(bundleB, ra, gammaBA)
 
     # split.nablaB is the Q-connection on C*; its dual acts on C
-    gammaAC = [[[-split.nablaB.gamma[i][k][j] for k in range(rc)]
-                for j in range(rc)] for i in range(ra)]
-    gammaBC = [[[-split.nablaB.gamma[ra + i][k][j] for k in range(rc)]
-                for j in range(rc)] for i in range(rb)]
-    nablaAC = LinearConnection(bundleA, rc, gammaAC)
-    nablaBC = LinearConnection(bundleB, rc, gammaBC)
+    gammaC = split.nablaB.dual().gamma
+    nablaAC = LinearConnection(bundleA, rc, gammaC[:ra])
+    nablaBC = LinearConnection(bundleB, rc, gammaC[ra:])
 
     curvAB = PolyTensor(p, [(ra, 2, True), (rb, 1, False), (rc, 1, False)])
     for i in range(ra):

@@ -8,7 +8,6 @@ B frame functions).
 
 from __future__ import annotations
 
-import random as _random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -16,7 +15,7 @@ from .exactpoly import Polynomial, PolyMatrix, PolyTensor
 from .report import CheckReport
 from .bundle import (
     LieAlgebroidData, LinearConnection, TwoRepData, check_two_rep,
-    unit_section,
+    curvature_matrix, unit_section,
 )
 from .lie2 import GradedFunction
 
@@ -65,7 +64,8 @@ class SelfDual2Rep:
         )
 
     def curv_matrix(self, b1, b2) -> PolyMatrix:
-        return self.as_two_rep().curv_matrix(b1, b2)
+        """R_B(b1, b2) as a Hom(Q, Q*) polynomial matrix (tensorial)."""
+        return curvature_matrix(self.curvB, b1, b2)
 
 
 def check_selfdual2rep(rep: SelfDual2Rep, seed: int = 0,

@@ -33,12 +33,31 @@ class SchemaError(ValueError):
 
 
 def _require(data, fields, context):
+    if not isinstance(data, dict):
+        raise SchemaError(f"{context}: expected a JSON object")
     extra = set(data) - set(fields)
     missing = set(fields) - set(data)
     if extra:
         raise SchemaError(f"{context}: unknown fields {sorted(extra)}")
     if missing:
         raise SchemaError(f"{context}: missing fields {sorted(missing)}")
+
+
+def _count(data, field, context):
+    """A rank or dimension field: a non-negative int (bool is rejected)."""
+    value = data[field]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SchemaError(f"{context}.{field}: expected a non-negative "
+                          f"integer, got {value!r}")
+    return value
+
+
+def _has_shape(data, shape):
+    """True when data is nested lists with the given lengths."""
+    if not shape:
+        return True
+    return isinstance(data, list) and len(data) == shape[0] and \
+        all(_has_shape(item, shape[1:]) for item in data)
 
 
 def _matrix_json(mat: PolyMatrix):
@@ -57,9 +76,7 @@ def _comps_json(comps):
 
 
 def _comps_load(base_dim, shape, data, context):
-    d1, d2, d3 = shape
-    if len(data) != d1 or any(len(pl) != d2 for pl in data) or \
-            any(len(row) != d3 for pl in data for row in pl):
+    if not _has_shape(data, shape):
         raise SchemaError(f"{context}: component shape mismatch")
     try:
         return [[[Polynomial.from_json(base_dim, e) for e in row]
@@ -90,7 +107,7 @@ def _algebroid_payload(alg: LieAlgebroidData):
 
 def _algebroid_load(data, context):
     _require(data, ("base_dim", "rank", "anchor", "bracket"), context)
-    p, r = int(data["base_dim"]), int(data["rank"])
+    p, r = _count(data, "base_dim", context), _count(data, "rank", context)
     base = BaseSpace(p)
     anchor = _matrix_load(p, p, r, data["anchor"], context + ".anchor")
     bundle = AnchoredBundle(base, r, anchor)
@@ -124,7 +141,7 @@ def _decode_tworep(data):
     alg = _algebroid_load(data["algebroid"], "tworep.algebroid")
     p = alg.bundle.base_dim
     ra = alg.bundle.rank
-    rb, rc = int(data["rank_b"]), int(data["rank_c"])
+    rb, rc = _count(data, "rank_b", "tworep"), _count(data, "rank_c", "tworep")
     partial = _matrix_load(p, rb, rc, data["partial"], "tworep.partial")
     connB = LinearConnection(alg.bundle, rb, _comps_load(
         p, (ra, rb, rb), data["connB"], "tworep.connB"))
@@ -151,8 +168,9 @@ def _encode_dorfman2rep(rep: Dorfman2Rep):
 def _decode_dorfman2rep(data):
     _require(data, ("base_dim", "rank_q", "rank_b", "anchor", "partial_b",
                     "delta", "nablaB", "curv"), "dorfman2rep")
-    p = int(data["base_dim"])
-    rq, rb = int(data["rank_q"]), int(data["rank_b"])
+    p = _count(data, "base_dim", "dorfman2rep")
+    rq = _count(data, "rank_q", "dorfman2rep")
+    rb = _count(data, "rank_b", "dorfman2rep")
     base = BaseSpace(p)
     anchor = _matrix_load(p, p, rq, data["anchor"], "dorfman2rep.anchor")
     bundle = AnchoredBundle(base, rq, anchor)
@@ -183,8 +201,9 @@ def _encode_splitlie2(split: SplitLie2Data):
 def _decode_splitlie2(data):
     _require(data, ("base_dim", "rank_q", "rank_b", "anchor", "l1",
                     "bracket", "nablaB", "l3"), "splitlie2")
-    p = int(data["base_dim"])
-    rq, rb = int(data["rank_q"]), int(data["rank_b"])
+    p = _count(data, "base_dim", "splitlie2")
+    rq = _count(data, "rank_q", "splitlie2")
+    rb = _count(data, "rank_b", "splitlie2")
     base = BaseSpace(p)
     anchor = _matrix_load(p, p, rq, data["anchor"], "splitlie2.anchor")
     bundle = AnchoredBundle(base, rq, anchor)
@@ -214,7 +233,7 @@ def _decode_selfdual2rep(data):
     alg = _algebroid_load(data["algebroid"], "selfdual2rep.algebroid")
     p = alg.bundle.base_dim
     rb = alg.bundle.rank
-    rq = int(data["rank_q"])
+    rq = _count(data, "rank_q", "selfdual2rep")
     partial_q = _matrix_load(p, rq, rq, data["partial_q"],
                              "selfdual2rep.partial_q")
     nablaQ = LinearConnection(alg.bundle, rq, _comps_load(
@@ -248,7 +267,7 @@ def _decode_matched2reps(data):
     algB = _algebroid_load(data["algB"], "matched2reps.algB")
     p = algA.bundle.base_dim
     ra, rb = algA.bundle.rank, algB.bundle.rank
-    rc = int(data["rank_c"])
+    rc = _count(data, "rank_c", "matched2reps")
     partialA = _matrix_load(p, ra, rc, data["partialA"],
                             "matched2reps.partialA")
     partialB = _matrix_load(p, rb, rc, data["partialB"],
@@ -297,7 +316,7 @@ def _encode_courant(ca: DegenerateCourant):
 def _decode_courant(data):
     _require(data, ("base_dim", "rank", "rho", "pairing", "bracket", "Dmap"),
              "courant")
-    p, n = int(data["base_dim"]), int(data["rank"])
+    p, n = _count(data, "base_dim", "courant"), _count(data, "rank", "courant")
     base = BaseSpace(p)
     rho = _matrix_load(p, p, n, data["rho"], "courant.rho")
     pairing = _matrix_load(p, n, n, data["pairing"], "courant.pairing")
@@ -318,15 +337,21 @@ def _encode_dirac(data: DiracData):
 
 def _decode_dirac(data):
     _require(data, ("base_dim", "rank_q", "rank_b", "U", "Bprime"), "dirac")
-    p = int(data["base_dim"])
-    rq, rb = int(data["rank_q"]), int(data["rank_b"])
-    u = data["U"]
-    bp = data["Bprime"]
+    p = _count(data, "base_dim", "dirac")
+    rq, rb = _count(data, "rank_q", "dirac"), _count(data, "rank_b", "dirac")
+    u, bp = data["U"], data["Bprime"]
+    for mat, context in ((u, "dirac.U"), (bp, "dirac.Bprime")):
+        if not isinstance(mat, list) or \
+                not all(isinstance(row, list) for row in mat):
+            raise SchemaError(f"{context}: expected a list of rows")
     u_cols = len(u[0]) if u else 0
     bp_cols = len(bp[0]) if bp else 0
     u_incl = _matrix_load(p, rq, u_cols, u, "dirac.U")
     bprime = _matrix_load(p, rb, bp_cols, bp, "dirac.Bprime")
-    return DiracData(u_incl, bprime)
+    try:
+        return DiracData(u_incl, bprime)
+    except ValueError as exc:
+        raise SchemaError(f"dirac: {exc}") from exc
 
 
 _KINDS = {

@@ -1,5 +1,7 @@
 """Anchored bundles, brackets, connections and 2-representations."""
 
+import pytest
+
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
 from lie2check.bundle import (
     AnchoredBundle, BaseSpace, DullBracket, LieAlgebroidData,
@@ -117,3 +119,13 @@ def test_section_pairing():
     assert section_pair([x, one], [one, x]) == x + x
     assert all(f.is_zero()
                for f in section_sub([x, one], [x, one]))
+
+
+def test_algebroid_rejects_a_bracket_on_another_bundle():
+    base = BaseSpace(1)
+    bundle = AnchoredBundle(base, 3, PolyMatrix(1, 1, 3))
+    other = AnchoredBundle(base, 3, PolyMatrix(1, 1, 3))
+    bracket = DullBracket(other, so3_structure_constants(1))
+    with pytest.raises(ValueError, match="different bundle"):
+        LieAlgebroidData(bundle, bracket)
+    assert bracket.bundle is other

@@ -94,6 +94,30 @@ def test_malformed_polynomial_term_is_exit_2(tmp_path, capsys, field, value):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("example, field, value", [
+    ("tm_r1_lie1", "base_dim", "abc"), ("tm_r1_lie1", "base_dim", -1),
+    ("tm_r1_lie1", "base_dim", None), ("tm_r1_lie1", "base_dim", 1.0),
+    ("tm_r1_lie1", "base_dim", True), ("tm_r1_lie1", "bracket", 5),
+    ("tm_r1_lie1", "bracket", [[5]]), ("so3_e3_dirac", "U", 5),
+    ("so3_e3_dirac", "U", [5]), ("so3_e3_dirac", "rank_q", "a"),
+    ("so3_e3_dirac", "U", [[[]], [[]], [[]]]),
+    ("so3_symplectic_pair", "selfdual", 5),
+])
+def test_malformed_field_is_exit_2(tmp_path, capsys, example, field, value):
+    path = _emit(tmp_path, example)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    inputs = [str(path)]
+    if example in DIRAC_EXAMPLES:
+        inputs = ["--mode", "dirac-vb", str(_emit(tmp_path, "so3_lie2")),
+                  str(path)]
+    capsys.readouterr()
+    assert main(["check", *inputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_json_reports_are_byte_identical(tmp_path):
     path = _emit(tmp_path, "so3_symplectic_pair")
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -1,0 +1,272 @@
+"""Differential test of the frame-stored operators.
+
+Every operator that is stored by its frame components and extended to
+sections by the Leibniz rule goes through ``bundle.covariant_apply``,
+and every curvature matrix through ``bundle.curvature_matrix``.  The
+reference functions below are the earlier hand-written loops, one per
+operator, kept here only as the oracle: on random polynomial data with
+zero components and rank-0 modules, both must give equal polynomials in
+every component.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from lie2check.bundle import (
+    AnchoredBundle, BaseSpace, DorfmanConnection, DullBracket,
+    LieAlgebroidData, LinearConnection, TwoRepData, field_apply,
+    field_bracket, section_sub, zero_section,
+)
+from lie2check.courant import DegenerateCourant, _nabla_vec, curv_nabla
+from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
+from lie2check.lie2 import Dorfman2Rep
+from lie2check.poisson import SelfDual2Rep
+
+
+# ---------------------------------------------------------------------------
+# reference loops
+
+
+def ref_connection_apply(conn, q, s):
+    p = conn.bundle.base_dim
+    out = zero_section(p, conn.module_rank)
+    for j in range(conn.module_rank):
+        out[j] = out[j] + conn.bundle.anchor_apply(q, s[j])
+    for i in range(conn.bundle.rank):
+        if q[i].is_zero():
+            continue
+        for j in range(conn.module_rank):
+            if s[j].is_zero():
+                continue
+            coeff = q[i] * s[j]
+            for k in range(conn.module_rank):
+                out[k] = out[k] + coeff * conn.gamma[i][j][k]
+    return out
+
+
+def ref_dorfman_apply(delta, q, tau):
+    p = delta.bundle.base_dim
+    r = delta.bundle.rank
+    out = zero_section(p, r)
+    for j in range(r):
+        out[j] = out[j] + delta.bundle.anchor_apply(q, tau[j])
+    for i in range(r):
+        if q[i].is_zero():
+            continue
+        for j in range(r):
+            if tau[j].is_zero():
+                continue
+            coeff = q[i] * tau[j]
+            for k in range(r):
+                out[k] = out[k] + coeff * delta.comps[i][j][k]
+    for j in range(r):
+        if tau[j].is_zero():
+            continue
+        pull = delta.bundle.anchor_pullback_d(q[j])
+        for k in range(r):
+            out[k] = out[k] + tau[j] * pull[k]
+    return out
+
+
+def ref_dull_apply(bracket, q1, q2):
+    p = bracket.bundle.base_dim
+    r = bracket.bundle.rank
+    out = zero_section(p, r)
+    for i in range(r):
+        if q1[i].is_zero():
+            continue
+        for j in range(r):
+            if q2[j].is_zero():
+                continue
+            coeff = q1[i] * q2[j]
+            for k in range(r):
+                out[k] = out[k] + coeff * bracket.comps[i][j][k]
+    for j in range(r):
+        out[j] = out[j] + bracket.bundle.anchor_apply(q1, q2[j]) \
+            - bracket.bundle.anchor_apply(q2, q1[j])
+    return out
+
+
+def ref_nabla_vec(ca, gamma, x, e):
+    p, n = ca.base_dim, ca.rank
+    out = zero_section(p, n)
+    for j in range(n):
+        out[j] = out[j] + field_apply(x, e[j])
+    for m in range(p):
+        if x[m].is_zero():
+            continue
+        for i in range(n):
+            if e[i].is_zero():
+                continue
+            coeff = x[m] * e[i]
+            for j in range(n):
+                out[j] = out[j] + coeff * gamma[m][i][j]
+    return out
+
+
+def ref_curv_nabla(ca, gamma, x, y, e):
+    def nabla(v, sec):
+        return ref_nabla_vec(ca, gamma, v, sec)
+
+    out = section_sub(nabla(x, nabla(y, e)), nabla(y, nabla(x, e)))
+    return section_sub(out, nabla(field_bracket(x, y), e))
+
+
+def _unit(p, n, i):
+    out = zero_section(p, n)
+    out[i] = Polynomial.const(p, 1)
+    return out
+
+
+def ref_courant_bracket(ca, e1, e2):
+    p, n = ca.base_dim, ca.rank
+
+    def frame_bracket_with(i, sec):
+        out = zero_section(p, n)
+        for j in range(n):
+            if not sec[j].is_zero():
+                for k in range(n):
+                    out[k] = out[k] + sec[j] * ca.bracket_comps[i][j][k]
+            out[j] = out[j] + ca.rho_apply(_unit(p, n, i), sec[j])
+        return out
+
+    out = zero_section(p, n)
+    for i in range(n):
+        if e1[i].is_zero():
+            continue
+        out = [a + e1[i] * b for a, b in zip(out, frame_bracket_with(i, e2))]
+        out = [a - ca.rho_apply(e2, e1[i]) * b
+               for a, b in zip(out, _unit(p, n, i))]
+        out = [a + ca.pair(_unit(p, n, i), e2) * b
+               for a, b in zip(out, ca.dee(e1[i]))]
+    return out
+
+
+def ref_curv_matrix(curv, ra, rank_in, rank_out, u1, u2, base_dim):
+    """The TwoRepData / Dorfman2Rep / SelfDual2Rep loop."""
+    out = PolyMatrix(base_dim, rank_out, rank_in)
+    for i in range(ra):
+        for j in range(i + 1, ra):
+            coeff = u1[i] * u2[j] - u1[j] * u2[i]
+            if coeff.is_zero():
+                continue
+            for r in range(rank_in):
+                for m in range(rank_out):
+                    entry = curv.get(i, j, r, m)
+                    if not entry.is_zero():
+                        out.data[m][r] = out.data[m][r] + coeff * entry
+    return out
+
+
+def ref_dual(comps, rows, r):
+    return [[[-comps[i][k][j] for k in range(r)] for j in range(r)]
+            for i in range(rows)]
+
+
+# ---------------------------------------------------------------------------
+# random data
+
+
+class Draw:
+    """Random polynomials over R^p; about one in three is zero."""
+
+    def __init__(self, draw, p):
+        self.draw, self.p = draw, p
+
+    def poly(self):
+        if self.draw(st.integers(0, 2)) == 2:
+            return Polynomial.zero(self.p)
+        exps = st.tuples(*[st.integers(0, 2)] * self.p)
+        coeffs = st.sampled_from([-3, -2, -1, 1, 2, 3])
+        return Polynomial(self.p, self.draw(
+            st.dictionaries(exps, coeffs, min_size=1, max_size=3)))
+
+    def section(self, n):
+        return [self.poly() for _ in range(n)]
+
+    def matrix(self, rows, cols):
+        return PolyMatrix(self.p, rows, cols,
+                          [self.section(cols) for _ in range(rows)])
+
+    def comps(self, d1, d2, d3):
+        return [[self.section(d3) for _ in range(d2)] for _ in range(d1)]
+
+    def two_form(self, rank, n_in, n_out):
+        tensor = PolyTensor(self.p, [(rank, 2, True), (n_in, 1, False),
+                                     (n_out, 1, False)])
+        for key in tensor.canonical_keys():
+            tensor.set(key, self.poly())
+        return tensor
+
+
+ranks = st.integers(min_value=0, max_value=3)
+
+
+def _setup(data):
+    """Base dimension, two ranks, a drawer and an anchored bundle."""
+    p = data.draw(st.integers(min_value=1, max_value=2))
+    rq, r = data.draw(ranks), data.draw(ranks)
+    d = Draw(data.draw, p)
+    return p, rq, r, d, AnchoredBundle(BaseSpace(p), rq, d.matrix(p, rq))
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_connections_and_brackets_match_reference(data):
+    p, rq, r, d, bundle = _setup(data)
+    conn = LinearConnection(bundle, r, d.comps(rq, r, r))
+    delta = DorfmanConnection(bundle, d.comps(rq, rq, rq))
+    bracket = DullBracket(bundle, d.comps(rq, rq, rq))
+    q1, q2 = d.section(rq), d.section(rq)
+    s = d.section(r)
+
+    assert conn.apply(q1, s) == ref_connection_apply(conn, q1, s)
+    assert delta.apply(q1, q2) == ref_dorfman_apply(delta, q1, q2)
+    assert bracket.apply(q1, q2) == ref_dull_apply(bracket, q1, q2)
+    assert conn.dual().gamma == ref_dual(conn.gamma, rq, r)
+    assert delta.dual_dull_bracket().comps == ref_dual(delta.comps, rq, rq)
+    assert DorfmanConnection.from_dull_bracket(bracket).comps == \
+        ref_dual(bracket.comps, rq, rq)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_courant_bracket_and_tm_connection_match_reference(data):
+    p, n, _, d, _ = _setup(data)
+    ca = DegenerateCourant(BaseSpace(p), n, d.matrix(p, n), d.matrix(n, n),
+                           d.comps(n, n, n), d.matrix(n, p))
+    gamma = d.comps(p, n, n)
+    e1, e2 = d.section(n), d.section(n)
+    x, y = d.section(p), d.section(p)
+
+    assert ca.bracket(e1, e2) == ref_courant_bracket(ca, e1, e2)
+    assert _nabla_vec(gamma, x, e1) == ref_nabla_vec(ca, gamma, x, e1)
+    assert curv_nabla(gamma, x, y, e2) == ref_curv_nabla(ca, gamma, x, y, e2)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_curvature_matrices_match_reference(data):
+    p, ra, rb, d, bundle = _setup(data)
+    rc = data.draw(ranks)
+    alg = LieAlgebroidData(bundle, DullBracket(bundle, d.comps(ra, ra, ra)))
+    u1, u2 = d.section(ra), d.section(ra)
+
+    two = TwoRepData(alg, rb, rc, d.matrix(rb, rc),
+                     LinearConnection(bundle, rb, d.comps(ra, rb, rb)),
+                     LinearConnection(bundle, rc, d.comps(ra, rc, rc)),
+                     d.two_form(ra, rb, rc))
+    assert two.curv_matrix(u1, u2) == \
+        ref_curv_matrix(two.curv, ra, rb, rc, u1, u2, p)
+
+    dorf = Dorfman2Rep(bundle, rb, d.matrix(rb, ra),
+                       DorfmanConnection(bundle, d.comps(ra, ra, ra)),
+                       LinearConnection(bundle, rb, d.comps(ra, rb, rb)),
+                       d.two_form(ra, rb, ra))
+    assert dorf.curv_matrix(u1, u2) == \
+        ref_curv_matrix(dorf.curv, ra, rb, ra, u1, u2, p)
+
+    selfdual = SelfDual2Rep(alg, rc, d.matrix(rc, rc),
+                            LinearConnection(bundle, rc, d.comps(ra, rc, rc)),
+                            d.two_form(ra, rc, rc))
+    assert selfdual.curv_matrix(u1, u2) == \
+        ref_curv_matrix(selfdual.curvB, ra, rc, rc, u1, u2, p)
