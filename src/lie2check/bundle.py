@@ -83,9 +83,17 @@ def field_bracket(x, y):
 
 
 def field_apply(x, f: Polynomial) -> Polynomial:
-    acc = Polynomial.zero(f.base_dim)
+    """X(f) = sum_m x_m df/dx_m.  Zero components, and all of them when f
+    is zero, are skipped; the index and base dimension checks are not."""
+    p = f.base_dim
+    acc = Polynomial.zero(p)
     for m, comp in enumerate(x):
-        acc = acc + comp * f.diff(m)
+        if m >= p:
+            raise IndexError("coordinate index out of range")
+        if comp.base_dim != p:
+            raise ValueError("base dimension mismatch")
+        if comp.terms and f.terms:
+            acc = acc + comp * f.diff(m)
     return acc
 
 
@@ -97,7 +105,8 @@ def covariant_apply(field, comps, u, v):
     where field is the vector field (component list) that anchors the
     operator along u, and comps[i][j][k] is the k-th component of the
     operator along the i-th frame of u applied to the j-th frame of v.
-    The result has the rank of v.  Zero u_i and zero v_j are skipped.
+    The result has the rank of v.  Zero u_i, zero v_j and zero
+    comps[i][j][k] are skipped.
     """
     out = [field_apply(field, c) for c in v]
     for i, ui in enumerate(u):
@@ -107,9 +116,14 @@ def covariant_apply(field, comps, u, v):
             if vj.is_zero():
                 continue
             coeff = ui * vj
+            p = coeff.base_dim
             row = comps[i][j]
             for k in range(len(out)):
-                out[k] = out[k] + coeff * row[k]
+                entry = row[k]
+                if entry.base_dim != p or out[k].base_dim != p:
+                    raise ValueError("base dimension mismatch")
+                if entry.terms:
+                    out[k] = out[k] + coeff * entry
     return out
 
 

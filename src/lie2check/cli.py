@@ -10,8 +10,7 @@ import sys
 
 from . import __version__
 from .exactpoly import Polynomial, PolyMatrix, PolyTensor
-from .bundle import LinearConnection, check_lie_algebroid, check_two_rep, \
-    dualize_two_rep
+from .bundle import check_lie_algebroid, check_two_rep, dualize_two_rep
 from .lie2 import (
     change_splitting, check_dorfman2rep, check_homological,
     dorfman_from_split, split_from_dorfman,
@@ -22,7 +21,7 @@ from .matched import (
     check_q_preserves_poisson, decompose_bicrossproduct,
 )
 from .courant import (
-    check_core_courant, check_courant_axioms, check_dirac, check_manin_pair,
+    check_core_courant, check_courant_axioms, check_dirac,
     adjoint_dorfman2rep, core_courant, induced_lie_algebroid_on_U,
     manin_pair, semidirect_dorfman2rep, standard_dorfman2rep,
 )
@@ -275,6 +274,9 @@ def cmd_construct(args):
             _expect_kind(kind, "splitlie2", recipe)
             if args.rank_a is None:
                 raise CliError("recipe 'decompose' needs --rank-a")
+            if not 0 <= args.rank_a <= obj.rank_q:
+                raise CliError(f"--rank-a must be between 0 and rank_q = "
+                               f"{obj.rank_q}, got {args.rank_a}")
             result = decompose_bicrossproduct(obj, args.rank_a)
         elif recipe == "core-courant":
             _expect_kind(kind, "lapair", recipe)

@@ -3,12 +3,21 @@
 Every structure function in this package is a polynomial over the
 rationals in the base coordinates x_1..x_p.  Zero-testing is structural:
 a polynomial is zero exactly when it stores no terms.
+
+Zero-skip contract: most frame components of the operators are zero, so
+``PolyMatrix.apply`` and the operator loops in ``bundle`` do not pass
+zero operands to the kernel.  Arithmetic is exact and renders sort their
+terms, so a skipped zero addend changes no result.  The dimension checks
+still hold on skipped operands: a base dimension mismatch raises
+ValueError and a coordinate index out of range IndexError, exactly as if
+the operand had gone through the kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 
 def rational(value) -> Fraction:
@@ -117,12 +126,9 @@ class Polynomial:
         return max(sum(exps) for exps in self.terms)
 
     # -- ring operations ----------------------------------------------
-    def _check(self, other: "Polynomial"):
+    def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.base_dim != other.base_dim:
             raise ValueError("base dimension mismatch")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
         if not other.terms:
             return self
         if not self.terms:
@@ -143,9 +149,14 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check(other)
+        # Polynomial first: Fraction's metaclass is ABCMeta, so an
+        # isinstance test against it is slow.
+        if not isinstance(other, Polynomial):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            return NotImplemented
+        if self.base_dim != other.base_dim:
+            raise ValueError("base dimension mismatch")
         if not self.terms:
             return self
         if not other.terms:
@@ -153,7 +164,7 @@ class Polynomial:
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
+                exps = tuple(map(add, e1, e2))
                 total = terms.get(exps, 0) + c1 * c2
                 if total == 0:
                     del terms[exps]
@@ -186,7 +197,7 @@ class Polynomial:
 
     # -- comparison / rendering ---------------------------------------
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             other = Polynomial.const(self.base_dim, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -413,16 +424,6 @@ class PolyMatrix:
             out.data[i][i] = Polynomial.const(base_dim, 1)
         return out
 
-    @classmethod
-    def from_rationals(cls, base_dim: int, data) -> "PolyMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        out = cls(base_dim, rows, cols)
-        for i, row in enumerate(data):
-            for j, value in enumerate(row):
-                out.data[i][j] = Polynomial.const(base_dim, rational(value))
-        return out
-
     def __getitem__(self, key):
         i, j = key
         return self.data[i][j]
@@ -432,14 +433,24 @@ class PolyMatrix:
         self.data[i][j] = value
 
     def apply(self, vec):
-        """Matrix times a coefficient vector of polynomials."""
+        """Matrix times a coefficient vector of polynomials.
+
+        Only products of a nonzero entry and a nonzero vector component
+        reach the kernel; every entry's base dimension is still checked.
+        """
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
+        p = self.base_dim
+        zero = Polynomial.zero(p)
         out = []
-        for i in range(self.rows):
-            acc = Polynomial.zero(self.base_dim)
-            for j in range(self.cols):
-                acc = acc + self.data[i][j] * vec[j]
+        for row in self.data:
+            acc = zero
+            for j, vj in enumerate(vec):
+                entry = row[j]
+                if entry.base_dim != p or vj.base_dim != p:
+                    raise ValueError("base dimension mismatch")
+                if entry.terms and vj.terms:
+                    acc = acc + entry * vj
             out.append(acc)
         return out
 

@@ -219,6 +219,16 @@ def test_construct_precondition_failure_is_exit_1(tmp_path, capsys):
     assert "precondition failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rank_a", ["-1", "99"])
+def test_decompose_rank_a_out_of_range_is_exit_2(tmp_path, capsys, rank_a):
+    split = _emit(tmp_path, "so3_string")
+    capsys.readouterr()
+    assert main(["construct", "decompose", str(split),
+                 "--rank-a", rank_a]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_mode_mismatch_is_exit_2(tmp_path):
     quad = _emit(tmp_path, "so3_quadratic")
     assert main(["check", "--mode", "la-pair", str(quad)]) == 2

@@ -3,7 +3,7 @@ structures and Manin pairs."""
 
 import pytest
 
-from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
+from lie2check.exactpoly import Polynomial, PolyMatrix
 from lie2check.bundle import unit_section
 from lie2check.lie2 import check_dorfman2rep, check_homological
 from lie2check.poisson import check_selfdual2rep

@@ -78,6 +78,22 @@ def test_rational_parsing():
         rational(True)
 
 
+@pytest.mark.parametrize("other", [1.5, "x", None, [1]])
+def test_product_with_a_non_rational_is_type_error(other):
+    f = Polynomial.const(1, 1)
+    with pytest.raises(TypeError):
+        f * other
+    with pytest.raises(TypeError):
+        other * f
+
+
+def test_equality_with_bool_is_false_not_an_error():
+    f = Polynomial.const(1, 1)
+    assert (f == True) is False  # noqa: E712
+    assert (f != True) is True  # noqa: E712
+    assert f == 1 and Polynomial.zero(1) == 0
+
+
 def test_from_json_rejects_bad_terms():
     with pytest.raises(ValueError):
         Polynomial.from_json(1, [{"coeff": "1"}])
@@ -89,21 +105,27 @@ def test_from_json_rejects_bad_terms():
             Polynomial.from_json(1, [{"coeff": "1", "exps": exps}])
 
 
+def _constant_matrix(rows):
+    """PolyMatrix over R^1 with the given integer constants."""
+    return PolyMatrix(1, len(rows), len(rows[0]),
+                      [[Polynomial.const(1, v) for v in row] for row in rows])
+
+
 def test_matrix_inverse_oracle():
-    m = PolyMatrix.from_rationals(1, [[2, 1], [1, 1]])
+    m = _constant_matrix([[2, 1], [1, 1]])
     inv = m.inverse_constant()
     assert m.matmul(inv) == PolyMatrix.identity(1, 2)
     assert inv.matmul(m) == PolyMatrix.identity(1, 2)
-    assert inv == PolyMatrix.from_rationals(1, [[1, -1], [-1, 2]])
+    assert inv == _constant_matrix([[1, -1], [-1, 2]])
 
 
 def test_matrix_determinant_oracle():
-    m = PolyMatrix.from_rationals(1, [[1, 2, 3], [0, 1, 4], [5, 6, 0]])
+    m = _constant_matrix([[1, 2, 3], [0, 1, 4], [5, 6, 0]])
     assert m.determinant() == Polynomial.const(1, 1)
 
 
 def test_singular_matrix_rejected():
-    m = PolyMatrix.from_rationals(1, [[1, 2], [2, 4]])
+    m = _constant_matrix([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         m.inverse_constant()
 

@@ -1,6 +1,5 @@
 """Matched pairs of 2-representations and of Lie algebroids."""
 
-from lie2check.exactpoly import Polynomial
 from lie2check.lie2 import check_dorfman2rep, check_homological, \
     dorfman_from_split
 from lie2check.matched import (

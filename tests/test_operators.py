@@ -7,14 +7,20 @@ reference functions below are the earlier hand-written loops, one per
 operator, kept here only as the oracle: on random polynomial data with
 zero components and rank-0 modules, both must give equal polynomials in
 every component.
+
+``PolyMatrix.apply``, ``field_apply`` and ``covariant_apply`` skip zero
+operands.  The references share none of them: anchors and vector fields
+act through the dense loops ``ref_matrix_apply`` and ``ref_field_apply``,
+which pass every entry to the kernel.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lie2check.bundle import (
     AnchoredBundle, BaseSpace, DorfmanConnection, DullBracket,
-    LieAlgebroidData, LinearConnection, TwoRepData, field_apply,
-    field_bracket, section_sub, zero_section,
+    LieAlgebroidData, LinearConnection, TwoRepData, covariant_apply,
+    field_apply, field_bracket, section_sub, zero_section,
 )
 from lie2check.courant import DegenerateCourant, _nabla_vec, curv_nabla
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
@@ -26,11 +32,32 @@ from lie2check.poisson import SelfDual2Rep
 # reference loops
 
 
+def ref_matrix_apply(mat, vec):
+    out = []
+    for i in range(mat.rows):
+        acc = Polynomial.zero(mat.base_dim)
+        for j in range(mat.cols):
+            acc = acc + mat.data[i][j] * vec[j]
+        out.append(acc)
+    return out
+
+
+def ref_field_apply(x, f):
+    acc = Polynomial.zero(f.base_dim)
+    for m, comp in enumerate(x):
+        acc = acc + comp * f.diff(m)
+    return acc
+
+
+def ref_anchor_apply(anchor, q, f):
+    return ref_field_apply(ref_matrix_apply(anchor, q), f)
+
+
 def ref_connection_apply(conn, q, s):
     p = conn.bundle.base_dim
     out = zero_section(p, conn.module_rank)
     for j in range(conn.module_rank):
-        out[j] = out[j] + conn.bundle.anchor_apply(q, s[j])
+        out[j] = out[j] + ref_anchor_apply(conn.bundle.anchor, q, s[j])
     for i in range(conn.bundle.rank):
         if q[i].is_zero():
             continue
@@ -47,8 +74,9 @@ def ref_dorfman_apply(delta, q, tau):
     p = delta.bundle.base_dim
     r = delta.bundle.rank
     out = zero_section(p, r)
+    anchor = delta.bundle.anchor
     for j in range(r):
-        out[j] = out[j] + delta.bundle.anchor_apply(q, tau[j])
+        out[j] = out[j] + ref_anchor_apply(anchor, q, tau[j])
     for i in range(r):
         if q[i].is_zero():
             continue
@@ -61,7 +89,8 @@ def ref_dorfman_apply(delta, q, tau):
     for j in range(r):
         if tau[j].is_zero():
             continue
-        pull = delta.bundle.anchor_pullback_d(q[j])
+        pull = [ref_anchor_apply(anchor, _unit(p, r, i), q[j])
+                for i in range(r)]
         for k in range(r):
             out[k] = out[k] + tau[j] * pull[k]
     return out
@@ -80,9 +109,10 @@ def ref_dull_apply(bracket, q1, q2):
             coeff = q1[i] * q2[j]
             for k in range(r):
                 out[k] = out[k] + coeff * bracket.comps[i][j][k]
+    anchor = bracket.bundle.anchor
     for j in range(r):
-        out[j] = out[j] + bracket.bundle.anchor_apply(q1, q2[j]) \
-            - bracket.bundle.anchor_apply(q2, q1[j])
+        out[j] = out[j] + ref_anchor_apply(anchor, q1, q2[j]) \
+            - ref_anchor_apply(anchor, q2, q1[j])
     return out
 
 
@@ -90,7 +120,7 @@ def ref_nabla_vec(ca, gamma, x, e):
     p, n = ca.base_dim, ca.rank
     out = zero_section(p, n)
     for j in range(n):
-        out[j] = out[j] + field_apply(x, e[j])
+        out[j] = out[j] + ref_field_apply(x, e[j])
     for m in range(p):
         if x[m].is_zero():
             continue
@@ -126,7 +156,8 @@ def ref_courant_bracket(ca, e1, e2):
             if not sec[j].is_zero():
                 for k in range(n):
                     out[k] = out[k] + sec[j] * ca.bracket_comps[i][j][k]
-            out[j] = out[j] + ca.rho_apply(_unit(p, n, i), sec[j])
+            out[j] = out[j] + ref_anchor_apply(ca.rho, _unit(p, n, i),
+                                               sec[j])
         return out
 
     out = zero_section(p, n)
@@ -134,7 +165,7 @@ def ref_courant_bracket(ca, e1, e2):
         if e1[i].is_zero():
             continue
         out = [a + e1[i] * b for a, b in zip(out, frame_bracket_with(i, e2))]
-        out = [a - ca.rho_apply(e2, e1[i]) * b
+        out = [a - ref_anchor_apply(ca.rho, e2, e1[i]) * b
                for a, b in zip(out, _unit(p, n, i))]
         out = [a + ca.pair(_unit(p, n, i), e2) * b
                for a, b in zip(out, ca.dee(e1[i]))]
@@ -167,13 +198,13 @@ def ref_dual(comps, rows, r):
 
 
 class Draw:
-    """Random polynomials over R^p; about one in three is zero."""
+    """Random polynomials over R^p; ``zeros`` in three are zero."""
 
-    def __init__(self, draw, p):
-        self.draw, self.p = draw, p
+    def __init__(self, draw, p, zeros=1):
+        self.draw, self.p, self.zeros = draw, p, zeros
 
     def poly(self):
-        if self.draw(st.integers(0, 2)) == 2:
+        if self.draw(st.integers(0, 2)) > 2 - self.zeros:
             return Polynomial.zero(self.p)
         exps = st.tuples(*[st.integers(0, 2)] * self.p)
         coeffs = st.sampled_from([-3, -2, -1, 1, 2, 3])
@@ -270,3 +301,63 @@ def test_curvature_matrices_match_reference(data):
                             d.two_form(ra, rc, rc))
     assert selfdual.curv_matrix(u1, u2) == \
         ref_curv_matrix(selfdual.curvB, ra, rc, rc, u1, u2, p)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_zero_skipping_loops_match_dense_reference(data):
+    p = data.draw(st.integers(min_value=1, max_value=3))
+    rows, cols = data.draw(ranks), data.draw(ranks)
+    d = Draw(data.draw, p, zeros=2)
+    mat, vec = d.matrix(rows, cols), d.section(cols)
+    assert mat.apply(vec) == ref_matrix_apply(mat, vec)
+    x, f = d.section(data.draw(st.integers(0, p))), d.poly()
+    assert field_apply(x, f) == ref_field_apply(x, f)
+
+
+# ---------------------------------------------------------------------------
+# dimension checks on skipped operands
+#
+# Each case has one operand over R^1 among operands over R^2.  The odd
+# operand, or the one it meets, is zero, so the zero-skipping loops never
+# pass it to the kernel; a dense loop would, and the kernel would raise.
+
+
+def _zero(p):
+    return Polynomial.zero(p)
+
+
+_x = Polynomial.variable(2, 0)
+_field = [_x, _x]
+
+DIMENSION_MISMATCHES = {
+    "add": lambda: _x + _zero(1),
+    "add_to_zero": lambda: _zero(1) + _x,
+    "mul": lambda: _x * _zero(1),
+    "mul_of_zero": lambda: _zero(1) * _x,
+    "matrix_entry": lambda: PolyMatrix(2, 1, 2, [[_x, _zero(1)]]).apply(
+        [_x, _x]),
+    "matrix_vector": lambda: PolyMatrix(2, 1, 2, [[_x, _zero(2)]]).apply(
+        [_x, _zero(1)]),
+    "field_component": lambda: field_apply([_x, _zero(1)], _x),
+    "field_component_zero_f": lambda: field_apply([_x, _zero(1)], _zero(2)),
+    "covariant_comps": lambda: covariant_apply(
+        _field, [[[_zero(1), _x]]], [_x], [_x, _x]),
+    "covariant_section": lambda: covariant_apply(
+        [], [[[_zero(2), _zero(2)], [_zero(2), _zero(2)]]],
+        [_x], [_x, _zero(1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIMENSION_MISMATCHES))
+def test_dimension_mismatch_on_a_skipped_zero_still_raises(case):
+    with pytest.raises(ValueError, match="base dimension mismatch"):
+        DIMENSION_MISMATCHES[case]()
+
+
+def test_field_longer_than_base_dim_is_index_error():
+    for f in (_x, _zero(2)):
+        with pytest.raises(IndexError):
+            field_apply([_zero(2)] * 3, f)
+        with pytest.raises(IndexError):
+            ref_field_apply([_zero(2)] * 3, f)
