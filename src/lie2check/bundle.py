@@ -24,6 +24,32 @@ from itertools import combinations
 from .exactpoly import Polynomial, PolyMatrix, PolyTensor, random_polynomial
 
 
+def memo(fn):
+    """``fn`` with a table of its results, for one checker call.
+
+    Keys are argument values, never ``id()``: a list argument becomes the
+    tuple of its Polynomials, which hash and compare exactly, so equal
+    sections built apart share one entry.  The table dies with the
+    returned function, so it never outlives the check or sees another
+    structure.  Callers share each result, so results and arguments are
+    never mutated in place.  A call with an unhashable argument (a
+    PolyMatrix) is not memoized; a call that raises stores nothing.
+    """
+    table = {}
+
+    def call(*args):
+        key = tuple(tuple(a) if isinstance(a, list) else a for a in args)
+        try:
+            return table[key]
+        except KeyError:
+            pass
+        except TypeError:
+            return fn(*args)
+        value = table[key] = fn(*args)
+        return value
+    return call
+
+
 # ---------------------------------------------------------------------------
 # sections and vector fields
 
@@ -283,16 +309,15 @@ class DullBracket:
 # derived operators
 
 
-def connection_curvature(conn, bracket: DullBracket, q1, q2, s):
+def connection_curvature(nabla, bracket, q1, q2, s):
     """R(q1, q2)s = nabla_q1 nabla_q2 s - nabla_q2 nabla_q1 s - nabla_[q1,q2] s.
 
-    conn is any operator with apply(q, s): a connection or a Dorfman
-    connection.
+    nabla and bracket are callables: the apply of a connection or a
+    Dorfman connection, and of a dull bracket (or their memos).
     """
     return section_sub(
-        section_sub(conn.apply(q1, conn.apply(q2, s)),
-                    conn.apply(q2, conn.apply(q1, s))),
-        conn.apply(bracket.apply(q1, q2), s))
+        section_sub(nabla(q1, nabla(q2, s)), nabla(q2, nabla(q1, s))),
+        nabla(bracket(q1, q2), s))
 
 
 def curvature_matrix(curv: PolyTensor, u1, u2) -> PolyMatrix:
@@ -316,12 +341,12 @@ def curvature_matrix(curv: PolyTensor, u1, u2) -> PolyMatrix:
     return out
 
 
-def jacobiator(bracket: DullBracket, q1, q2, q3):
-    """[[q1,q2],q3] + [q2,[q1,q3]] - [q1,[q2,q3]]."""
+def jacobiator(bracket, q1, q2, q3):
+    """[[q1,q2],q3] + [q2,[q1,q3]] - [q1,[q2,q3]] for the callable bracket."""
     return section_sub(
-        section_add(bracket.apply(bracket.apply(q1, q2), q3),
-                    bracket.apply(q2, bracket.apply(q1, q3))),
-        bracket.apply(q1, bracket.apply(q2, q3)))
+        section_add(bracket(bracket(q1, q2), q3),
+                    bracket(q2, bracket(q1, q3))),
+        bracket(q1, bracket(q2, q3)))
 
 
 @dataclass
@@ -418,6 +443,7 @@ def check_lie_algebroid(alg: LieAlgebroidData, seed: int = 0,
     p = bundle.base_dim
     frames = bundle.frames()
     randoms = _random_sections(rng, p, bundle.rank)
+    bracket, anchor_field = memo(alg.bracket.apply), memo(bundle.anchor_field)
 
     report.add("skew", alg.bracket.is_skew(),
                witness="frame components")
@@ -427,9 +453,9 @@ def check_lie_algebroid(alg: LieAlgebroidData, seed: int = 0,
         [f"r{i + 1}" for i in range(len(randoms))]
     for i in range(len(sections)):
         for j in range(i + 1, len(sections)):
-            lhs = bundle.anchor_field(alg.bracket.apply(sections[i], sections[j]))
-            rhs = field_bracket(bundle.anchor_field(sections[i]),
-                                bundle.anchor_field(sections[j]))
+            lhs = anchor_field(bracket(sections[i], sections[j]))
+            rhs = field_bracket(anchor_field(sections[i]),
+                                anchor_field(sections[j]))
             report.add_residual_section(
                 "anchor_compat", section_sub(lhs, rhs),
                 witness=f"({names[i]}, {names[j]})")
@@ -437,7 +463,7 @@ def check_lie_algebroid(alg: LieAlgebroidData, seed: int = 0,
     for i in range(len(sections)):
         for j in range(i + 1, len(sections)):
             for k in range(j + 1, len(sections)):
-                res = jacobiator(alg.bracket, sections[i], sections[j], sections[k])
+                res = jacobiator(bracket, sections[i], sections[j], sections[k])
                 report.add_residual_section(
                     "jacobi", res,
                     witness=f"({names[i]}, {names[j]}, {names[k]})")
@@ -495,7 +521,9 @@ def check_two_rep(rep: TwoRepData, seed: int = 0,
     report.merge(check_lie_algebroid(rep.algebroid, seed), prefix="algebroid:")
 
     bundle = rep.algebroid.bundle
-    bracket = rep.algebroid.bracket
+    bracket = memo(rep.algebroid.bracket.apply)
+    connB, connC = memo(rep.connB.apply), memo(rep.connC.apply)
+    partial, curv = memo(rep.partial.apply), memo(rep.curv_matrix)
     p = bundle.base_dim
     a_secs = bundle.frames() + _random_sections(rng, p, bundle.rank)
     c_secs = [unit_section(p, rep.rank_c, m) for m in range(rep.rank_c)] + \
@@ -505,8 +533,8 @@ def check_two_rep(rep: TwoRepData, seed: int = 0,
 
     for ia, a in enumerate(a_secs):
         for ic, c in enumerate(c_secs):
-            lhs = rep.partial.apply(rep.connC.apply(a, c))
-            rhs = rep.connB.apply(a, rep.partial.apply(c))
+            lhs = partial(connC(a, c))
+            rhs = connB(a, partial(c))
             report.add_residual_section(
                 "chain_map", section_sub(lhs, rhs),
                 witness=f"(a{ia + 1}, c{ic + 1})")
@@ -514,16 +542,16 @@ def check_two_rep(rep: TwoRepData, seed: int = 0,
     for i in range(len(a_secs)):
         for j in range(i + 1, len(a_secs)):
             a1, a2 = a_secs[i], a_secs[j]
-            rmat = rep.curv_matrix(a1, a2)
+            rmat = curv(a1, a2)
             for ic, c in enumerate(c_secs):
-                lhs = connection_curvature(rep.connC, bracket, a1, a2, c)
-                rhs = rmat.apply(rep.partial.apply(c))
+                lhs = connection_curvature(connC, bracket, a1, a2, c)
+                rhs = rmat.apply(partial(c))
                 report.add_residual_section(
                     "curv_on_C", section_sub(lhs, rhs),
                     witness=f"(a{i + 1}, a{j + 1}, c{ic + 1})")
             for ib, b in enumerate(b_secs):
-                lhs = connection_curvature(rep.connB, bracket, a1, a2, b)
-                rhs = rep.partial.apply(rmat.apply(b))
+                lhs = connection_curvature(connB, bracket, a1, a2, b)
+                rhs = partial(rmat.apply(b))
                 report.add_residual_section(
                     "curv_on_B", section_sub(lhs, rhs),
                     witness=f"(a{i + 1}, a{j + 1}, b{ib + 1})")
@@ -531,7 +559,8 @@ def check_two_rep(rep: TwoRepData, seed: int = 0,
     for i in range(len(a_secs)):
         for j in range(i + 1, len(a_secs)):
             for k in range(j + 1, len(a_secs)):
-                res = _two_rep_dR(rep, a_secs[i], a_secs[j], a_secs[k])
+                res = _two_rep_dR(rep, curv, bracket,
+                                  a_secs[i], a_secs[j], a_secs[k])
                 report.add_residual_section(
                     "dR_zero", _flatten_matrix(res),
                     witness=f"(a{i + 1}, a{j + 1}, a{k + 1})")
@@ -542,20 +571,20 @@ def _flatten_matrix(mat: PolyMatrix):
     return [mat.data[i][j] for i in range(mat.rows) for j in range(mat.cols)]
 
 
-def _two_rep_dR(rep: TwoRepData, a1, a2, a3) -> PolyMatrix:
-    """(d_{nabla^Hom} R)(a1, a2, a3) as a Hom(B, C) matrix."""
-    bracket = rep.algebroid.bracket
+def _two_rep_dR(rep: TwoRepData, curv, bracket, a1, a2, a3) -> PolyMatrix:
+    """(d_{nabla^Hom} R)(a1, a2, a3) as a Hom(B, C) matrix, for the
+    callables curv = R and bracket."""
     p = rep.algebroid.bundle.base_dim
     out = PolyMatrix(p, rep.rank_c, rep.rank_b)
     args = [a1, a2, a3]
     for i in range(3):
         rest = [args[m] for m in range(3) if m != i]
-        term = rep.hom_derivative(args[i], rep.curv_matrix(*rest))
+        term = rep.hom_derivative(args[i], curv(*rest))
         out = out.add(term if i % 2 == 0 else term.scale(-1))
     for i in range(3):
         for j in range(i + 1, 3):
             k = 3 - i - j
-            term = rep.curv_matrix(bracket.apply(args[i], args[j]), args[k])
+            term = curv(bracket(args[i], args[j]), args[k])
             out = out.add(term if (i + j) % 2 == 0 else term.scale(-1))
     return out
 

@@ -127,6 +127,8 @@ class Polynomial:
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         if self.base_dim != other.base_dim:
             raise ValueError("base dimension mismatch")
         if not other.terms:
@@ -146,6 +148,8 @@ class Polynomial:
         return _make(self.base_dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":

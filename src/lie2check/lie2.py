@@ -17,8 +17,8 @@ from .report import CheckReport
 from .bundle import (
     AnchoredBundle, DorfmanConnection, DullBracket, LinearConnection,
     VectorValuedForm, connection_curvature, curvature_matrix, field_bracket,
-    form_cartan_differential, random_section, section_add, section_pair,
-    section_sub, unit_section,
+    form_cartan_differential, memo, random_section, section_add,
+    section_pair, section_sub, unit_section,
 )
 
 
@@ -375,6 +375,9 @@ def check_dorfman2rep(rep: Dorfman2Rep, seed: int = 0,
     rq, rb = rep.rank_q, rep.rank_b
     bracket = rep.dual_bracket()
     nabla_dual = rep.nablaB.dual()
+    br, delta = memo(bracket.apply), memo(rep.delta.apply)
+    nablaB, curv = memo(rep.nablaB.apply), memo(rep.curv_matrix)
+    partial_b = memo(rep.partial_b_apply)
 
     q_secs = bundle.frames() + [random_section(rng, p, rq) for _ in range(2)]
     tau_secs = [unit_section(p, rq, j) for j in range(rq)] + \
@@ -390,7 +393,7 @@ def check_dorfman2rep(rep: Dorfman2Rep, seed: int = 0,
                witness="rho_Q composed with partial_b^*")
     for i in range(len(q_secs)):
         for j in range(i + 1, len(q_secs)):
-            lhs = bundle.anchor_field(bracket.apply(q_secs[i], q_secs[j]))
+            lhs = bundle.anchor_field(br(q_secs[i], q_secs[j]))
             rhs = field_bracket(bundle.anchor_field(q_secs[i]),
                                 bundle.anchor_field(q_secs[j]))
             report.add_residual_section("anchor_bracket", section_sub(lhs, rhs),
@@ -399,8 +402,8 @@ def check_dorfman2rep(rep: Dorfman2Rep, seed: int = 0,
     # (D1) partial_b is Delta-to-nabla equivariant
     for iq, q in enumerate(q_secs):
         for it, tau in enumerate(tau_secs):
-            lhs = rep.partial_b_apply(rep.delta.apply(q, tau))
-            rhs = rep.nablaB.apply(q, rep.partial_b_apply(tau))
+            lhs = partial_b(delta(q, tau))
+            rhs = nablaB(q, partial_b(tau))
             report.add_residual_section("D1", section_sub(lhs, rhs),
                                         witness=f"(q{iq + 1}, tau{it + 1})")
 
@@ -421,16 +424,16 @@ def check_dorfman2rep(rep: Dorfman2Rep, seed: int = 0,
     for i in range(len(q_secs)):
         for j in range(i + 1, len(q_secs)):
             q1, q2 = q_secs[i], q_secs[j]
-            rmat = rep.curv_matrix(q1, q2)
+            rmat = curv(q1, q2)
             for ib, b in enumerate(b_secs):
-                lhs = rep.partial_b_apply(rmat.apply(b))
-                rhs = connection_curvature(rep.nablaB, bracket, q1, q2, b)
+                lhs = partial_b(rmat.apply(b))
+                rhs = connection_curvature(nablaB, br, q1, q2, b)
                 report.add_residual_section(
                     "D4_nabla", section_sub(lhs, rhs),
                     witness=f"(q{i + 1}, q{j + 1}, b{ib + 1})")
             for it, tau in enumerate(tau_secs):
-                lhs = rmat.apply(rep.partial_b_apply(tau))
-                rhs = connection_curvature(rep.delta, bracket, q1, q2, tau)
+                lhs = rmat.apply(partial_b(tau))
+                rhs = connection_curvature(delta, br, q1, q2, tau)
                 report.add_residual_section(
                     "D4_delta", section_sub(lhs, rhs),
                     witness=f"(q{i + 1}, q{j + 1}, tau{it + 1})")

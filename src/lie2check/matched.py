@@ -11,7 +11,7 @@ from .exactpoly import Polynomial, PolyMatrix, PolyTensor
 from .report import CheckReport
 from .bundle import (
     AnchoredBundle, DullBracket, LieAlgebroidData, LinearConnection,
-    TwoRepData, check_two_rep, curvature_matrix, field_bracket,
+    TwoRepData, check_two_rep, curvature_matrix, field_bracket, memo,
     random_section, section_add, section_is_zero, section_neg, section_pair,
     section_sub, unit_section, zero_section,
 )
@@ -432,17 +432,17 @@ def check_la_matched_pair(pair: LAPairData, seed: int = 0,
     b_frames = S.algebroid.bundle.frames()
     q_frames = D.bundle.frames()
 
-    dQ = S.partial_q.apply
-    dB = D.partial_b.apply
-    dBstar = D.partial_b_star_apply
-    delta = D.delta.apply
-    nB = D.nablaB.apply                       # Q-connection on B
-    nQ = S.nablaQ.apply                       # B-connection on Q
-    nQstar = S.nablaQstar().apply             # B-connection on Q*
-    brQ = D.dual_bracket().apply
-    brB = S.algebroid.bracket.apply
-    RQ = D.curv_matrix                        # Hom(B, Q*)
-    RB = S.curv_matrix                        # Hom(Q, Q*)
+    dQ = memo(S.partial_q.apply)
+    dB = memo(D.partial_b.apply)
+    dBstar = memo(D.partial_b_star_apply)
+    delta = memo(D.delta.apply)
+    nB = memo(D.nablaB.apply)                 # Q-connection on B
+    nQ = memo(S.nablaQ.apply)                 # B-connection on Q
+    nQstar = memo(S.nablaQstar().apply)       # B-connection on Q*
+    brQ = memo(D.dual_bracket().apply)
+    brB = memo(S.algebroid.bracket.apply)
+    RQ = memo(D.curv_matrix)                  # Hom(B, Q*)
+    RB = memo(S.curv_matrix)                  # Hom(Q, Q*)
 
     # (M1)
     for iq, q in enumerate(q_secs):

@@ -55,7 +55,7 @@ def test_scaled_so3_still_satisfies_jacobi():
     comps = so3_structure_constants(1)
     alg = _so3_algebroid()
     e = [unit_section(1, 3, i) for i in range(3)]
-    res = jacobiator(alg.bracket, e[0], e[1], e[2])
+    res = jacobiator(alg.bracket.apply, e[0], e[1], e[2])
     assert all(f.is_zero() for f in res)
 
 
@@ -65,7 +65,8 @@ def test_connection_curvature_oracle():
     conn = rep.nablaQ
     bracket = rep.algebroid.bracket
     d1, d2 = unit_section(2, 2, 0), unit_section(2, 2, 1)
-    out = connection_curvature(conn, bracket, d1, d2, unit_section(2, 2, 0))
+    out = connection_curvature(conn.apply, bracket.apply, d1, d2,
+                               unit_section(2, 2, 0))
     assert out[0].is_zero()
     assert out[1] == Polynomial.const(2, -1)
 

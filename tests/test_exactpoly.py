@@ -87,6 +87,35 @@ def test_product_with_a_non_rational_is_type_error(other):
         other * f
 
 
+class _Operand:
+    """A non-polynomial operand that handles sums itself and must not be
+    negated first."""
+
+    def __neg__(self):
+        raise AssertionError("negated before the type test")
+
+    def __radd__(self, other):
+        return "radd"
+
+    def __rsub__(self, other):
+        return "rsub"
+
+
+@pytest.mark.parametrize("other", [1, 1.5, Fraction(1, 2), "x", None, [1]])
+def test_sum_with_a_non_polynomial_is_type_error(other):
+    f = Polynomial.const(1, 1)
+    for op in (lambda: f + other, lambda: f - other,
+               lambda: other + f, lambda: other - f):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_sum_defers_to_the_other_operand():
+    f = Polynomial.const(1, 1)
+    assert f + _Operand() == "radd"
+    assert f - _Operand() == "rsub"
+
+
 def test_equality_with_bool_is_false_not_an_error():
     f = Polynomial.const(1, 1)
     assert (f == True) is False  # noqa: E712

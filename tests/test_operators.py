@@ -147,6 +147,14 @@ def _unit(p, n, i):
     return out
 
 
+def ref_dee(ca, f):
+    out = zero_section(ca.base_dim, ca.rank)
+    for k in range(ca.rank):
+        for m in range(ca.base_dim):
+            out[k] = out[k] + ca.dmat[k, m] * f.diff(m)
+    return out
+
+
 def ref_courant_bracket(ca, e1, e2):
     p, n = ca.base_dim, ca.rank
 
@@ -168,7 +176,7 @@ def ref_courant_bracket(ca, e1, e2):
         out = [a - ref_anchor_apply(ca.rho, e2, e1[i]) * b
                for a, b in zip(out, _unit(p, n, i))]
         out = [a + ca.pair(_unit(p, n, i), e2) * b
-               for a, b in zip(out, ca.dee(e1[i]))]
+               for a, b in zip(out, ref_dee(ca, e1[i]))]
     return out
 
 
@@ -268,7 +276,9 @@ def test_courant_bracket_and_tm_connection_match_reference(data):
     gamma = d.comps(p, n, n)
     e1, e2 = d.section(n), d.section(n)
     x, y = d.section(p), d.section(p)
+    f = d.poly()
 
+    assert ca.dee(f) == ref_dee(ca, f)
     assert ca.bracket(e1, e2) == ref_courant_bracket(ca, e1, e2)
     assert _nabla_vec(gamma, x, e1) == ref_nabla_vec(ca, gamma, x, e1)
     assert curv_nabla(gamma, x, y, e2) == ref_curv_nabla(ca, gamma, x, y, e2)
@@ -330,6 +340,13 @@ def _zero(p):
 _x = Polynomial.variable(2, 0)
 _field = [_x, _x]
 
+def _courant_r1(dmat_row):
+    z = _zero(2)
+    return DegenerateCourant(BaseSpace(2), 1, PolyMatrix(2, 2, 1),
+                             PolyMatrix(2, 1, 1), [[[z]]],
+                             PolyMatrix(2, 1, 2, [dmat_row]))
+
+
 DIMENSION_MISMATCHES = {
     "add": lambda: _x + _zero(1),
     "add_to_zero": lambda: _zero(1) + _x,
@@ -346,6 +363,10 @@ DIMENSION_MISMATCHES = {
     "covariant_section": lambda: covariant_apply(
         [], [[[_zero(2), _zero(2)], [_zero(2), _zero(2)]]],
         [_x], [_x, _zero(1)]),
+    "dee_entry": lambda: _courant_r1([_x, _zero(1)]).dee(_x),
+    "dee_function": lambda: _courant_r1([_x, _x]).dee(_zero(1)),
+    "dee_function_zero_entries": lambda: _courant_r1(
+        [_zero(2), _zero(2)]).dee(Polynomial.variable(3, 2)),
 }
 
 
