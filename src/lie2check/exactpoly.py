@@ -11,13 +11,33 @@ terms, so a skipped zero addend changes no result.  The dimension checks
 still hold on skipped operands: a base dimension mismatch raises
 ValueError and a coordinate index out of range IndexError, exactly as if
 the operand had gone through the kernel.
+
+Packed monomials: ``Polynomial.terms`` keys each monomial by one int,
+its exponent vector (e_1, ..., e_p) in fields of ``FIELD_BITS`` = 32
+bits with e_1 in the most significant field.  The product of two
+monomials is the sum of their keys, and sorting keys sorts exponent
+tuples lexicographically.  Exponents that enter through
+``Polynomial.__init__`` or ``from_json`` must be ints with
+0 <= e < ``EXP_BOUND`` = 2**16; anything else is a ValueError.  The top
+bit of each field is a guard: products may grow an exponent up to
+2**31 - 1, and a product that stores an exponent of 2**31 or more
+raises OverflowError instead of carrying into the next field.  The
+input bound leaves products a 2**15-fold margin below the guard.
+``monomials()`` unpacks the keys to tuples; renders and JSON sort the
+unpacked tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import combinations
-from operator import add
+from operator import or_
+
+FIELD_BITS = 32
+EXP_BOUND = 1 << 16
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+_GUARD = 1 << (FIELD_BITS - 1)
 
 
 def rational(value) -> Fraction:
@@ -54,10 +74,33 @@ def _coefficient(value):
     return value.numerator if value.denominator == 1 else value
 
 
+def _pack(base_dim: int, exps) -> int:
+    """The packed key of an exponent sequence; validates every entry."""
+    if len(exps) != base_dim:
+        raise ValueError("exponent tuple has wrong length")
+    key = 0
+    for e in exps:
+        if type(e) is not int or not 0 <= e < EXP_BOUND:
+            raise ValueError(f"exponents must be integers in "
+                             f"[0, {EXP_BOUND}): {exps!r}")
+        key = (key << FIELD_BITS) | e
+    return key
+
+
+def _unpack(base_dim: int, key: int) -> tuple:
+    return tuple((key >> (FIELD_BITS * k)) & _FIELD_MASK
+                 for k in reversed(range(base_dim)))
+
+
+@cache
+def _guard_mask(base_dim: int) -> int:
+    return sum(_GUARD << (FIELD_BITS * k) for k in range(base_dim))
+
+
 def _make(base_dim: int, terms: dict) -> "Polynomial":
-    """Polynomial over terms that are already valid: exponent tuples of
-    length ``base_dim`` and nonzero int or Fraction coefficients.  Skips
-    the validation of ``Polynomial.__init__``."""
+    """Polynomial over terms that are already valid: packed keys of
+    ``base_dim`` fields and nonzero int or Fraction coefficients.  Skips
+    the validation of ``Polynomial.__init__`` and leaves the hash unset."""
     poly = object.__new__(Polynomial)
     poly.base_dim = base_dim
     poly.terms = terms
@@ -65,28 +108,28 @@ def _make(base_dim: int, terms: dict) -> "Polynomial":
 
 
 class Polynomial:
-    """Multivariate polynomial over the rationals with dense exponent tuples.
+    """Multivariate polynomial over the rationals with packed monomial keys.
 
-    Terms map an exponent tuple of length ``base_dim`` to a nonzero
-    coefficient, an ``int`` or a ``Fraction``; ``__init__`` and ``scale``
-    store integral values as ints.  base_dim 0 is legal and leaves room
-    for constants only.  Instances are immutable, so an operation may
-    return one of its operands (``f + 0`` is ``f``) instead of a copy.
+    Terms map a packed exponent key (see the module docstring) to a
+    nonzero coefficient, an ``int`` or a ``Fraction``; ``__init__`` takes
+    exponent tuples of length ``base_dim`` and, like ``scale``, stores
+    integral values as ints.  base_dim 0 is legal and leaves room for
+    constants only.  Instances are immutable, so an operation may return
+    one of its operands (``f + 0`` is ``f``) instead of a copy, and the
+    hash is computed once, on first use.
     """
 
-    __slots__ = ("base_dim", "terms")
+    __slots__ = ("base_dim", "terms", "_hash")
 
     def __init__(self, base_dim: int, terms=None):
         self.base_dim = base_dim
         clean = {}
         if terms:
             for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != base_dim:
-                    raise ValueError("exponent tuple has wrong length")
+                key = _pack(base_dim, exps)
                 coeff = _coefficient(coeff)
                 if coeff != 0:
-                    clean[exps] = coeff
+                    clean[key] = coeff
         self.terms = clean
 
     # -- constructors -------------------------------------------------
@@ -99,31 +142,36 @@ class Polynomial:
         value = _coefficient(value)
         if value == 0:
             return _make(base_dim, {})
-        return _make(base_dim, {(0,) * base_dim: value})
+        return _make(base_dim, {0: value})
 
     @classmethod
     def variable(cls, base_dim: int, index: int) -> "Polynomial":
         if not 0 <= index < base_dim:
             raise IndexError("coordinate index out of range")
-        exps = tuple(1 if i == index else 0 for i in range(base_dim))
-        return _make(base_dim, {exps: 1})
+        return _make(base_dim,
+                     {1 << (FIELD_BITS * (base_dim - 1 - index)): 1})
 
     # -- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return self.terms.keys() <= {0}
 
     def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.base_dim, 0)
+        return self.terms.get(0, 0)
 
     def degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(exps) for exps in self.terms)
+        return max(map(sum, self.monomials()))
+
+    def monomials(self) -> dict:
+        """The terms keyed by exponent tuple instead of packed key."""
+        return {_unpack(self.base_dim, key): coeff
+                for key, coeff in self.terms.items()}
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -168,12 +216,17 @@ class Polynomial:
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(map(add, e1, e2))
-                total = terms.get(exps, 0) + c1 * c2
+                key = e1 + e2
+                total = terms.get(key, 0) + c1 * c2
                 if total == 0:
-                    del terms[exps]
+                    del terms[key]
                 else:
-                    terms[exps] = total
+                    terms[key] = total
+        # Operand fields are below the guard, so a sum carries into no
+        # other field; a stored field that reached the guard overflowed.
+        if reduce(or_, terms, 0) & _guard_mask(self.base_dim):
+            raise OverflowError(
+                f"exponent overflow: a product reached 2**{FIELD_BITS - 1}")
         return _make(self.base_dim, terms)
 
     def __rmul__(self, other) -> "Polynomial":
@@ -189,14 +242,13 @@ class Polynomial:
     def diff(self, index: int) -> "Polynomial":
         if not 0 <= index < self.base_dim:
             raise IndexError("coordinate index out of range")
+        shift = FIELD_BITS * (self.base_dim - 1 - index)
+        unit = 1 << shift
         terms: dict = {}
-        for exps, coeff in self.terms.items():
-            e = exps[index]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[index] = e - 1
-            terms[tuple(new)] = coeff * e
+        for key, coeff in self.terms.items():
+            e = (key >> shift) & _FIELD_MASK
+            if e:
+                terms[key - unit] = coeff * e
         return _make(self.base_dim, terms)
 
     # -- comparison / rendering ---------------------------------------
@@ -208,7 +260,11 @@ class Polynomial:
         return self.base_dim == other.base_dim and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.base_dim, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.base_dim, frozenset(self.terms.items())))
+            return self._hash
 
     def __repr__(self):
         return f"Polynomial({self.render()})"
@@ -218,9 +274,10 @@ class Polynomial:
             return "0"
         if names is None:
             names = [f"x{i + 1}" for i in range(self.base_dim)]
+        monomials = self.monomials()
         pieces = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            coeff = self.terms[exps]
+        for exps in sorted(monomials, key=lambda e: (sum(e), e)):
+            coeff = monomials[exps]
             factors = []
             for name, e in zip(names, exps):
                 if e == 1:
@@ -243,7 +300,7 @@ class Polynomial:
 
     # -- serialization -------------------------------------------------
     def to_json(self):
-        items = sorted(self.terms.items())
+        items = sorted(self.monomials().items())
         return [{"coeff": format_rational(c), "exps": list(e)} for e, c in items]
 
     @classmethod
@@ -253,9 +310,6 @@ class Polynomial:
             if set(item) != {"coeff", "exps"}:
                 raise ValueError("polynomial term must have exactly coeff and exps")
             exps = tuple(item["exps"])
-            if not all(type(e) is int and e >= 0 for e in exps):
-                raise ValueError(
-                    f"exponents must be non-negative integers: {item['exps']!r}")
             coeff = rational(item["coeff"])
             if exps in terms:
                 raise ValueError("duplicate exponent tuple")
@@ -400,7 +454,11 @@ class PolyTensor:
         for item in data:
             if set(item) != {"idx", "val"}:
                 raise ValueError("tensor entry must have exactly idx and val")
-            out.set(tuple(item["idx"]), Polynomial.from_json(base_dim, item["val"]))
+            idx = tuple(item["idx"])
+            if not all(type(i) is int for i in idx):
+                raise ValueError(
+                    f"tensor indices must be integers: {item['idx']!r}")
+            out.set(idx, Polynomial.from_json(base_dim, item["val"]))
         return out
 
 

@@ -86,12 +86,14 @@ def check_matched_two_reps(pair: MatchedPair2Reps, seed: int = 0,
     c_secs = [unit_section(p, rc, m) for m in range(rc)] + \
         [random_section(rng, p, rc)]
 
-    dA = pair.partialA.apply
-    dB = pair.partialB.apply
-    nAB, nAC = pair.nablaAB.apply, pair.nablaAC.apply
-    nBA, nBC = pair.nablaBA.apply, pair.nablaBC.apply
-    brA = pair.algA.bracket.apply
-    brB = pair.algB.bracket.apply
+    dA = memo(pair.partialA.apply)
+    dB = memo(pair.partialB.apply)
+    nAB, nAC = memo(pair.nablaAB.apply), memo(pair.nablaAC.apply)
+    nBA, nBC = memo(pair.nablaBA.apply), memo(pair.nablaBC.apply)
+    brA = memo(pair.algA.bracket.apply)
+    brB = memo(pair.algB.bracket.apply)
+    curvAB = memo(pair.curvAB_matrix)
+    curvBA = memo(pair.curvBA_matrix)
 
     # (1) symmetric part of the C-bracket candidate vanishes
     for i in range(len(c_secs)):
@@ -125,8 +127,8 @@ def check_matched_two_reps(pair: MatchedPair2Reps, seed: int = 0,
                 lhs = section_sub(nBC(b, nAC(a, c)), nAC(a, nBC(b, c)))
                 lhs = section_sub(lhs, nAC(nBA(b, a), c))
                 lhs = section_add(lhs, nBC(nAB(a, b), c))
-                rhs = section_sub(pair.curvBA_matrix(b, dB(c)).apply(a),
-                                  pair.curvAB_matrix(a, dA(c)).apply(b))
+                rhs = section_sub(curvBA(b, dB(c)).apply(a),
+                                  curvAB(a, dA(c)).apply(b))
                 report.add_residual_section(
                     "condition_4", section_sub(lhs, rhs),
                     witness=f"(a{ia + 1}, b{ib + 1}, c{ic + 1})")
@@ -141,7 +143,7 @@ def check_matched_two_reps(pair: MatchedPair2Reps, seed: int = 0,
                 rhs = section_add(rhs, brA(a1, nBA(b, a2)))
                 rhs = section_add(rhs, nBA(nAB(a2, b), a1))
                 rhs = section_sub(rhs, nBA(nAB(a1, b), a2))
-                lhs = dA(pair.curvAB_matrix(a1, a2).apply(b))
+                lhs = dA(curvAB(a1, a2).apply(b))
                 report.add_residual_section(
                     "condition_5", section_sub(lhs, rhs),
                     witness=f"(a{i + 1}, a{j + 1}, b{ib + 1})")
@@ -156,7 +158,7 @@ def check_matched_two_reps(pair: MatchedPair2Reps, seed: int = 0,
                 rhs = section_add(rhs, brB(b1, nAB(a, b2)))
                 rhs = section_add(rhs, nAB(nBA(b2, a), b1))
                 rhs = section_sub(rhs, nAB(nBA(b1, a), b2))
-                lhs = dB(pair.curvBA_matrix(b1, b2).apply(a))
+                lhs = dB(curvBA(b1, b2).apply(a))
                 report.add_residual_section(
                     "condition_6", section_sub(lhs, rhs),
                     witness=f"(b{i + 1}, b{j + 1}, a{ia + 1})")
@@ -164,7 +166,7 @@ def check_matched_two_reps(pair: MatchedPair2Reps, seed: int = 0,
     # (7) the two covariant differentials of the curvatures agree
     def d_nablaA_curvBA(a1, a2, b1, b2):
         def phi(a, bb1, bb2):
-            return pair.curvBA_matrix(bb1, bb2).apply(a)
+            return curvBA(bb1, bb2).apply(a)
 
         def cov(a, aa, bb1, bb2):
             term = nAC(a, phi(aa, bb1, bb2))
@@ -177,7 +179,7 @@ def check_matched_two_reps(pair: MatchedPair2Reps, seed: int = 0,
 
     def d_nablaB_curvAB(b1, b2, a1, a2):
         def phi(b, aa1, aa2):
-            return pair.curvAB_matrix(aa1, aa2).apply(b)
+            return curvAB(aa1, aa2).apply(b)
 
         def cov(b, bb, aa1, aa2):
             term = nBC(b, phi(bb, aa1, aa2))

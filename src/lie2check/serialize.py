@@ -394,7 +394,7 @@ def decode_structure(doc: dict):
     if doc.get("format") != FORMAT_VERSION:
         raise SchemaError(f"unsupported format: {doc.get('format')!r}")
     kind = doc.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError(f"unknown kind: {kind!r}")
     meta = {k: doc[k] for k in META_FIELDS if k in doc}
     payload = {k: v for k, v in doc.items()

@@ -6,6 +6,7 @@ import pytest
 
 from lie2check.cli import main
 from lie2check.examples import EXAMPLES
+from lie2check.exactpoly import EXP_BOUND
 
 SOUND = sorted(n for n in EXAMPLES if not n.startswith("broken_"))
 BROKEN = sorted(n for n in EXAMPLES if n.startswith("broken_"))
@@ -78,6 +79,7 @@ def _first_term(doc):
 @pytest.mark.parametrize("field, value", [
     ("coeff", "1/0"), ("coeff", True),
     ("exps", -1), ("exps", 1.5), ("exps", "1"), ("exps", True),
+    ("exps", EXP_BOUND),
 ])
 def test_malformed_polynomial_term_is_exit_2(tmp_path, capsys, field, value):
     path = _emit(tmp_path, "tm_r1_lie1")
@@ -102,6 +104,7 @@ def test_malformed_polynomial_term_is_exit_2(tmp_path, capsys, field, value):
     ("so3_e3_dirac", "U", [5]), ("so3_e3_dirac", "rank_q", "a"),
     ("so3_e3_dirac", "U", [[[]], [[]], [[]]]),
     ("so3_symplectic_pair", "selfdual", 5),
+    ("standard_courant_r1", "kind", []), ("standard_courant_r1", "kind", {}),
 ])
 def test_malformed_field_is_exit_2(tmp_path, capsys, example, field, value):
     path = _emit(tmp_path, example)
@@ -114,6 +117,18 @@ def test_malformed_field_is_exit_2(tmp_path, capsys, example, field, value):
                   str(path)]
     capsys.readouterr()
     assert main(["check", *inputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("value", [1.5, True, "1", None, -1])
+def test_malformed_tensor_index_is_exit_2(tmp_path, capsys, value):
+    path = _emit(tmp_path, "euclidean_curved_r2")
+    doc = json.loads(path.read_text())
+    doc["curvB"][0]["idx"][1] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
 

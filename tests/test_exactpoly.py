@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lie2check.exactpoly import (
-    Polynomial, PolyMatrix, PolyTensor, format_rational, rational,
+    EXP_BOUND, FIELD_BITS, Polynomial, PolyMatrix, PolyTensor, _pack, _unpack,
+    format_rational, rational,
 )
 
 BASE = 2
@@ -188,10 +189,11 @@ def test_tensor_json_round_trip():
 
 
 # -- differential test against the dict-of-Fraction kernel ---------------
-# The reference below is the straightforward kernel: every coefficient a
-# Fraction, every result a fresh dict.  Polynomial shares operands, skips
-# validation on its own results and stores integral coefficients as ints;
-# none of that may change a value, a hash, a render or a JSON form.
+# The reference below is the straightforward kernel: exponent tuples,
+# every coefficient a Fraction, every result a fresh dict.  Polynomial
+# packs exponents into int keys, shares operands, skips validation on its
+# own results and stores integral coefficients as ints; none of that may
+# change a value, a hash, a render or a JSON form.
 
 def _ref_add(f, g):
     terms = dict(f)
@@ -238,22 +240,15 @@ def _ref_diff(f, index):
     return terms
 
 
-def _ref_poly(terms):
-    """A Polynomial holding exactly ``terms`` (Fraction coefficients), so
-    the unchanged render and JSON code runs on the reference data."""
-    poly = object.__new__(Polynomial)
-    poly.base_dim = BASE
-    poly.terms = terms
-    return poly
-
-
 def _assert_same(result, ref):
     assert all(isinstance(c, Fraction) for c in ref.values())
     assert result.base_dim == BASE
-    assert result == _ref_poly(ref)
-    assert hash(result) == hash((BASE, frozenset(ref.items())))
-    assert result.render() == _ref_poly(ref).render()
-    assert result.to_json() == _ref_poly(ref).to_json()
+    assert result.monomials() == ref
+    built = Polynomial(BASE, ref)
+    assert result == built
+    assert hash(result) == hash(built)
+    assert result.render() == built.render()
+    assert result.to_json() == built.to_json()
     assert all(c != 0 and isinstance(c, (int, Fraction))
                for c in result.terms.values())
 
@@ -318,7 +313,8 @@ def test_kernel_matches_sympy(pair, index):
     def expr(poly):
         return sum((sympy.Rational(c.numerator, c.denominator)
                     * sympy.prod(x ** e for x, e in zip(xs, exps))
-                    for exps, c in poly.terms.items()), sympy.Integer(0))
+                    for exps, c in poly.monomials().items()),
+                   sympy.Integer(0))
 
     f, g = (Polynomial(BASE, raw) for raw in pair)
     assert sympy.expand(expr(f * g) - expr(f) * expr(g)) == 0
@@ -327,8 +323,95 @@ def test_kernel_matches_sympy(pair, index):
 
 def test_integral_coefficients_are_stored_as_ints():
     f = Polynomial(BASE, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2)})
-    assert type(f.terms[(1, 0)]) is int
-    assert type(f.terms[(0, 1)]) is Fraction
-    assert type(f.scale(Fraction(6, 3)).terms[(1, 0)]) is int
+    assert type(f.monomials()[(1, 0)]) is int
+    assert type(f.monomials()[(0, 1)]) is Fraction
+    assert type(f.scale(Fraction(6, 3)).monomials()[(1, 0)]) is int
     assert type(Polynomial.const(BASE, "3").constant_value()) is int
     assert Polynomial.from_json(BASE, f.to_json()) == f
+
+
+# -- packed monomial keys -------------------------------------------------
+
+GUARD = 1 << (FIELD_BITS - 1)
+
+
+@st.composite
+def exponent_vectors(draw, high=EXP_BOUND - 1, size=None):
+    """(base_dim, exponent tuple) with entries in [0, high], edges likely."""
+    p = draw(st.integers(min_value=0, max_value=4)) if size is None else size
+    entry = st.one_of(st.integers(min_value=0, max_value=high),
+                      st.sampled_from([0, 1, high - 1, high]))
+    return p, draw(st.tuples(*[entry] * p))
+
+
+@given(exponent_vectors(), coeffs.filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_pack_unpack_round_trip(vector, coeff):
+    p, exps = vector
+    assert _unpack(p, _pack(p, exps)) == exps
+    assert Polynomial(p, {exps: coeff}).monomials() == {exps: coeff}
+    assert Polynomial.from_json(p, [{"coeff": str(coeff), "exps": list(exps)}]
+                                ).monomials() == {exps: coeff}
+
+
+@pytest.mark.parametrize("exps", [(EXP_BOUND,), (-1,), (0, EXP_BOUND),
+                                  (2 ** 40, 0)])
+def test_exponent_outside_the_bound_is_rejected(exps):
+    with pytest.raises(ValueError):
+        Polynomial(len(exps), {exps: 1})
+    with pytest.raises(ValueError):
+        Polynomial.from_json(len(exps), [{"coeff": "1", "exps": list(exps)}])
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(
+        exponent_vectors(size=p).map(lambda v: v[1]), max_size=12))))
+@settings(max_examples=200, deadline=None)
+def test_packed_keys_sort_like_exponent_tuples(case):
+    p, vectors = case
+    assert [_unpack(p, k) for k in sorted(_pack(p, e) for e in vectors)] \
+        == sorted(vectors)
+
+
+def _power(p, exps):
+    """The monomial x^exps, for exponents below the guard, built by
+    square-and-multiply from inputs with exponents 0 and 1."""
+    f = Polynomial.const(p, 1)
+    for bit in reversed(range(FIELD_BITS - 1)):
+        f = f * f * Polynomial(p, {tuple((e >> bit) & 1 for e in exps): 1})
+    return f
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda p: st.tuples(exponent_vectors(GUARD - 1, p),
+                        exponent_vectors(GUARD - 1, p))))
+@settings(max_examples=100, deadline=None)
+def test_a_product_past_the_guard_raises(case):
+    (p, a), (_, b) = case
+    f, g = _power(p, a), _power(p, b)
+    assert f.monomials() == {a: 1} and g.monomials() == {b: 1}
+    total = tuple(x + y for x, y in zip(a, b))
+    if max(total) >= GUARD:
+        with pytest.raises(OverflowError):
+            f * g
+    else:
+        assert (f * g).monomials() == {total: 1}
+
+
+@given(raw_terms)
+@settings(max_examples=200, deadline=None)
+def test_equal_polynomials_built_apart_hash_alike(raw):
+    direct = Polynomial(BASE, raw)
+    half = Polynomial.const(BASE, Fraction(1, 2))
+    # products keep Fraction coefficients even when they are integral
+    doubled = Polynomial(BASE, {e: 2 * c for e, c in raw.items()})
+    built = half * doubled
+    assert built == direct
+    # direct stores integral coefficients as ints, built as Fractions
+    assert all(type(c) is Fraction for c in built.terms.values())
+    assert not hasattr(built, "_hash")
+    first = hash(built)
+    assert first == hash(direct)
+    # cached hashes against fresh ones
+    assert hash(built) == first == hash(half * doubled)
+    assert hash(direct) == hash(Polynomial.from_json(BASE, direct.to_json()))

@@ -51,8 +51,8 @@ def test_int_and_equal_fraction_coefficients_share_an_entry():
     # products keep a Fraction coefficient even when it is integral
     as_fraction = Polynomial.const(1, Fraction(1, 2)) * \
         Polynomial.const(1, 4) * x
-    assert type(as_int.terms[(1,)]) is int
-    assert type(as_fraction.terms[(1,)]) is Fraction
+    assert type(as_int.monomials()[(1,)]) is int
+    assert type(as_fraction.monomials()[(1,)]) is Fraction
     fn, calls = _counted(lambda f: f.diff(0))
     diff = bundle.memo(fn)
     assert diff(as_int) is diff(as_fraction)
