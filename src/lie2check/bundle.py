@@ -19,7 +19,6 @@ Courant brackets add their own correction terms to it.  Hom-valued
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .exactpoly import Polynomial, PolyMatrix, PolyTensor, random_polynomial
 
@@ -364,20 +363,19 @@ class VectorValuedForm:
                             [(bundle.rank, arity, True), (value_rank, 1, False)])
         return cls(bundle, arity, value_rank, tensor)
 
-    def value(self, *idx):
-        """Value section on frame arguments idx (length = arity)."""
-        return [self.tensor.get(*idx, m) for m in range(self.value_rank)]
-
     def eval_sections(self, args):
-        """Tensorial evaluation on section arguments."""
+        """Tensorial evaluation on section arguments.  It reads the stored
+        components, so a determinant is taken only for frame keys where
+        the form has a nonzero value."""
         p = self.bundle.base_dim
         out = zero_section(p, self.value_rank)
-        for key in combinations(range(self.bundle.rank), self.arity):
-            coeff = _alternating_coeff(args, key, p)
-            if coeff.is_zero():
-                continue
-            for m in range(self.value_rank):
-                out[m] = out[m] + coeff * self.tensor.get(*key, m)
+        coeffs = {}
+        for idx, val in self.tensor.entries.items():
+            key, m = idx[:-1], idx[-1]
+            if key not in coeffs:
+                coeffs[key] = _alternating_coeff(args, key, p)
+            if coeffs[key].terms:
+                out[m] = out[m] + coeffs[key] * val
         return out
 
 

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exactpoly import Polynomial, PolyMatrix, PolyTensor, random_polynomial
+from .exactpoly import (
+    Polynomial, PolyMatrix, PolyTensor, random_polynomial, rank,
+)
 from .report import CheckReport
 from .bundle import (
     AnchoredBundle, BaseSpace, DullBracket, LieAlgebroidData,
@@ -64,9 +65,6 @@ class DegenerateCourant:
 
     def rho_field(self, e):
         return self.rho.apply(e)
-
-    def rho_apply(self, e, f: Polynomial) -> Polynomial:
-        return field_apply(self.rho_field(e), f)
 
     def pair(self, e1, e2) -> Polynomial:
         out = Polynomial.zero(self.base_dim)
@@ -218,6 +216,11 @@ def curv_nabla(gamma, x, y, e):
 def adjoint_dorfman2rep(ca: DegenerateCourant, gamma) -> Dorfman2Rep:
     """Basic Dorfman 2-representation of a Courant algebroid with
     nondegenerate pairing and a metric TM-connection gamma[m][i][j]."""
+    return _adjoint_and_inverse(ca, gamma)[0]
+
+
+def _adjoint_and_inverse(ca: DegenerateCourant, gamma):
+    """``adjoint_dorfman2rep`` and the inverse of the pairing it used."""
     p, n = ca.base_dim, ca.rank
     for m in range(p):
         for i in range(n):
@@ -305,7 +308,7 @@ def adjoint_dorfman2rep(ca: DegenerateCourant, gamma) -> Dorfman2Rep:
                 for k in range(n):
                     if not img[k].is_zero():
                         curv.set((i, j, m, k), img[k])
-    return Dorfman2Rep(bundle, p, partial_b, delta, nabla_bas, curv)
+    return Dorfman2Rep(bundle, p, partial_b, delta, nabla_bas, curv), ginv
 
 
 def standard_dorfman2rep(rank_e: int, dull: DullBracket) -> Dorfman2Rep:
@@ -483,9 +486,8 @@ def check_core_courant(pair: LAPairData, seed: int = 0,
 def tangent_double_pair(ca: DegenerateCourant, gamma) -> LAPairData:
     """Matched pair encoding the tangent double of a Courant algebroid with
     nondegenerate pairing, split by a metric TM-connection gamma[m][i][j]."""
-    dorfman = adjoint_dorfman2rep(ca, gamma)
+    dorfman, ginv = _adjoint_and_inverse(ca, gamma)
     p, n = ca.base_dim, ca.rank
-    ginv = ca.pairing.inverse_constant()
 
     tm_anchor = PolyMatrix.identity(p, p)
     tm = AnchoredBundle(ca.base, p, tm_anchor)
@@ -514,97 +516,6 @@ def tangent_double_pair(ca: DegenerateCourant, gamma) -> LAPairData:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over the rationals
-
-
-def _constant_matrix(mat: PolyMatrix):
-    out = []
-    for row in mat.data:
-        out_row = []
-        for e in row:
-            if not e.is_constant():
-                raise ValueError("inclusion matrices must be constant")
-            out_row.append(e.constant_value())
-        out.append(out_row)
-    return out
-
-
-def _rref(rows):
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _null_space(rows, ncols):
-    """Basis of the right null space of the given rational matrix."""
-    rref, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for c in free:
-        vec = [Fraction(0)] * ncols
-        vec[c] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][c]
-        basis.append(vec)
-    return basis
-
-
-def _rank(rows, ncols):
-    return len(_rref(rows)[0]) if rows else 0
-
-
-def _invert_rational(mat):
-    n = len(mat)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0)
-                        for j in range(n)] for i, row in enumerate(mat)]
-    rref, pivots = _rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("rational matrix is singular")
-    return [row[n:] for row in rref]
-
-
-def _left_inverse(cols_matrix):
-    """Left inverse of a full-column-rank rational matrix (n x d)."""
-    n = len(cols_matrix)
-    d = len(cols_matrix[0]) if n else 0
-    gram = [[sum(cols_matrix[k][i] * cols_matrix[k][j] for k in range(n))
-             for j in range(d)] for i in range(d)]
-    ginv = _invert_rational(gram)
-    return [[sum(ginv[i][k] * cols_matrix[j][k] for k in range(d))
-             for j in range(n)] for i in range(d)]
-
-
-def _apply_rational(rows, section, base_dim):
-    out = []
-    for row in rows:
-        acc = Polynomial.zero(base_dim)
-        for coeff, comp in zip(row, section):
-            if coeff != 0:
-                acc = acc + comp.scale(coeff)
-        out.append(acc)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Dirac structures
 
 
@@ -618,37 +529,24 @@ class DiracData:
     bprime_incl: PolyMatrix
 
     def __post_init__(self):
-        self._u = _constant_matrix(self.u_incl)
-        self._bp = _constant_matrix(self.bprime_incl)
-        ut = self.u_transpose_rows()
-        if _rank(ut, self.u_incl.rows) != self.u_incl.cols:
+        u = self.u_incl.constant_rows()
+        bp = self.bprime_incl.constant_rows()
+        if rank(u) != self.u_incl.cols:
             raise ValueError("U inclusion matrix is not of full column rank")
-        bpt = [[self._bp[i][a] for i in range(self.bprime_incl.rows)]
-               for a in range(self.bprime_incl.cols)]
-        if _rank(bpt, self.bprime_incl.rows) != self.bprime_incl.cols:
+        if rank(bp) != self.bprime_incl.cols:
             raise ValueError("B' inclusion matrix is not of full column rank")
 
     @property
     def dim_u(self):
         return self.u_incl.cols
 
-    def u_transpose_rows(self):
-        return [[self._u[i][a] for i in range(self.u_incl.rows)]
-                for a in range(self.u_incl.cols)]
+    def u_annihilator_basis(self) -> PolyMatrix:
+        """Rows: a basis of the annihilator of U inside Q*; a section lies
+        in U exactly when it pairs to zero with every row."""
+        return self.u_incl.transpose().null_space()
 
-    def u_annihilator_basis(self):
-        """Basis of the annihilator of U inside Q* (rational vectors)."""
-        return _null_space(self.u_transpose_rows(), self.u_incl.rows)
-
-    def u_membership_rows(self):
-        """Rows annihilating the column space of u_incl; for the standard
-        pairing these coincide with the annihilator basis."""
-        return self.u_annihilator_basis()
-
-    def bp_membership_rows(self):
-        rows = [[self._bp[i][a] for i in range(self.bprime_incl.rows)]
-                for a in range(self.bprime_incl.cols)]
-        return _null_space(rows, self.bprime_incl.rows)
+    def bp_membership_rows(self) -> PolyMatrix:
+        return self.bprime_incl.transpose().null_space()
 
 
 def _sections_of(mat: PolyMatrix, rng, base_dim):
@@ -674,30 +572,25 @@ def check_dirac(dorfman: Dorfman2Rep, selfdual, data: DiracData,
     p = dorfman.bundle.base_dim
 
     report = CheckReport(f"Dirac conditions ({mode})", seed)
-    u_rows = data.u_membership_rows()
     bp_rows = data.bp_membership_rows()
-    ut_rows = data.u_transpose_rows()
     ann = data.u_annihilator_basis()
-    ann_secs = [[Polynomial.const(p, c) for c in vec] for vec in ann]
+    ut_rows = data.u_incl.transpose()
     u_secs = _sections_of(data.u_incl, rng, p)
     bp_secs = _sections_of(data.bprime_incl, rng, p)
 
     def in_bprime(label, sec, witness):
-        report.add_residual_section(
-            label, _apply_rational(bp_rows, sec, p), witness=witness)
+        report.add_residual_section(label, bp_rows.apply(sec), witness=witness)
 
     def in_u(label, sec, witness):
-        report.add_residual_section(
-            label, _apply_rational(u_rows, sec, p), witness=witness)
+        report.add_residual_section(label, ann.apply(sec), witness=witness)
 
     def in_u_ann(label, sec, witness):
-        report.add_residual_section(
-            label, _apply_rational(ut_rows, sec, p), witness=witness)
+        report.add_residual_section(label, ut_rows.apply(sec), witness=witness)
 
     if mode in ("vb_dirac", "la_dirac"):
         prefix = "vb:" if mode == "la_dirac" else ""
         bracket = dorfman.dual_bracket()
-        for it, tau in enumerate(ann_secs):
+        for it, tau in enumerate(ann.data):
             in_bprime(prefix + "1_partial_into_Bprime",
                       dorfman.partial_b.apply(tau), f"(core{it + 1})")
         for iu, u in enumerate(u_secs):
@@ -717,7 +610,7 @@ def check_dirac(dorfman: Dorfman2Rep, selfdual, data: DiracData,
                              f"(u{i + 1}, u{j + 1}, b{ib + 1})")
     if mode in ("la_subalgebroid", "la_dirac"):
         prefix = "la:" if mode == "la_dirac" else ""
-        for it, tau in enumerate(ann_secs):
+        for it, tau in enumerate(ann.data):
             in_u(prefix + "1_partial_into_U",
                  selfdual.partial_q.apply(tau), f"(core{it + 1})")
         for ib, b in enumerate(bp_secs):
@@ -744,9 +637,8 @@ def induced_lie_algebroid_on_U(dorfman: Dorfman2Rep, data: DiracData
     with full support."""
     p = dorfman.bundle.base_dim
     d = data.dim_u
-    cols = _constant_matrix(data.u_incl)
-    left = _left_inverse(cols) if d else []
-    u_rows = data.u_membership_rows()
+    left = data.u_incl.left_inverse()
+    u_rows = data.u_annihilator_basis()
     bracket = dorfman.dual_bracket()
 
     anchor = dorfman.bundle.anchor.matmul(data.u_incl)
@@ -758,10 +650,9 @@ def induced_lie_algebroid_on_U(dorfman: Dorfman2Rep, data: DiracData
     for a in range(d):
         for b in range(d):
             val = bracket.apply(u_cols[a], u_cols[b])
-            if any(not r.is_zero()
-                   for r in _apply_rational(u_rows, val, p)):
+            if any(not r.is_zero() for r in u_rows.apply(val)):
                 raise ValueError("bracket of U-frames does not close in U")
-            coeffs = _apply_rational(left, val, p)
+            coeffs = left.apply(val)
             for c in range(d):
                 comps[a][b][c] = coeffs[c]
     return LieAlgebroidData(bundle, DullBracket(bundle, comps))
@@ -790,16 +681,16 @@ def manin_pair(pair: LAPairData, data: DiracData) -> ManinPairResult:
         raise ValueError("Manin pair requires full support B' = B")
     d = data.dim_u
 
-    ann = data.u_annihilator_basis()           # dim rq - d
+    ann = data.u_annihilator_basis()           # rq - d rows
     # deterministic coordinate complement of the annihilator in Q*
     complement = []
-    span = [list(v) for v in ann]
-    current = _rank(span, rq)
+    span = ann.constant_rows()
+    current = rank(span)
     for k in range(rq):
-        cand = [Fraction(0)] * rq
-        cand[k] = Fraction(1)
+        cand = [0] * rq
+        cand[k] = 1
         trial = span + [cand]
-        if _rank(trial, rq) > current:
+        if rank(trial) > current:
             span = trial
             current += 1
             complement.append(k)
@@ -810,35 +701,23 @@ def manin_pair(pair: LAPairData, data: DiracData) -> ManinPairResult:
 
     # change of basis on Q*: columns are the complement vectors then the
     # annihilator basis; its inverse decomposes tau = c + upsilon
-    basis_cols = []
-    for k in complement:
-        col = [Fraction(0)] * rq
-        col[k] = Fraction(1)
-        basis_cols.append(col)
-    basis_cols.extend(ann)
-    basis_matrix = [[basis_cols[c][r] for c in range(rq)] for r in range(rq)]
-    basis_inv = _invert_rational(basis_matrix)
+    units = PolyMatrix.identity(p, rq).data
+    basis_inv = PolyMatrix(p, rq, rq, [units[k] for k in complement]
+                           + ann.data).transpose().inverse_constant()
+    ann_t = ann.transpose()
 
     u_cols = [[data.u_incl[i, a] for i in range(rq)] for a in range(d)]
-    u_const = _constant_matrix(data.u_incl)
-    u_left = _left_inverse(u_const) if d else []
-    u_rows = data.u_membership_rows()
+    u_left = data.u_incl.left_inverse()
 
     def reduce(u_sec, tau_sec):
         """Canonical representative of (u, tau) in the chosen basis;
         returns the 2d components."""
-        coeffs = _apply_rational(basis_inv, tau_sec, p)
+        coeffs = basis_inv.apply(tau_sec)
         c_part, w_part = coeffs[:d], coeffs[d:]
-        shift = zero_section(p, rq)
-        for wc, vec in zip(w_part, ann):
-            shift = section_add(
-                shift, section_smul(wc, [Polynomial.const(p, c)
-                                         for c in vec]))
-        u_new = section_add(u_sec, S.partial_q.apply(shift))
-        if any(not r.is_zero() for r in _apply_rational(u_rows, u_new, p)):
+        u_new = section_add(u_sec, S.partial_q.apply(ann_t.apply(w_part)))
+        if any(not r.is_zero() for r in ann.apply(u_new)):
             raise ValueError("quotient representative does not lie in U")
-        out = _apply_rational(u_left, u_new, p)
-        return out + c_part
+        return u_left.apply(u_new) + c_part
 
     def pairing_value(u1, t1, u2, t2):
         return section_pair(u1, t2) + section_pair(u2, t1) \

@@ -25,6 +25,11 @@ raises OverflowError instead of carrying into the next field.  The
 input bound leaves products a 2**15-fold margin below the guard.
 ``monomials()`` unpacks the keys to tuples; renders and JSON sort the
 unpacked tuples.
+
+Linear algebra: ``PolyMatrix.charpoly`` (Berkowitz) gives the
+determinant and, by Cayley-Hamilton, the inverse, with ring operations
+only.  Rank, null space and left inverse of constant matrices rest on
+the one field elimination, ``rref``.
 """
 
 from __future__ import annotations
@@ -561,42 +566,90 @@ class PolyMatrix:
             all(self.data[i][j] == other.data[i][j]
                 for i in range(self.rows) for j in range(self.cols))
 
-    def determinant(self) -> Polynomial:
+    def charpoly(self) -> list:
+        """Coefficients [1, c_1, ..., c_n] of det(t I - A), by Berkowitz's
+        division-free algorithm (IPL 18, 1984) in O(n^4) ring operations.
+
+        Step k borders the leading k x k block A_k by the column C above
+        and the row R left of a = A[k][k].  The coefficients for A_{k+1}
+        are the Toeplitz product of (1, -a, -R C, -R A_k C, ...,
+        -R A_k^(k-1) C) with those for A_k.  Zero operands and products
+        with the leading 1 do not reach the kernel.
+        """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Polynomial.const(self.base_dim, 1)
-        # cofactor expansion; matrices here are small (rank <= 6)
-        if n == 1:
-            return self.data[0][0]
-        acc = Polynomial.zero(self.base_dim)
-        for j in range(n):
-            minor = PolyMatrix(self.base_dim, n - 1, n - 1,
-                               [[self.data[i][k] for k in range(n) if k != j]
-                                for i in range(1, n)])
-            term = self.data[0][j] * minor.determinant()
-            acc = acc + (term if j % 2 == 0 else -term)
-        return acc
+        p = self.base_dim
+        if any(e.base_dim != p for row in self.data for e in row):
+            raise ValueError("base dimension mismatch")
+        zero = Polynomial.zero(p)
+        coeffs = [Polynomial.const(p, 1)]
+        for k, row in enumerate(self.data):
+            block = self.data[:k]
+            vec = [r[k] for r in block]
+            toeplitz = [-row[k]]
+            for step in range(k):
+                toeplitz.append(-_dot(row, vec, zero))
+                if step < k - 1:
+                    vec = [_dot(r, vec, zero) for r in block]
+            new = coeffs + [zero]
+            for j, t in enumerate(toeplitz, 1):
+                if t.terms:
+                    new[j] = new[j] + t
+                    for i in range(j + 1, k + 2):
+                        if coeffs[i - j].terms:
+                            new[i] = new[i] + t * coeffs[i - j]
+            coeffs = new
+        return coeffs
+
+    def determinant(self) -> Polynomial:
+        """(-1)^n c_n of ``charpoly``; a 0 x 0 matrix has determinant 1."""
+        c_n = self.charpoly()[-1]
+        return -c_n if self.rows % 2 else c_n
 
     def inverse_constant(self) -> "PolyMatrix":
-        """Exact inverse; requires a nonzero constant determinant."""
-        det = self.determinant()
-        if not det.is_constant() or det.constant_value() == 0:
+        """Exact inverse; requires a nonzero constant determinant.
+
+        By Cayley-Hamilton, A (A^(n-1) + c_1 A^(n-2) + ... + c_(n-1) I)
+        = -c_n I, so the inverse is that polynomial in A over -c_n.
+        """
+        coeffs = self.charpoly()
+        c_n = coeffs[-1]
+        if not c_n.is_constant() or c_n.constant_value() == 0:
             raise ValueError("matrix is not invertible over the polynomial ring")
-        n = self.rows
-        inv_det = Fraction(1) / det.constant_value()
-        out = PolyMatrix(self.base_dim, n, n)
-        for i in range(n):
-            for j in range(n):
-                minor = PolyMatrix(self.base_dim, n - 1, n - 1,
-                                   [[self.data[r][c] for c in range(n) if c != i]
-                                    for r in range(n) if r != j])
-                cof = minor.determinant()
-                if (i + j) % 2 == 1:
-                    cof = -cof
-                out.data[i][j] = cof.scale(inv_det)
-        return out
+        acc = PolyMatrix.identity(self.base_dim, self.rows)
+        for c in coeffs[1:-1]:
+            acc = self.matmul(acc)
+            for i in range(self.rows):
+                acc.data[i][i] = acc.data[i][i] + c
+        return acc.scale(Fraction(-1) / c_n.constant_value())
+
+    def left_inverse(self) -> "PolyMatrix":
+        """(A^T A)^(-1) A^T; needs A^T A to have a nonzero constant
+        determinant, as for a constant A of full column rank."""
+        at = self.transpose()
+        return at.matmul(self).inverse_constant().matmul(at)
+
+    def constant_rows(self) -> list:
+        """The entries as rational rows; ValueError unless all are constant."""
+        if not all(e.is_constant() for row in self.data for e in row):
+            raise ValueError("matrix entries must be constant")
+        return [[e.constant_value() for e in row] for row in self.data]
+
+    def null_space(self) -> "PolyMatrix":
+        """Rows: a basis of the right null space of a constant matrix, one
+        vector per free column of its reduced row echelon form."""
+        reduced, pivots = rref(self.constant_rows())
+        p = self.base_dim
+        basis = []
+        for c in range(self.cols):
+            if c in pivots:
+                continue
+            vec = [Polynomial.zero(p)] * self.cols
+            vec[c] = Polynomial.const(p, 1)
+            for r, pc in enumerate(pivots):
+                vec[pc] = Polynomial.const(p, -reduced[r][c])
+            basis.append(vec)
+        return PolyMatrix(p, len(basis), self.cols, basis)
 
     def to_json(self):
         return [[e.to_json() for e in row] for row in self.data]
@@ -610,3 +663,49 @@ class PolyMatrix:
             for j in range(cols):
                 out.data[i][j] = Polynomial.from_json(base_dim, data[i][j])
         return out
+
+
+def _dot(row, vec, zero: Polynomial) -> Polynomial:
+    """Sum of row[j] * vec[j] over j < len(vec), skipping zero factors."""
+    acc = zero
+    for a, b in zip(row, vec):
+        if a.terms and b.terms:
+            acc = acc + a * b
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra over the rationals: the one field elimination
+
+
+def rref(rows):
+    """Reduced row echelon form of rational rows: (nonzero rows, pivot
+    columns).  Pivots are taken left to right, each from the first row
+    at or below the current one with a nonzero entry in that column."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def rank(rows) -> int:
+    """Rank of a list of rational rows."""
+    return len(rref(rows)[1])

@@ -265,11 +265,6 @@ class PoissonStructure:
         return gens
 
 
-def poisson_bracket(rep: SelfDual2Rep, u: GradedFunction,
-                    v: GradedFunction) -> GradedFunction:
-    return PoissonStructure(rep).bracket(u, v)
-
-
 def check_graded_jacobi(rep: SelfDual2Rep, seed: int = 0,
                         title: str = "graded Jacobi identity") -> CheckReport:
     report = CheckReport(title, seed)

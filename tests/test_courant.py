@@ -3,6 +3,8 @@ structures and Manin pairs."""
 
 import pytest
 
+from lie2check import serialize
+from lie2check.cli import main
 from lie2check.exactpoly import Polynomial, PolyMatrix
 from lie2check.bundle import unit_section
 from lie2check.lie2 import check_dorfman2rep, check_homological
@@ -101,6 +103,21 @@ def test_tangent_double_curved_r2():
     assert check_la_matched_pair(pair, seed=3).passed
     assert check_core_courant(pair, seed=3).passed
 
+
+
+def test_adjoint_and_tangent_double_at_ranks_8_and_10(tmp_path):
+    """Pairings of rank 8 and 10 are inverted in polynomial time; by
+    cofactor expansion they took 9! and 10! terms per minor."""
+    src = tmp_path / "standard4.json"
+    src.write_text(serialize.dumps(
+        serialize.encode_structure(standard_courant(4))))
+    out = tmp_path / "adjoint4.json"
+    assert main(["construct", "adjoint", str(src), "--out", str(out)]) == 0
+    assert main(["check", "--mode", "dorfman", str(out),
+                 "--out", str(tmp_path / "report.txt")]) == 0
+    ca = standard_courant(5)
+    ginv = tangent_double_pair(ca, _zero_gamma(5, 10)).selfdual.partial_q
+    assert ginv.matmul(ca.pairing) == PolyMatrix.identity(5, 10)
 
 def test_core_courant_recovers_the_original_bracket():
     ca = so3_quadratic()

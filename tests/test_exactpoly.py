@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lie2check.exactpoly import (
     EXP_BOUND, FIELD_BITS, Polynomial, PolyMatrix, PolyTensor, _pack, _unpack,
-    format_rational, rational,
+    format_rational, rank, rational,
 )
 
 BASE = 2
@@ -158,6 +158,157 @@ def test_singular_matrix_rejected():
     m = _constant_matrix([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         m.inverse_constant()
+
+
+# -- differential tests of the linear-algebra layer -----------------------
+# The reference is recursive cofactor expansion along the first row:
+# factorial time, but obviously the determinant.
+
+def _cofactor_det(m):
+    n = m.rows
+    if n == 0:
+        return Polynomial.const(m.base_dim, 1)
+    acc = Polynomial.zero(m.base_dim)
+    for j in range(n):
+        minor = PolyMatrix(m.base_dim, n - 1, n - 1,
+                           [[m[i, k] for k in range(n) if k != j]
+                            for i in range(1, n)])
+        term = m[0, j] * _cofactor_det(minor)
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
+
+
+def _cofactor_inverse(m, det):
+    """adj(m) / det, each adjugate entry a cofactor expansion."""
+    n = m.rows
+    out = PolyMatrix(m.base_dim, n, n)
+    for i in range(n):
+        for j in range(n):
+            minor = PolyMatrix(m.base_dim, n - 1, n - 1,
+                               [[m[r, c] for c in range(n) if c != i]
+                                for r in range(n) if r != j])
+            cof = _cofactor_det(minor)
+            out[i, j] = (cof if (i + j) % 2 == 0 else -cof).scale(
+                Fraction(1) / det)
+    return out
+
+
+small_polynomials = st.one_of(
+    st.just(Polynomial.zero(BASE)),
+    st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                    st.integers(-2, 2), max_size=2).map(
+        lambda terms: Polynomial(BASE, terms)))
+
+
+@st.composite
+def square_matrices(draw, max_n=6):
+    """Sparse polynomial matrices, sometimes with a zero row or column."""
+    n = draw(st.integers(0, max_n))
+    m = PolyMatrix(BASE, n, n,
+                   [[draw(small_polynomials) if draw(st.integers(0, 2)) else
+                     Polynomial.zero(BASE) for _ in range(n)]
+                    for _ in range(n)])
+    if n and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        for t in range(n):
+            if draw(st.booleans()):
+                m[k, t] = Polynomial.zero(BASE)
+            else:
+                m[t, k] = Polynomial.zero(BASE)
+    return m
+
+
+@given(square_matrices())
+@settings(max_examples=60, deadline=None)
+def test_determinant_and_inverse_match_cofactor_expansion(m):
+    det = _cofactor_det(m)
+    assert m.determinant() == det
+    if det.is_constant() and det.constant_value() != 0:
+        inv = m.inverse_constant()
+        assert inv == _cofactor_inverse(m, det.constant_value())
+        assert m.matmul(inv) == PolyMatrix.identity(BASE, m.rows)
+    else:
+        with pytest.raises(ValueError,
+                           match="not invertible over the polynomial ring"):
+            m.inverse_constant()
+
+
+@st.composite
+def unimodular_products(draw, max_n=6):
+    """L U with L unit lower triangular and non-constant below the
+    diagonal, U upper triangular with a nonzero constant diagonal: the
+    determinant is constant, the entries are not."""
+    n = draw(st.integers(1, max_n))
+    lower = PolyMatrix.identity(BASE, n)
+    upper = PolyMatrix(BASE, n, n)
+    for i in range(n):
+        upper[i, i] = Polynomial.const(BASE, draw(st.sampled_from(
+            [1, -1, 2, Fraction(1, 3)])))
+        for j in range(i):
+            lower[i, j] = draw(small_polynomials)
+        for j in range(i + 1, n):
+            upper[i, j] = draw(small_polynomials)
+    if n > 1:
+        lower[n - 1, 0] = lower[n - 1, 0] + Polynomial.variable(BASE, 0)
+    return lower.matmul(upper)
+
+
+@given(unimodular_products())
+@settings(max_examples=30, deadline=None)
+def test_inverse_of_unimodular_products(m):
+    det = m.determinant()
+    assert det.is_constant() and det == _cofactor_det(m)
+    inv = m.inverse_constant()
+    assert inv == _cofactor_inverse(m, det.constant_value())
+    assert m.matmul(inv) == PolyMatrix.identity(BASE, m.rows)
+    assert inv.matmul(m) == PolyMatrix.identity(BASE, m.rows)
+
+
+def test_empty_and_one_by_one_matrices():
+    empty = PolyMatrix(BASE, 0, 0)
+    assert empty.determinant() == Polynomial.const(BASE, 1)
+    assert empty.inverse_constant() == empty
+    x = Polynomial.variable(BASE, 1)
+    assert PolyMatrix(BASE, 1, 1, [[x]]).determinant() == x
+    half = PolyMatrix(BASE, 1, 1, [[Polynomial.const(BASE, 2)]])
+    assert half.inverse_constant()[0, 0] == Polynomial.const(
+        BASE, Fraction(1, 2))
+
+
+def test_linear_algebra_errors_keep_their_messages():
+    with pytest.raises(ValueError, match="determinant of a non-square matrix"):
+        PolyMatrix(BASE, 2, 3).determinant()
+    with pytest.raises(ValueError, match="determinant of a non-square matrix"):
+        PolyMatrix(BASE, 2, 3).inverse_constant()
+    x = Polynomial.variable(BASE, 0)
+    one = Polynomial.const(BASE, 1)
+    for rows in ([[one, x], [x, one]], [[one, one], [one, one]]):
+        with pytest.raises(ValueError,
+                           match="not invertible over the polynomial ring"):
+            PolyMatrix(BASE, 2, 2, rows).inverse_constant()
+
+
+rational_rows = st.integers(0, 5).flatmap(lambda cols: st.lists(
+    st.lists(st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)]),
+             min_size=cols, max_size=cols), max_size=5).map(
+                 lambda rows: (rows, cols)))
+
+
+@given(rational_rows)
+@settings(max_examples=60, deadline=None)
+def test_rank_and_null_space_match_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    rows, cols = case
+    m = PolyMatrix(BASE, len(rows), cols,
+                   [[Polynomial.const(BASE, v) for v in row] for row in rows])
+    ref = sympy.Matrix(len(rows), cols, lambda i, j: sympy.Rational(
+        Fraction(rows[i][j]).numerator, Fraction(rows[i][j]).denominator))
+    assert rank(rows) == ref.rank()
+    basis = m.null_space()
+    want = ref.nullspace()
+    assert basis.rows == len(want)
+    for got, vec in zip(basis.data, want):
+        assert [g.constant_value() for g in got] == list(vec)
 
 
 def test_matrix_json_round_trip():

@@ -4,7 +4,7 @@ from lie2check.exactpoly import Polynomial, PolyMatrix
 from lie2check.lie2 import GradedFunction
 from lie2check.poisson import (
     PoissonStructure, check_graded_jacobi, check_selfdual2rep,
-    is_symplectic, poisson_bracket,
+    is_symplectic,
 )
 from lie2check.examples import (
     broken_selfdual_nonsym, broken_selfdual_zero_r, euclidean_curved_r2,
@@ -71,11 +71,3 @@ def test_is_symplectic():
                               base.nablaQ, base.curvB)
     assert not is_symplectic(degenerate).passed
 
-
-def test_poisson_bracket_helper_agrees():
-    rep = so3_selfdual()
-    ps = PoissonStructure(rep)
-    gens = ps.generators()
-    for _, g1, _ in gens[:3]:
-        for _, g2, _ in gens[:3]:
-            assert poisson_bracket(rep, g1, g2) == ps.bracket(g1, g2)
