@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactpoly import Polynomial, PolyMatrix, PolyTensor, random_polynomial
+from .exactpoly import (Polynomial, PolyMatrix, PolyTensor, dot,
+                        random_polynomial)
 
 
 def memo(fn):
@@ -54,7 +55,7 @@ def memo(fn):
 
 
 def zero_section(base_dim: int, rank: int):
-    return [Polynomial.zero(base_dim) for _ in range(rank)]
+    return [Polynomial.zero(base_dim)] * rank
 
 
 def unit_section(base_dim: int, rank: int, index: int):
@@ -85,10 +86,7 @@ def section_pair(u, v) -> Polynomial:
         raise ValueError("section length mismatch")
     if not u:
         raise ValueError("cannot pair empty sections without a base dimension")
-    acc = Polynomial.zero(u[0].base_dim)
-    for a, b in zip(u, v):
-        acc = acc + a * b
-    return acc
+    return dot(u, v, u[0].base_dim)
 
 
 def section_is_zero(u) -> bool:
@@ -209,8 +207,13 @@ class AnchoredBundle:
         return field_apply(self.anchor_field(q), f)
 
     def anchor_pullback_d(self, f: Polynomial):
-        """Dual-bundle section rho^* df: component i is rho(frame_i)(f)."""
-        return [self.anchor_apply(unit_section(self.base_dim, self.rank, i), f)
+        """Dual-bundle section rho^* df: component i is rho(frame_i)(f),
+        anchor column i dotted with the gradient of f."""
+        p = self.base_dim
+        if f.base_dim != p:
+            raise ValueError("base dimension mismatch")
+        grad = [f.diff(m) for m in range(p)]
+        return [dot([row[i] for row in self.anchor.data], grad, p)
                 for i in range(self.rank)]
 
 

@@ -138,6 +138,14 @@ def _as_dorfman(kind, obj):
     raise CliError(f"mode requires a Lie 2-algebroid file, got kind {kind!r}")
 
 
+def _check_dirac_fits(dorf, data):
+    """A dirac file that does not fit the structure is an input error."""
+    try:
+        data.check_fits(dorf)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def _run_check(mode, kind, obj, second, seed):
     if mode == "auto":
         if kind == "dirac":
@@ -160,6 +168,7 @@ def _run_check(mode, kind, obj, second, seed):
             if kind != "lapair":
                 raise CliError("Lie-algebroid dirac modes need a lapair file")
             dorf, selfdual = obj.dorfman, obj.selfdual
+        _check_dirac_fits(dorf, sobj)
         return mode, check_dirac(dorf, selfdual, sobj, submode, seed=seed)
     if second is not None:
         raise CliError(f"mode {mode!r} takes a single input file")
@@ -307,10 +316,12 @@ def cmd_construct(args):
             _expect_kind(kind2, "dirac", recipe)
             if recipe == "manin-pair":
                 _expect_kind(kind, "lapair", recipe)
+            dorf = _as_dorfman(kind, obj)
+            _check_dirac_fits(dorf, obj2)
+            if recipe == "manin-pair":
                 result = manin_pair(obj, obj2).courant
             else:
-                result = induced_lie_algebroid_on_U(_as_dorfman(kind, obj),
-                                                    obj2)
+                result = induced_lie_algebroid_on_U(dorf, obj2)
         else:
             raise CliError(f"unknown recipe {recipe!r}")
     except ValueError as exc:

@@ -536,6 +536,16 @@ class DiracData:
         if rank(bp) != self.bprime_incl.cols:
             raise ValueError("B' inclusion matrix is not of full column rank")
 
+    def check_fits(self, dorfman: Dorfman2Rep):
+        """ValueError unless U has rank Q rows and B' rank B rows over
+        the structure's base."""
+        p = dorfman.bundle.base_dim
+        for name, mat, rank in (("U", self.u_incl, dorfman.rank_q),
+                                ("Bprime", self.bprime_incl, dorfman.rank_b)):
+            if (mat.rows, mat.base_dim) != (rank, p):
+                raise ValueError(f"dirac {name} needs {rank} rows over "
+                                 f"base dimension {p}")
+
     @property
     def dim_u(self):
         return self.u_incl.cols
@@ -568,6 +578,7 @@ def check_dirac(dorfman: Dorfman2Rep, selfdual, data: DiracData,
         raise ValueError(f"unknown mode: {mode}")
     if mode in ("la_subalgebroid", "la_dirac") and selfdual is None:
         raise ValueError(f"mode {mode} requires the self-dual structure")
+    data.check_fits(dorfman)
     rng = _random.Random(seed)
     p = dorfman.bundle.base_dim
 
@@ -635,6 +646,7 @@ def induced_lie_algebroid_on_U(dorfman: Dorfman2Rep, data: DiracData
                                ) -> LieAlgebroidData:
     """Lie algebroid structure inherited by U from a VB-Dirac structure
     with full support."""
+    data.check_fits(dorfman)
     p = dorfman.bundle.base_dim
     d = data.dim_u
     left = data.u_incl.left_inverse()
@@ -674,6 +686,7 @@ def manin_pair(pair: LAPairData, data: DiracData) -> ManinPairResult:
     of U), realized on the basis U-frames + a coordinate complement of the
     annihilator in Q*."""
     S, D = pair.selfdual, pair.dorfman
+    data.check_fits(D)
     p = D.bundle.base_dim
     rq = D.rank_q
     rb = D.rank_b

@@ -5,12 +5,22 @@ rationals in the base coordinates x_1..x_p.  Zero-testing is structural:
 a polynomial is zero exactly when it stores no terms.
 
 Zero-skip contract: most frame components of the operators are zero, so
-``PolyMatrix.apply`` and the operator loops in ``bundle`` do not pass
-zero operands to the kernel.  Arithmetic is exact and renders sort their
-terms, so a skipped zero addend changes no result.  The dimension checks
-still hold on skipped operands: a base dimension mismatch raises
-ValueError and a coordinate index out of range IndexError, exactly as if
-the operand had gone through the kernel.
+``dot`` (and through it ``PolyMatrix.apply`` and ``matmul``) and the
+operator loops in ``bundle`` do not pass zero operands to the kernel.
+Arithmetic is exact and renders sort their terms, so a skipped zero
+addend changes no result.  The dimension checks still hold on skipped
+operands: a base dimension mismatch raises ValueError and a coordinate
+index out of range IndexError, exactly as if the operand had gone
+through the kernel.
+
+Fast paths: most products have a factor that is zero, the constant 1
+or one monomial, and skip the double loop: by 0 or 1 they return an
+operand, by a constant they scale, by a monomial they shift each key.
+``Polynomial.zero`` is one shared instance per base dimension.  Any
+result may be an operand or the shared zero, so no code writes into a
+``terms`` mapping once built.  A returned operand may store an integral
+coefficient as a Fraction where the loop would store an int, or the
+other way round; ``str``, ``hash`` and ``==`` agree across the two.
 
 Packed monomials: ``Polynomial.terms`` keys each monomial by one int,
 its exponent vector (e_1, ..., e_p) in fields of ``FIELD_BITS`` = 32
@@ -36,7 +46,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations
 from operator import or_
 
 FIELD_BITS = 32
@@ -112,6 +121,11 @@ def _make(base_dim: int, terms: dict) -> "Polynomial":
     return poly
 
 
+@cache
+def _zero(base_dim: int) -> "Polynomial":
+    return _make(base_dim, {})
+
+
 class Polynomial:
     """Multivariate polynomial over the rationals with packed monomial keys.
 
@@ -120,8 +134,8 @@ class Polynomial:
     exponent tuples of length ``base_dim`` and, like ``scale``, stores
     integral values as ints.  base_dim 0 is legal and leaves room for
     constants only.  Instances are immutable, so an operation may return
-    one of its operands (``f + 0`` is ``f``) instead of a copy, and the
-    hash is computed once, on first use.
+    one of its operands (``f + 0`` and ``f * 1`` are ``f``) instead of a
+    copy, and the hash is computed once, on first use.
     """
 
     __slots__ = ("base_dim", "terms", "_hash")
@@ -140,13 +154,14 @@ class Polynomial:
     # -- constructors -------------------------------------------------
     @classmethod
     def zero(cls, base_dim: int) -> "Polynomial":
-        return _make(base_dim, {})
+        """The zero polynomial over R^base_dim, one shared instance each."""
+        return _zero(base_dim)
 
     @classmethod
     def const(cls, base_dim: int, value) -> "Polynomial":
         value = _coefficient(value)
         if value == 0:
-            return _make(base_dim, {})
+            return _zero(base_dim)
         return _make(base_dim, {0: value})
 
     @classmethod
@@ -203,7 +218,18 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        if self.base_dim != other.base_dim:
+            raise ValueError("base dimension mismatch")
+        if not other.terms:
+            return self
+        terms = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            total = terms.get(exps, 0) - coeff
+            if total == 0:
+                del terms[exps]
+            else:
+                terms[exps] = total
+        return _make(self.base_dim, terms)
 
     def __mul__(self, other) -> "Polynomial":
         # Polynomial first: Fraction's metaclass is ABCMeta, so an
@@ -218,15 +244,28 @@ class Polynomial:
             return self
         if not other.terms:
             return other
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = e1 + e2
-                total = terms.get(key, 0) + c1 * c2
-                if total == 0:
-                    del terms[key]
-                else:
-                    terms[key] = total
+        if len(other.terms) == 1 or len(self.terms) == 1:
+            # A monomial factor shifts every key of the other factor by
+            # its own key; distinct keys stay distinct, so nothing cancels.
+            poly, mono = (self, other) if len(other.terms) == 1 \
+                else (other, self)
+            [(shift, c)] = mono.terms.items()
+            if not shift:
+                if c == 1:
+                    return poly
+                return _make(self.base_dim,
+                             {e: v * c for e, v in poly.terms.items()})
+            terms = {e + shift: v * c for e, v in poly.terms.items()}
+        else:
+            terms = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    key = e1 + e2
+                    total = terms.get(key, 0) + c1 * c2
+                    if total == 0:
+                        del terms[key]
+                    else:
+                        terms[key] = total
         # Operand fields are below the guard, so a sum carries into no
         # other field; a stored field that reached the guard overflowed.
         if reduce(or_, terms, 0) & _guard_mask(self.base_dim):
@@ -240,7 +279,7 @@ class Polynomial:
     def scale(self, value) -> "Polynomial":
         value = _coefficient(value)
         if value == 0:
-            return _make(self.base_dim, {})
+            return _zero(self.base_dim)
         return _make(self.base_dim,
                      {e: c * value for e, c in self.terms.items()})
 
@@ -422,22 +461,6 @@ class PolyTensor:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def canonical_keys(self):
-        """All canonical index tuples (strictly increasing in antisym blocks)."""
-        blocks = []
-        for dim, arity, antisym in self.groups:
-            if antisym:
-                blocks.append([tuple(c) for c in combinations(range(dim), arity)])
-            else:
-                block = [()]
-                for _ in range(arity):
-                    block = [b + (i,) for b in block for i in range(dim)]
-                blocks.append(block)
-        keys = [()]
-        for block in blocks:
-            keys = [k + b for k in keys for b in block]
-        return keys
-
     def __eq__(self, other):
         if not isinstance(other, PolyTensor):
             return NotImplemented
@@ -477,8 +500,7 @@ class PolyMatrix:
         self.rows = rows
         self.cols = cols
         if data is None:
-            self.data = [[Polynomial.zero(base_dim) for _ in range(cols)]
-                         for _ in range(rows)]
+            self.data = [[_zero(base_dim)] * cols for _ in range(rows)]
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("matrix shape mismatch")
@@ -507,31 +529,17 @@ class PolyMatrix:
         """
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        p = self.base_dim
-        zero = Polynomial.zero(p)
-        out = []
-        for row in self.data:
-            acc = zero
-            for j, vj in enumerate(vec):
-                entry = row[j]
-                if entry.base_dim != p or vj.base_dim != p:
-                    raise ValueError("base dimension mismatch")
-                if entry.terms and vj.terms:
-                    acc = acc + entry * vj
-            out.append(acc)
-        return out
+        return [dot(row, vec, self.base_dim) for row in self.data]
 
     def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
+        """Matrix product, with the zero skip and checks of ``apply``."""
         if self.cols != other.rows:
             raise ValueError("matrix shape mismatch")
-        out = PolyMatrix(self.base_dim, self.rows, other.cols)
-        for i in range(self.rows):
-            for k in range(other.cols):
-                acc = Polynomial.zero(self.base_dim)
-                for j in range(self.cols):
-                    acc = acc + self.data[i][j] * other.data[j][k]
-                out.data[i][k] = acc
-        return out
+        p = self.base_dim
+        cols = [[row[k] for row in other.data] for k in range(other.cols)]
+        return PolyMatrix(p, self.rows, other.cols,
+                          [[dot(row, col, p) for col in cols]
+                           for row in self.data])
 
     def transpose(self) -> "PolyMatrix":
         out = PolyMatrix(self.base_dim, self.cols, self.rows)
@@ -588,9 +596,9 @@ class PolyMatrix:
             vec = [r[k] for r in block]
             toeplitz = [-row[k]]
             for step in range(k):
-                toeplitz.append(-_dot(row, vec, zero))
+                toeplitz.append(-dot(row, vec, p))
                 if step < k - 1:
-                    vec = [_dot(r, vec, zero) for r in block]
+                    vec = [dot(r, vec, p) for r in block]
             new = coeffs + [zero]
             for j, t in enumerate(toeplitz, 1):
                 if t.terms:
@@ -665,10 +673,14 @@ class PolyMatrix:
         return out
 
 
-def _dot(row, vec, zero: Polynomial) -> Polynomial:
-    """Sum of row[j] * vec[j] over j < len(vec), skipping zero factors."""
-    acc = zero
-    for a, b in zip(row, vec):
+def dot(u, v, base_dim: int) -> Polynomial:
+    """Sum of u[j] * v[j] over j < min(len(u), len(v)).  Products with a
+    zero factor skip the kernel; every factor's base dimension is still
+    checked against ``base_dim``."""
+    acc = _zero(base_dim)
+    for a, b in zip(u, v):
+        if a.base_dim != base_dim or b.base_dim != base_dim:
+            raise ValueError("base dimension mismatch")
         if a.terms and b.terms:
             acc = acc + a * b
     return acc

@@ -37,6 +37,8 @@ from lie2check.examples import (
     tm_r1_lie1, unit_matched_point,
 )
 
+from helpers import canonical_keys
+
 
 def _zero_gamma(p, rank):
     z = Polynomial.zero(p)
@@ -155,8 +157,7 @@ def _phi_choices(pair):
     out = []
     for fill in ((x,), (one,), (x, one)):
         phi = PolyTensor(p, groups)
-        keys = [k for k in phi.canonical_keys()]
-        for value, key in zip(fill, keys):
+        for value, key in zip(fill, canonical_keys(phi)):
             phi.set(key, value)
         if not phi.is_zero():
             out.append(phi)

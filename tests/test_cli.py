@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from lie2check import serialize
 from lie2check.cli import main
+from lie2check.courant import DiracData
 from lie2check.examples import EXAMPLES
-from lie2check.exactpoly import EXP_BOUND
+from lie2check.exactpoly import EXP_BOUND, PolyMatrix
 
 SOUND = sorted(n for n in EXAMPLES if not n.startswith("broken_"))
 BROKEN = sorted(n for n in EXAMPLES if n.startswith("broken_"))
@@ -232,6 +234,29 @@ def test_construct_precondition_failure_is_exit_1(tmp_path, capsys):
     split = _emit(tmp_path, "so3_string")
     assert main(["construct", "decompose", str(split), "--rank-a", "2"]) == 1
     assert "precondition failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--mode", "dirac-vb"], ["check", "--mode", "dirac-la-sub"],
+    ["check", "--mode", "dirac-la"], ["construct", "manin-pair"],
+    ["construct", "induced-la"],
+], ids=lambda argv: argv[-1])
+@pytest.mark.parametrize("u_incl, bprime_incl", [
+    # so3_poisson_pair has rank Q = 3, rank B = 0, base dimension 1
+    (PolyMatrix.identity(1, 3), PolyMatrix.identity(1, 3)),
+    (PolyMatrix.identity(1, 2), PolyMatrix(1, 0, 0)),
+    (PolyMatrix.identity(2, 3), PolyMatrix(2, 0, 0)),
+], ids=["bprime_rows", "u_rows", "base_dim"])
+def test_dirac_file_of_the_wrong_shape_is_exit_2(tmp_path, capsys, argv,
+                                                 u_incl, bprime_incl):
+    pair = _emit(tmp_path, "so3_poisson_pair")
+    dirac = tmp_path / "d.json"
+    dirac.write_text(serialize.dumps(serialize.encode_structure(
+        DiracData(u_incl, bprime_incl))))
+    capsys.readouterr()
+    assert main([*argv, str(pair), str(dirac)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dirac ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("rank_a", ["-1", "99"])

@@ -163,6 +163,25 @@ def test_dirac_mode_validation():
         check_dirac(pair.dorfman, None, so3_e3_dirac(), "la_dirac")
 
 
+@pytest.mark.parametrize("data", [
+    # so3_poisson_pair has rank Q = 3, rank B = 0, base dimension 1; a
+    # 2-row U used to pass la_subalgebroid, a 3-row B' to raise IndexError
+    DiracData(PolyMatrix.identity(1, 2), PolyMatrix(1, 0, 0)),
+    DiracData(PolyMatrix.identity(1, 3), PolyMatrix.identity(1, 3)),
+    DiracData(PolyMatrix.identity(2, 3), PolyMatrix(2, 0, 0)),
+], ids=["u_rows", "bprime_rows", "base_dim"])
+def test_dirac_data_of_the_wrong_shape_is_rejected(data):
+    pair = so3_poisson_pair()
+    runs = [lambda: manin_pair(pair, data),
+            lambda: induced_lie_algebroid_on_U(pair.dorfman, data)]
+    runs += [lambda mode=mode: check_dirac(pair.dorfman, pair.selfdual,
+                                           data, mode)
+             for mode in ("vb_dirac", "la_subalgebroid", "la_dirac")]
+    for run in runs:
+        with pytest.raises(ValueError, match="^dirac "):
+            run()
+
+
 def test_induced_lie_algebroid():
     alg = induced_lie_algebroid_on_U(so3_lie2(), so3_e3_dirac())
     assert check_lie_algebroid(alg, seed=3).passed

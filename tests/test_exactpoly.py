@@ -413,23 +413,48 @@ def _snapshot(poly):
 raw_coeffs = st.one_of(coeffs, st.integers(min_value=-3, max_value=3))
 raw_terms = st.one_of(st.just({}),
                       st.dictionaries(exponents, raw_coeffs, max_size=4))
+# Operands as the checkers meet them: besides general ones, mostly single
+# terms, the constant 1 and constants +-c, which take the kernel's fast
+# paths.
+raw_operands = st.one_of(
+    raw_terms,
+    st.dictionaries(exponents, raw_coeffs, min_size=1, max_size=1),
+    st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]).map(
+        lambda c: {(0, 0): c}),
+    st.just({(0, 0): 1}),
+)
 
 
 @st.composite
 def operand_pairs(draw):
-    """Two raw term dicts; g may cancel some or all of f's terms."""
-    f = draw(raw_terms)
-    g = dict(draw(raw_terms))
+    """Two raw term dicts and, for each, whether to build it as a product
+    with Fraction coefficients; g may cancel some or all of f's terms."""
+    f = draw(raw_operands)
+    g = dict(draw(raw_operands))
     live = sorted(e for e, c in f.items() if c != 0)
     if live:
         for exps in draw(st.sets(st.sampled_from(live))):
             g[exps] = -f[exps]
-    return f, g
+    return (f, draw(st.booleans())), (g, draw(st.booleans()))
 
 
-def _both(raw):
+def _both(raw, as_product=False):
+    """The Polynomial of a raw term dict and its reference.  As a product,
+    (1/2) * (2 raw), every coefficient is a Fraction, integral ones too:
+    the constant 1 becomes a unit with coefficient Fraction(1)."""
     ref = {tuple(e): Fraction(c) for e, c in raw.items() if c != 0}
-    return Polynomial(BASE, raw), ref
+    if not as_product:
+        return Polynomial(BASE, raw), ref
+    doubled = Polynomial(BASE, {e: 2 * c for e, c in raw.items()})
+    poly = Polynomial.const(BASE, Fraction(1, 2)) * doubled
+    assert all(type(c) is Fraction for c in poly.terms.values())
+    return poly, ref
+
+
+def test_a_built_unit_stores_fraction_one():
+    one = Polynomial.const(BASE, Fraction(1, 2)) * Polynomial.const(BASE, 2)
+    assert one.terms == {0: 1} and type(one.terms[0]) is Fraction
+    assert _both({(0, 0): 1}, as_product=True)[0].terms == one.terms
 
 
 scalars = st.one_of(st.integers(min_value=-3, max_value=3), coeffs)
@@ -438,7 +463,7 @@ scalars = st.one_of(st.integers(min_value=-3, max_value=3), coeffs)
 @given(operand_pairs(), scalars, st.integers(min_value=0, max_value=BASE - 1))
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_fraction_reference(pair, scalar, index):
-    (f, rf), (g, rg) = map(_both, pair)
+    (f, rf), (g, rg) = (_both(*operand) for operand in pair)
     _assert_same(f, rf)
     _assert_same(g, rg)
     before = _snapshot(f), _snapshot(g)
@@ -450,9 +475,12 @@ def test_kernel_matches_fraction_reference(pair, scalar, index):
     _assert_same(f * scalar, _ref_scale(rf, scalar))
     _assert_same(scalar * f, _ref_scale(rf, scalar))
     _assert_same(f.diff(index), _ref_diff(rf, index))
+    _assert_same(g * f, _ref_mul(rg, rf))
+    _assert_same(f * f, _ref_mul(rf, rf))
     _assert_same((f + g) * g - f, _ref_add(_ref_mul(_ref_add(rf, rg), rg),
                                          _ref_neg(rf)))
     assert (_snapshot(f), _snapshot(g)) == before
+    assert _snapshot(Polynomial.zero(BASE)) == _snapshot(Polynomial(BASE))
 
 
 @given(operand_pairs(), st.integers(min_value=0, max_value=BASE - 1))
@@ -467,7 +495,7 @@ def test_kernel_matches_sympy(pair, index):
                     for exps, c in poly.monomials().items()),
                    sympy.Integer(0))
 
-    f, g = (Polynomial(BASE, raw) for raw in pair)
+    f, g = (_both(*operand)[0] for operand in pair)
     assert sympy.expand(expr(f * g) - expr(f) * expr(g)) == 0
     assert sympy.expand(expr(f.diff(index)) - sympy.diff(expr(f), xs[index])) == 0
 
@@ -547,6 +575,22 @@ def test_a_product_past_the_guard_raises(case):
             f * g
     else:
         assert (f * g).monomials() == {total: 1}
+
+
+@pytest.mark.parametrize("p, a, b", [
+    (1, (GUARD // 2,), (GUARD // 2,)),
+    (2, (0, GUARD - 1), (0, 1)),
+    (2, (GUARD - 2, 5), (3, 0)),
+])
+def test_a_sum_times_a_monomial_past_the_guard_raises(p, a, b):
+    # only the shifted x^a term crosses the guard; the shifted 1 does not
+    f = _power(p, a) + Polynomial.const(p, 1)
+    g = _power(p, b)
+    assert len(f.terms) == 2 and len(g.terms) == 1
+    with pytest.raises(OverflowError):
+        f * g
+    with pytest.raises(OverflowError):
+        g * f
 
 
 @given(raw_terms)

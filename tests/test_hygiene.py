@@ -1,9 +1,15 @@
 """Source hygiene: no module in ``src/`` or ``tests/`` imports a name it
-never uses.  Stdlib only; the scan reads each file with ``ast``.
+never uses, and no module in ``src/`` writes into a ``terms`` mapping,
+which the shared zero relies on.  The scans are stdlib only and read
+each file with ``ast``.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
+
+from lie2check.exactpoly import Polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,3 +42,63 @@ def test_no_unused_imports():
             found += [f"{path.relative_to(ROOT)}:{line}: {name}"
                       for line, name in _unused_imports(path)]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+# Polynomials share their operands and one zero per base dimension, so a
+# terms mapping must never change once its constructor has handed it over.
+# The constructors in ``exactpoly`` build a local dict and store it whole.
+_MUTATORS = {"update", "pop", "popitem", "clear", "setdefault",
+             "__setitem__", "__delitem__"}
+
+
+def _is_terms(node):
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def _flat(targets):
+    for target in targets:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            yield from _flat(target.elts)
+        elif isinstance(target, ast.Starred):
+            yield from _flat([target.value])
+        else:
+            yield target
+
+
+def _terms_writes(path):
+    """Line numbers of item writes into ``<expr>.terms``: assignment,
+    augmented assignment, ``del`` and the mutating dict methods."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr in _MUTATORS
+                    and _is_terms(func.value)):
+                lines.append(node.lineno)
+            continue
+        else:
+            continue
+        lines += [t.lineno for t in _flat(targets)
+                  if isinstance(t, ast.Subscript) and _is_terms(t.value)]
+    return sorted(lines)
+
+
+def test_no_writes_into_terms_mappings():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line in _terms_writes(path)]
+    assert not found, "writes into a terms mapping:\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_zero_is_shared(p):
+    zero = Polynomial.zero(p)
+    assert zero is Polynomial.zero(p)
+    assert Polynomial.const(p, 0) is zero
+    assert Polynomial.const(p, 1).scale(0) is zero
+    assert zero.terms == {} and zero.base_dim == p

@@ -8,10 +8,11 @@ operator, kept here only as the oracle: on random polynomial data with
 zero components and rank-0 modules, both must give equal polynomials in
 every component.
 
-``PolyMatrix.apply``, ``field_apply`` and ``covariant_apply`` skip zero
-operands.  The references share none of them: anchors and vector fields
-act through the dense loops ``ref_matrix_apply`` and ``ref_field_apply``,
-which pass every entry to the kernel.
+``PolyMatrix.apply`` and ``matmul``, ``section_pair``, ``field_apply``,
+``covariant_apply`` and ``anchor_pullback_d`` skip zero operands.  The
+references share none of them: anchors and vector fields act through the
+dense loops ``ref_matrix_apply`` and ``ref_field_apply``, which pass
+every entry to the kernel.
 """
 
 import pytest
@@ -20,12 +21,14 @@ from hypothesis import given, settings, strategies as st
 from lie2check.bundle import (
     AnchoredBundle, BaseSpace, DorfmanConnection, DullBracket,
     LieAlgebroidData, LinearConnection, TwoRepData, covariant_apply,
-    field_apply, field_bracket, section_sub, zero_section,
+    field_apply, field_bracket, section_pair, section_sub, zero_section,
 )
 from lie2check.courant import DegenerateCourant, _nabla_vec, curv_nabla
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
 from lie2check.lie2 import Dorfman2Rep
 from lie2check.poisson import SelfDual2Rep
+
+from helpers import canonical_keys
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +54,20 @@ def ref_field_apply(x, f):
 
 def ref_anchor_apply(anchor, q, f):
     return ref_field_apply(ref_matrix_apply(anchor, q), f)
+
+
+def ref_anchor_pullback_d(anchor, f):
+    """Component i: anchor column i applied to f."""
+    return [ref_field_apply([anchor.data[m][i] for m in range(anchor.rows)],
+                            f)
+            for i in range(anchor.cols)]
+
+
+def ref_matmul(a, b):
+    """Rows of a times b: ``ref_matrix_apply`` of a on each column of b."""
+    cols = [ref_matrix_apply(a, [row[k] for row in b.data])
+            for k in range(b.cols)]
+    return [[col[i] for col in cols] for i in range(a.rows)]
 
 
 def ref_connection_apply(conn, q, s):
@@ -232,7 +249,7 @@ class Draw:
     def two_form(self, rank, n_in, n_out):
         tensor = PolyTensor(self.p, [(rank, 2, True), (n_in, 1, False),
                                      (n_out, 1, False)])
-        for key in tensor.canonical_keys():
+        for key in canonical_keys(tensor):
             tensor.set(key, self.poly())
         return tensor
 
@@ -321,8 +338,17 @@ def test_zero_skipping_loops_match_dense_reference(data):
     d = Draw(data.draw, p, zeros=2)
     mat, vec = d.matrix(rows, cols), d.section(cols)
     assert mat.apply(vec) == ref_matrix_apply(mat, vec)
+    other = d.matrix(cols, data.draw(ranks))
+    assert mat.matmul(other).data == ref_matmul(mat, other)
     x, f = d.section(data.draw(st.integers(0, p))), d.poly()
     assert field_apply(x, f) == ref_field_apply(x, f)
+    if cols:
+        dual = d.section(cols)
+        assert section_pair(vec, dual) == \
+            ref_matrix_apply(PolyMatrix(p, 1, cols, [vec]), dual)[0]
+    bundle = AnchoredBundle(BaseSpace(p), cols, d.matrix(p, cols))
+    assert bundle.anchor_pullback_d(f) == \
+        ref_anchor_pullback_d(bundle.anchor, f)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +365,13 @@ def _zero(p):
 
 _x = Polynomial.variable(2, 0)
 _field = [_x, _x]
+
+
+def _anchored(rows):
+    """A bundle over R^2 whose anchor has the given rows."""
+    return AnchoredBundle(BaseSpace(2), len(rows[0]),
+                          PolyMatrix(2, 2, len(rows[0]), rows))
+
 
 def _courant_r1(dmat_row):
     z = _zero(2)
@@ -367,6 +400,20 @@ DIMENSION_MISMATCHES = {
     "dee_function": lambda: _courant_r1([_x, _x]).dee(_zero(1)),
     "dee_function_zero_entries": lambda: _courant_r1(
         [_zero(2), _zero(2)]).dee(Polynomial.variable(3, 2)),
+    "pullback_entry": lambda: _anchored([[_x], [_zero(1)]]).anchor_pullback_d(
+        _x),
+    "pullback_function": lambda: _anchored([[_x], [_x]]).anchor_pullback_d(
+        Polynomial.variable(1, 0)),
+    "pullback_zero_function": lambda: _anchored(
+        [[_x], [_x]]).anchor_pullback_d(_zero(1)),
+    "pullback_function_rank_0": lambda: _anchored(
+        [[], []]).anchor_pullback_d(_zero(1)),
+    "matmul_left_entry": lambda: PolyMatrix(2, 1, 2, [[_x, _zero(1)]]).matmul(
+        PolyMatrix(2, 2, 1, [[_x], [_x]])),
+    "matmul_right_entry": lambda: PolyMatrix(2, 1, 2, [[_x, _zero(2)]]).matmul(
+        PolyMatrix(2, 2, 1, [[_x], [_zero(1)]])),
+    "pair_left": lambda: section_pair([_x, _zero(1)], [_x, _x]),
+    "pair_right": lambda: section_pair([_x, _zero(2)], [_x, _zero(1)]),
 }
 
 
