@@ -10,10 +10,16 @@ The Leibniz extension is made in one place, ``covariant_apply``.  An
 operator D with frame values D_{e_i} f_j = sum_k comps[i][j][k] f_k,
 anchored along u by the vector field X_u, acts on sections by
     (D_u v)_k = X_u(v_k) + sum_{i,j} u_i v_j comps[i][j][k].
-Connections are exactly this; Dorfman connections, dull brackets and
-Courant brackets add their own correction terms to it.  Hom-valued
-2-forms (the curvature tensors) are evaluated in one place too,
-``curvature_matrix``.
+Most frame rows comps[i][j] are zero, so the product u_i v_j is formed
+only for a row with a nonzero entry.  Connections are exactly this;
+Dorfman connections, dull brackets and Courant brackets add their own
+correction terms to it.  Hom-valued 2-forms (the curvature tensors) are
+evaluated in one place too, ``curvature_matrix``.
+
+Checkers wrap the operators they apply with ``memo``.  Where one
+operator is built from another (D inside the Courant bracket, the
+connections inside ``hom_derivative``), it takes that operator as a
+callable, so the checker passes its memoized one.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ def memo(fn):
     table = {}
 
     def call(*args):
-        key = tuple(tuple(a) if isinstance(a, list) else a for a in args)
+        key = tuple([tuple(a) if type(a) is list else a for a in args])
         try:
             return table[key]
         except KeyError:
@@ -129,23 +135,27 @@ def covariant_apply(field, comps, u, v):
     operator along u, and comps[i][j][k] is the k-th component of the
     operator along the i-th frame of u applied to the j-th frame of v.
     The result has the rank of v.  Zero u_i, zero v_j and zero
-    comps[i][j][k] are skipped.
+    comps[i][j][k] are skipped, and u_i v_j is formed only when row
+    comps[i][j] has a nonzero entry; every row is still checked.
     """
     out = [field_apply(field, c) for c in v]
     for i, ui in enumerate(u):
         if ui.is_zero():
             continue
+        p = ui.base_dim
         for j, vj in enumerate(v):
             if vj.is_zero():
                 continue
-            coeff = ui * vj
-            p = coeff.base_dim
-            row = comps[i][j]
+            if vj.base_dim != p:
+                raise ValueError("base dimension mismatch")
+            row, coeff = comps[i][j], None
             for k in range(len(out)):
                 entry = row[k]
                 if entry.base_dim != p or out[k].base_dim != p:
                     raise ValueError("base dimension mismatch")
                 if entry.terms:
+                    if coeff is None:
+                        coeff = ui * vj
                     out[k] = out[k] + coeff * entry
     return out
 
@@ -265,12 +275,16 @@ class DorfmanConnection:
 
     def apply(self, q, tau):
         out = covariant_apply(self.bundle.anchor_field(q), self.comps, q, tau)
+        p = self.bundle.base_dim
         for j, tj in enumerate(tau):
             if tj.is_zero():
                 continue
             pull = self.bundle.anchor_pullback_d(q[j])
             for k in range(len(out)):
-                out[k] = out[k] + tj * pull[k]
+                if tj.base_dim != p or out[k].base_dim != p:
+                    raise ValueError("base dimension mismatch")
+                if pull[k].terms:
+                    out[k] = out[k] + tj * pull[k]
         return out
 
     def dual_dull_bracket(self) -> "DullBracket":
@@ -498,15 +512,16 @@ class TwoRepData:
         """R(a1, a2) as a Hom(B, C) polynomial matrix (tensorial)."""
         return curvature_matrix(self.curv, a1, a2)
 
-    def hom_derivative(self, a, phi: PolyMatrix) -> PolyMatrix:
-        """nabla^Hom_a phi = connC_a . phi - phi . connB_a on a Hom(B,C) matrix."""
+    def hom_derivative(self, connB, connC, a, phi: PolyMatrix) -> PolyMatrix:
+        """nabla^Hom_a phi = connC_a . phi - phi . connB_a on a Hom(B,C)
+        matrix, for the callables connB and connC (their memos)."""
         p = self.algebroid.bundle.base_dim
         out = PolyMatrix(p, self.rank_c, self.rank_b)
         for r in range(self.rank_b):
             col = [phi.data[m][r] for m in range(self.rank_c)]
-            term1 = self.connC.apply(a, col)
+            term1 = connC(a, col)
             br = unit_section(p, self.rank_b, r)
-            term2 = phi.apply(self.connB.apply(a, br))
+            term2 = phi.apply(connB(a, br))
             for m in range(self.rank_c):
                 out.data[m][r] = term1[m] - term2[m]
         return out
@@ -560,7 +575,7 @@ def check_two_rep(rep: TwoRepData, seed: int = 0,
     for i in range(len(a_secs)):
         for j in range(i + 1, len(a_secs)):
             for k in range(j + 1, len(a_secs)):
-                res = _two_rep_dR(rep, curv, bracket,
+                res = _two_rep_dR(rep, curv, bracket, connB, connC,
                                   a_secs[i], a_secs[j], a_secs[k])
                 report.add_residual_section(
                     "dR_zero", _flatten_matrix(res),
@@ -572,15 +587,16 @@ def _flatten_matrix(mat: PolyMatrix):
     return [mat.data[i][j] for i in range(mat.rows) for j in range(mat.cols)]
 
 
-def _two_rep_dR(rep: TwoRepData, curv, bracket, a1, a2, a3) -> PolyMatrix:
+def _two_rep_dR(rep: TwoRepData, curv, bracket, connB, connC,
+                a1, a2, a3) -> PolyMatrix:
     """(d_{nabla^Hom} R)(a1, a2, a3) as a Hom(B, C) matrix, for the
-    callables curv = R and bracket."""
+    callables curv = R, bracket, connB and connC."""
     p = rep.algebroid.bundle.base_dim
     out = PolyMatrix(p, rep.rank_c, rep.rank_b)
     args = [a1, a2, a3]
     for i in range(3):
         rest = [args[m] for m in range(3) if m != i]
-        term = rep.hom_derivative(args[i], curv(*rest))
+        term = rep.hom_derivative(connB, connC, args[i], curv(*rest))
         out = out.add(term if i % 2 == 0 else term.scale(-1))
     for i in range(3):
         for j in range(i + 1, 3):

@@ -92,8 +92,11 @@ def _digest(chunks):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

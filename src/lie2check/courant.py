@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
+from functools import partial
 
 from .exactpoly import (
     Polynomial, PolyMatrix, PolyTensor, random_polynomial, rank,
@@ -83,9 +84,11 @@ class DegenerateCourant:
             raise ValueError("base dimension mismatch")
         return self.dmat.apply([f.diff(m) for m in range(self.base_dim)])
 
-    def bracket(self, e1, e2):
+    def bracket(self, dee, e1, e2):
         """The frame bracket extended by Leibniz in the second slot, plus
-        -rho(e2)(e1_i) e_i + <e_i, e2> D(e1_i) for the first."""
+        -rho(e2)(e1_i) e_i + <e_i, e2> D(e1_i) for the first, with D the
+        callable dee (``self.dee`` or its memo).  The last term is added
+        only where <e_i, e2> and the D component are both nonzero."""
         out = covariant_apply(self.rho_field(e1), self.bracket_comps, e1, e2)
         back = self.rho_field(e2)
         lowered = self.pairing.apply(e2)
@@ -93,7 +96,11 @@ class DegenerateCourant:
             if f.is_zero():
                 continue
             out[i] = out[i] - field_apply(back, f)
-            out = section_add(out, section_smul(lowered[i], self.dee(f)))
+            df = dee(f)
+            if lowered[i].terms:
+                for k, dk in enumerate(df):
+                    if dk.terms:
+                        out[k] = out[k] + lowered[i] * dk
         return out
 
 
@@ -102,8 +109,8 @@ def check_courant_axioms(ca: DegenerateCourant, seed: int = 0,
     rng = _random.Random(seed)
     report = CheckReport(title, seed)
     p, n = ca.base_dim, ca.rank
-    bracket, pair, dee = memo(ca.bracket), memo(ca.pair), memo(ca.dee)
-    rho_field = memo(ca.rho_field)
+    pair, dee, rho_field = memo(ca.pair), memo(ca.dee), memo(ca.rho_field)
+    bracket = memo(partial(ca.bracket, dee))
 
     sym = ca.pairing.add(ca.pairing.transpose().scale(-1))
     report.add("G_symmetric", sym.is_zero())
@@ -245,7 +252,7 @@ def _adjoint_and_inverse(ca: DegenerateCourant, gamma):
 
     def delta_prime(e, s):
         """Delta'_e s = [[e, s]] + nabla_{rho(s)} e."""
-        return section_add(ca.bracket(e, s),
+        return section_add(ca.bracket(ca.dee, e, s),
                            _nabla_vec(gamma, ca.rho_field(s), e))
 
     def lower(s):
@@ -279,7 +286,7 @@ def _adjoint_and_inverse(ca: DegenerateCourant, gamma):
         alpha = [ca.pair(_nabla_vec(gamma, coord_fields[m], e1), e2)
                  for m in range(p)]
         pulled = ca.rho.transpose().apply(alpha)
-        return section_sub(ca.bracket(e1, e2), ginv.apply(pulled))
+        return section_sub(ca.bracket(ca.dee, e1, e2), ginv.apply(pulled))
 
     def nabla_bas_field(e, x):
         return section_add(field_bracket(ca.rho_field(e), x),
@@ -459,7 +466,8 @@ def check_core_courant(pair: LAPairData, seed: int = 0,
     p, n = ca.base_dim, ca.rank
     taus = ca.frames() + [random_section(rng, p, n)]
     algB = S.algebroid
-    bracket, partial_b = memo(ca.bracket), memo(D.partial_b.apply)
+    dee, partial_b = memo(ca.dee), memo(D.partial_b.apply)
+    bracket = memo(partial(ca.bracket, dee))
 
     for i in range(len(taus)):
         for j in range(len(taus)):

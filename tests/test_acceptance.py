@@ -211,9 +211,9 @@ def test_acceptance_6_courant_bracket_recovery():
                 for j in range(n):
                     ti = unit_section(ca.base_dim, n, i)
                     tj = unit_section(ca.base_dim, n, j)
-                    got = cc.bracket(ti, tj)
+                    got = cc.bracket(cc.dee, ti, tj)
                     want = ca.pairing.apply(
-                        ca.bracket(ginv.apply(ti), ginv.apply(tj)))
+                        ca.bracket(ca.dee, ginv.apply(ti), ginv.apply(tj)))
                     assert all((a - b).is_zero()
                                for a, b in zip(got, want))
 

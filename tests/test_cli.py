@@ -274,3 +274,19 @@ def test_mode_mismatch_is_exit_2(tmp_path):
     assert main(["check", "--mode", "la-pair", str(quad)]) == 2
     dirac = _emit(tmp_path, "so3_e3_dirac")
     assert main(["check", str(dirac)]) == 2
+
+
+@pytest.mark.parametrize("command", ["check", "construct", "example"])
+@pytest.mark.parametrize("where", ["missing_dir", "is_a_dir"])
+def test_unwritable_out_path_is_exit_2(tmp_path, capsys, command, where):
+    split = _emit(tmp_path, "so3_string")
+    argv = {"check": ["check", str(split)],
+            "construct": ["construct", "dorfman-from-split", str(split)],
+            "example": ["example", "so3_string"]}[command]
+    out = tmp_path / "missing" / "r.json" if where == "missing_dir" \
+        else tmp_path
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") \
+        and err.count("\n") == 1, err

@@ -45,7 +45,7 @@ def test_standard_courant_bracket_oracle():
     # [[d_x, x dx]] = (0, dx) over R^1
     ca = standard_courant_r1()
     x = Polynomial.variable(1, 0)
-    out = ca.bracket(unit_section(1, 2, 0), [Polynomial.zero(1), x])
+    out = ca.bracket(ca.dee, unit_section(1, 2, 0), [Polynomial.zero(1), x])
     assert out[0].is_zero()
     assert out[1] == Polynomial.const(1, 1)
 
@@ -130,9 +130,9 @@ def test_core_courant_recovers_the_original_bracket():
         for j in range(3):
             ti = unit_section(1, 3, i)
             tj = unit_section(1, 3, j)
-            got = cc.bracket(ti, tj)
+            got = cc.bracket(cc.dee, ti, tj)
             exp = ca.pairing.apply(
-                ca.bracket(ginv.apply(ti), ginv.apply(tj)))
+                ca.bracket(ca.dee, ginv.apply(ti), ginv.apply(tj)))
             assert all((a - b).is_zero() for a, b in zip(got, exp))
 
 

@@ -9,10 +9,12 @@ zero components and rank-0 modules, both must give equal polynomials in
 every component.
 
 ``PolyMatrix.apply`` and ``matmul``, ``section_pair``, ``field_apply``,
-``covariant_apply`` and ``anchor_pullback_d`` skip zero operands.  The
-references share none of them: anchors and vector fields act through the
-dense loops ``ref_matrix_apply`` and ``ref_field_apply``, which pass
-every entry to the kernel.
+``covariant_apply`` and ``anchor_pullback_d`` skip zero operands, and
+``covariant_apply`` forms no coefficient product for an all-zero frame
+row.  The references share none of them: anchors and vector fields act
+through the dense loops ``ref_matrix_apply`` and ``ref_field_apply``,
+which pass every entry to the kernel, and the frame components are drawn
+sparse often enough that whole zero rows meet nonzero sections.
 """
 
 import pytest
@@ -23,7 +25,9 @@ from lie2check.bundle import (
     LieAlgebroidData, LinearConnection, TwoRepData, covariant_apply,
     field_apply, field_bracket, section_pair, section_sub, zero_section,
 )
-from lie2check.courant import DegenerateCourant, _nabla_vec, curv_nabla
+from lie2check.courant import (DegenerateCourant, _nabla_vec,
+                               check_courant_axioms, curv_nabla,
+                               standard_courant)
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
 from lie2check.lie2 import Dorfman2Rep
 from lie2check.poisson import SelfDual2Rep
@@ -265,13 +269,19 @@ def _setup(data):
     return p, rq, r, d, AnchoredBundle(BaseSpace(p), rq, d.matrix(p, rq))
 
 
+def _comps_drawer(data, p):
+    """A drawer for frame components: one zero in three, or two."""
+    return Draw(data.draw, p, zeros=data.draw(st.integers(1, 2)))
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_connections_and_brackets_match_reference(data):
     p, rq, r, d, bundle = _setup(data)
-    conn = LinearConnection(bundle, r, d.comps(rq, r, r))
-    delta = DorfmanConnection(bundle, d.comps(rq, rq, rq))
-    bracket = DullBracket(bundle, d.comps(rq, rq, rq))
+    dc = _comps_drawer(data, p)
+    conn = LinearConnection(bundle, r, dc.comps(rq, r, r))
+    delta = DorfmanConnection(bundle, dc.comps(rq, rq, rq))
+    bracket = DullBracket(bundle, dc.comps(rq, rq, rq))
     q1, q2 = d.section(rq), d.section(rq)
     s = d.section(r)
 
@@ -288,15 +298,16 @@ def test_connections_and_brackets_match_reference(data):
 @settings(max_examples=60, deadline=None)
 def test_courant_bracket_and_tm_connection_match_reference(data):
     p, n, _, d, _ = _setup(data)
-    ca = DegenerateCourant(BaseSpace(p), n, d.matrix(p, n), d.matrix(n, n),
-                           d.comps(n, n, n), d.matrix(n, p))
-    gamma = d.comps(p, n, n)
+    dc = _comps_drawer(data, p)
+    ca = DegenerateCourant(BaseSpace(p), n, d.matrix(p, n), dc.matrix(n, n),
+                           dc.comps(n, n, n), dc.matrix(n, p))
+    gamma = dc.comps(p, n, n)
     e1, e2 = d.section(n), d.section(n)
     x, y = d.section(p), d.section(p)
     f = d.poly()
 
     assert ca.dee(f) == ref_dee(ca, f)
-    assert ca.bracket(e1, e2) == ref_courant_bracket(ca, e1, e2)
+    assert ca.bracket(ca.dee, e1, e2) == ref_courant_bracket(ca, e1, e2)
     assert _nabla_vec(gamma, x, e1) == ref_nabla_vec(ca, gamma, x, e1)
     assert curv_nabla(gamma, x, y, e2) == ref_curv_nabla(ca, gamma, x, y, e2)
 
@@ -396,6 +407,17 @@ DIMENSION_MISMATCHES = {
     "covariant_section": lambda: covariant_apply(
         [], [[[_zero(2), _zero(2)], [_zero(2), _zero(2)]]],
         [_x], [_x, _zero(1)]),
+    "covariant_zero_row": lambda: covariant_apply(
+        [], [[[_zero(2)]]], [Polynomial.variable(1, 0)], [_x]),
+    # an empty row: only the explicit u_i, v_j comparison can see it
+    "covariant_empty_row": lambda: covariant_apply(
+        [], [[[]]], [Polynomial.variable(1, 0)], [_x]),
+    "covariant_zero_row_entry": lambda: covariant_apply(
+        [], [[[_zero(2), _zero(1)], [_zero(2), _zero(2)]]],
+        [_x], [_x, _zero(2)]),
+    "dorfman_zero_pullback": lambda: DorfmanConnection(
+        AnchoredBundle(BaseSpace(0), 1, PolyMatrix(0, 0, 1)),
+        [[[_zero(0)]]]).apply([_zero(0)], [_x]),
     "dee_entry": lambda: _courant_r1([_x, _zero(1)]).dee(_x),
     "dee_function": lambda: _courant_r1([_x, _x]).dee(_zero(1)),
     "dee_function_zero_entries": lambda: _courant_r1(
@@ -429,3 +451,42 @@ def test_field_longer_than_base_dim_is_index_error():
             field_apply([_zero(2)] * 3, f)
         with pytest.raises(IndexError):
             ref_field_apply([_zero(2)] * 3, f)
+
+
+# ---------------------------------------------------------------------------
+# products the operators no longer form
+
+
+def test_an_all_zero_frame_row_forms_no_product(monkeypatch):
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    one = Polynomial.const(2, 1)
+    u, v = [x + y, _zero(2)], [x * y + one, y - one - one]
+    field = [x + one, y]
+    comps = [[[_zero(2)] * 2] * 2] * 2
+    calls = []
+    real_mul = Polynomial.__mul__
+
+    def counting_mul(a, b):
+        calls.append((a, b))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    want = [field_apply(field, c) for c in v]
+    field_products = len(calls)
+    assert field_products > 0
+    assert covariant_apply(field, comps, u, v) == want
+    assert len(calls) == 2 * field_products
+
+
+def test_the_courant_check_takes_each_dee_once(monkeypatch):
+    args = []
+    real_dee = DegenerateCourant.dee
+
+    def recording_dee(self, f):
+        args.append(f)
+        return real_dee(self, f)
+
+    monkeypatch.setattr(DegenerateCourant, "dee", recording_dee)
+    assert check_courant_axioms(standard_courant(2)).passed
+    assert len(args) > len(standard_courant(2).frames())
+    assert len(args) == len(set(args))
