@@ -24,10 +24,13 @@ callable, so the checker passes its memoized one.
 
 from __future__ import annotations
 
+import random as _random
 from dataclasses import dataclass
+from itertools import combinations
 
 from .exactpoly import (Polynomial, PolyMatrix, PolyTensor, dot,
                         random_polynomial)
+from .report import CheckReport, sweep, witness
 
 
 def memo(fn):
@@ -448,10 +451,7 @@ def _random_sections(rng, base_dim, rank, count=3, max_degree=2):
 
 
 def check_lie_algebroid(alg: LieAlgebroidData, seed: int = 0,
-                        title: str = "lie algebroid") -> "CheckReport":
-    from .report import CheckReport
-    import random as _random
-
+                        title: str = "lie algebroid") -> CheckReport:
     rng = _random.Random(seed)
     report = CheckReport(title, seed)
     bundle = alg.bundle
@@ -464,24 +464,16 @@ def check_lie_algebroid(alg: LieAlgebroidData, seed: int = 0,
                witness="frame components")
 
     sections = frames + randoms
-    names = [f"q{i + 1}" for i in range(len(frames))] + \
+    labels = [f"q{i + 1}" for i in range(len(frames))] + \
         [f"r{i + 1}" for i in range(len(randoms))]
-    for i in range(len(sections)):
-        for j in range(i + 1, len(sections)):
-            lhs = anchor_field(bracket(sections[i], sections[j]))
-            rhs = field_bracket(anchor_field(sections[i]),
-                                anchor_field(sections[j]))
-            report.add_residual_section(
-                "anchor_compat", section_sub(lhs, rhs),
-                witness=f"({names[i]}, {names[j]})")
-
-    for i in range(len(sections)):
-        for j in range(i + 1, len(sections)):
-            for k in range(j + 1, len(sections)):
-                res = jacobiator(bracket, sections[i], sections[j], sections[k])
-                report.add_residual_section(
-                    "jacobi", res,
-                    witness=f"({names[i]}, {names[j]}, {names[k]})")
+    for names, (s1, s2) in sweep((labels, sections, 2, combinations)):
+        lhs = anchor_field(bracket(s1, s2))
+        rhs = field_bracket(anchor_field(s1), anchor_field(s2))
+        report.add_residual_section("anchor_compat", section_sub(lhs, rhs),
+                                    witness(names))
+    for names, secs in sweep((labels, sections, 3, combinations)):
+        report.add_residual_section("jacobi", jacobiator(bracket, *secs),
+                                    witness(names))
     return report
 
 
@@ -528,10 +520,7 @@ class TwoRepData:
 
 
 def check_two_rep(rep: TwoRepData, seed: int = 0,
-                  title: str = "2-term representation") -> "CheckReport":
-    from .report import CheckReport
-    import random as _random
-
+                  title: str = "2-term representation") -> CheckReport:
     rng = _random.Random(seed)
     report = CheckReport(title, seed)
     report.merge(check_lie_algebroid(rep.algebroid, seed), prefix="algebroid:")
@@ -547,39 +536,29 @@ def check_two_rep(rep: TwoRepData, seed: int = 0,
     b_secs = [unit_section(p, rep.rank_b, r) for r in range(rep.rank_b)] + \
         _random_sections(rng, p, rep.rank_b, count=1)
 
-    for ia, a in enumerate(a_secs):
-        for ic, c in enumerate(c_secs):
-            lhs = partial(connC(a, c))
-            rhs = connB(a, partial(c))
-            report.add_residual_section(
-                "chain_map", section_sub(lhs, rhs),
-                witness=f"(a{ia + 1}, c{ic + 1})")
+    for names, (a, c) in sweep(("a", a_secs), ("c", c_secs)):
+        lhs = partial(connC(a, c))
+        rhs = connB(a, partial(c))
+        report.add_residual_section("chain_map", section_sub(lhs, rhs),
+                                    witness(names))
 
-    for i in range(len(a_secs)):
-        for j in range(i + 1, len(a_secs)):
-            a1, a2 = a_secs[i], a_secs[j]
-            rmat = curv(a1, a2)
-            for ic, c in enumerate(c_secs):
-                lhs = connection_curvature(connC, bracket, a1, a2, c)
-                rhs = rmat.apply(partial(c))
-                report.add_residual_section(
-                    "curv_on_C", section_sub(lhs, rhs),
-                    witness=f"(a{i + 1}, a{j + 1}, c{ic + 1})")
-            for ib, b in enumerate(b_secs):
-                lhs = connection_curvature(connB, bracket, a1, a2, b)
-                rhs = partial(rmat.apply(b))
-                report.add_residual_section(
-                    "curv_on_B", section_sub(lhs, rhs),
-                    witness=f"(a{i + 1}, a{j + 1}, b{ib + 1})")
+    for pair, (a1, a2) in sweep(("a", a_secs, 2, combinations)):
+        rmat = curv(a1, a2)
+        for names, (c,) in sweep(("c", c_secs)):
+            lhs = connection_curvature(connC, bracket, a1, a2, c)
+            rhs = rmat.apply(partial(c))
+            report.add_residual_section("curv_on_C", section_sub(lhs, rhs),
+                                        witness(pair + names))
+        for names, (b,) in sweep(("b", b_secs)):
+            lhs = connection_curvature(connB, bracket, a1, a2, b)
+            rhs = partial(rmat.apply(b))
+            report.add_residual_section("curv_on_B", section_sub(lhs, rhs),
+                                        witness(pair + names))
 
-    for i in range(len(a_secs)):
-        for j in range(i + 1, len(a_secs)):
-            for k in range(j + 1, len(a_secs)):
-                res = _two_rep_dR(rep, curv, bracket, connB, connC,
-                                  a_secs[i], a_secs[j], a_secs[k])
-                report.add_residual_section(
-                    "dR_zero", _flatten_matrix(res),
-                    witness=f"(a{i + 1}, a{j + 1}, a{k + 1})")
+    for names, secs in sweep(("a", a_secs, 3, combinations)):
+        res = _two_rep_dR(rep, curv, bracket, connB, connC, *secs)
+        report.add_residual_section("dR_zero", _flatten_matrix(res),
+                                    witness(names))
     return report
 
 

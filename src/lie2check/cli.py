@@ -299,9 +299,7 @@ def cmd_construct(args):
             result = adjoint_dorfman2rep(obj, gamma)
         elif recipe == "standard":
             _expect_kind(kind, "liealgebroid", recipe)
-            if args.rank_e is None:
-                raise CliError("recipe 'standard' needs --rank-e")
-            result = standard_dorfman2rep(args.rank_e, obj.bracket)
+            result = standard_dorfman2rep(obj.bracket)
         elif recipe == "semidirect":
             _expect_kind(kind, "tworep", recipe)
             result = semidirect_dorfman2rep(obj)
@@ -381,7 +379,6 @@ def build_parser():
     p.add_argument("second", nargs="?", default=None,
                    help="second structure file (manin-pair, induced-la)")
     p.add_argument("--rank-a", type=int, default=None)
-    p.add_argument("--rank-e", type=int, default=None)
     p.add_argument("--connection", default=None,
                    help="JSON file with one matrix of Christoffel symbols "
                         "per base coordinate (default: flat)")

@@ -7,11 +7,12 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations_with_replacement, product
 
 from .exactpoly import (
     Polynomial, PolyMatrix, PolyTensor, random_polynomial, rank,
 )
-from .report import CheckReport
+from .report import CheckReport, sweep, witness
 from .bundle import (
     AnchoredBundle, BaseSpace, DullBracket, LieAlgebroidData,
     LinearConnection, connection_curvature, covariant_apply, field_apply,
@@ -119,50 +120,36 @@ def check_courant_axioms(ca: DegenerateCourant, seed: int = 0,
     funcs = [Polynomial.variable(p, m) for m in range(p)] + \
         [random_polynomial(rng, p)]
 
-    for i in range(len(secs)):
-        for j in range(len(secs)):
-            for k in range(len(secs)):
-                e1, e2, e3 = secs[i], secs[j], secs[k]
-                res = section_sub(
-                    bracket(e1, bracket(e2, e3)),
-                    section_add(bracket(bracket(e1, e2), e3),
-                                bracket(e2, bracket(e1, e3))))
-                report.add_residual_section(
-                    "CA1", res, witness=f"(e{i + 1}, e{j + 1}, e{k + 1})")
-                res = field_apply(rho_field(e1), pair(e2, e3)) \
-                    - pair(bracket(e1, e2), e3) \
-                    - pair(e2, bracket(e1, e3))
-                report.add_residual_poly(
-                    "CA2", res, witness=f"(e{i + 1}, e{j + 1}, e{k + 1})")
+    for names, (e1, e2, e3) in sweep(("e", secs, 3, product)):
+        res = section_sub(
+            bracket(e1, bracket(e2, e3)),
+            section_add(bracket(bracket(e1, e2), e3),
+                        bracket(e2, bracket(e1, e3))))
+        report.add_residual_section("CA1", res, witness(names))
+        res = field_apply(rho_field(e1), pair(e2, e3)) \
+            - pair(bracket(e1, e2), e3) \
+            - pair(e2, bracket(e1, e3))
+        report.add_residual_poly("CA2", res, witness(names))
 
-    for i in range(len(secs)):
-        for j in range(i, len(secs)):
-            e1, e2 = secs[i], secs[j]
-            res = section_sub(section_add(bracket(e1, e2), bracket(e2, e1)),
-                              dee(pair(e1, e2)))
-            report.add_residual_section("CA3", res,
-                                        witness=f"(e{i + 1}, e{j + 1})")
-    for i in range(len(secs)):
-        for j in range(len(secs)):
-            e1, e2 = secs[i], secs[j]
-            res = section_sub(rho_field(bracket(e1, e2)),
-                              field_bracket(rho_field(e1), rho_field(e2)))
-            report.add_residual_section("CA4", res,
-                                        witness=f"(e{i + 1}, e{j + 1})")
-            for m, f in enumerate(funcs):
-                res = section_sub(
-                    bracket(e1, section_smul(f, e2)),
-                    section_add(section_smul(f, bracket(e1, e2)),
-                                section_smul(field_apply(rho_field(e1), f),
-                                             e2)))
-                report.add_residual_section(
-                    "CA5", res, witness=f"(e{i + 1}, f{m + 1}, e{j + 1})")
+    for names, (e1, e2) in sweep(("e", secs, 2,
+                                  combinations_with_replacement)):
+        res = section_sub(section_add(bracket(e1, e2), bracket(e2, e1)),
+                          dee(pair(e1, e2)))
+        report.add_residual_section("CA3", res, witness(names))
+    for (n1, n2), (e1, e2) in sweep(("e", secs, 2, product)):
+        res = section_sub(rho_field(bracket(e1, e2)),
+                          field_bracket(rho_field(e1), rho_field(e2)))
+        report.add_residual_section("CA4", res, witness((n1, n2)))
+        for (nf,), (f,) in sweep(("f", funcs)):
+            res = section_sub(
+                bracket(e1, section_smul(f, e2)),
+                section_add(section_smul(f, bracket(e1, e2)),
+                            section_smul(field_apply(rho_field(e1), f), e2)))
+            report.add_residual_section("CA5", res, witness((n1, nf, n2)))
 
-    for m, f in enumerate(funcs):
-        for i, e in enumerate(secs):
-            res = pair(dee(f), e) - field_apply(rho_field(e), f)
-            report.add_residual_poly("D_compat", res,
-                                     witness=f"(f{m + 1}, e{i + 1})")
+    for names, (f, e) in sweep(("f", funcs), ("e", secs)):
+        res = pair(dee(f), e) - field_apply(rho_field(e), f)
+        report.add_residual_poly("D_compat", res, witness(names))
     report.add("rho_D_zero", ca.rho.matmul(ca.dmat).is_zero(),
                witness="rho composed with D")
     return report
@@ -318,14 +305,16 @@ def _adjoint_and_inverse(ca: DegenerateCourant, gamma):
     return Dorfman2Rep(bundle, p, partial_b, delta, nabla_bas, curv), ginv
 
 
-def standard_dorfman2rep(rank_e: int, dull: DullBracket) -> Dorfman2Rep:
+def standard_dorfman2rep(dull: DullBracket) -> Dorfman2Rep:
     """Standard Dorfman 2-representation from a skew dull bracket on
-    TM + E* anchored by the tangent projection."""
+    TM + E* anchored by the tangent projection; E has rank
+    rank - base dim."""
     bundle = dull.bundle
     p = bundle.base_dim
     rq = bundle.rank
-    if rq != p + rank_e:
-        raise ValueError("bundle rank must be base dim + E-rank")
+    rank_e = rq - p
+    if rank_e < 0:
+        raise ValueError("bundle rank is below the base dimension")
     expected = PolyMatrix(p, p, rq)
     for m in range(p):
         expected[m, m] = Polynomial.const(p, 1)
@@ -469,25 +458,21 @@ def check_core_courant(pair: LAPairData, seed: int = 0,
     dee, partial_b = memo(ca.dee), memo(D.partial_b.apply)
     bracket = memo(partial(ca.bracket, dee))
 
-    for i in range(len(taus)):
-        for j in range(len(taus)):
-            res = section_sub(
-                partial_b(bracket(taus[i], taus[j])),
-                algB.bracket.apply(partial_b(taus[i]), partial_b(taus[j])))
-            report.add_residual_section(
-                "partialB_bracket", res, witness=f"(tau{i + 1}, tau{j + 1})")
+    for names, (t1, t2) in sweep(("tau", taus, 2, product)):
+        res = section_sub(partial_b(bracket(t1, t2)),
+                          algB.bracket.apply(partial_b(t1), partial_b(t2)))
+        report.add_residual_section("partialB_bracket", res, witness(names))
     res = algB.bundle.anchor.matmul(D.partial_b).add(ca.rho.scale(-1))
     report.add("partialB_anchor", res.is_zero(),
                witness="rho_B partial_B = rho_{Q*}")
 
     funcs = [Polynomial.variable(p, m) for m in range(p)] + \
         [random_polynomial(rng, p)]
-    for m, f in enumerate(funcs):
+    for fname, (f,) in sweep(("f", funcs)):
         exact = D.bundle.anchor_pullback_d(f)
-        for j, tau in enumerate(taus):
-            res = bracket(exact, tau)
-            report.add_residual_section(
-                "exact_central", res, witness=f"(f{m + 1}, tau{j + 1})")
+        for names, (tau,) in sweep(("tau", taus)):
+            report.add_residual_section("exact_central", bracket(exact, tau),
+                                        witness(fname + names))
     return report
 
 
@@ -609,44 +594,34 @@ def check_dirac(dorfman: Dorfman2Rep, selfdual, data: DiracData,
     if mode in ("vb_dirac", "la_dirac"):
         prefix = "vb:" if mode == "la_dirac" else ""
         bracket = dorfman.dual_bracket()
-        for it, tau in enumerate(ann.data):
+        for names, (tau,) in sweep(("core", ann.data)):
             in_bprime(prefix + "1_partial_into_Bprime",
-                      dorfman.partial_b.apply(tau), f"(core{it + 1})")
-        for iu, u in enumerate(u_secs):
-            for ib, b in enumerate(bp_secs):
-                in_bprime(prefix + "2_nabla_preserves_Bprime",
-                          dorfman.nablaB.apply(u, b),
-                          f"(u{iu + 1}, b{ib + 1})")
-        for i in range(len(u_secs)):
-            for j in range(len(u_secs)):
-                in_u(prefix + "3_bracket_closes_in_U",
-                     bracket.apply(u_secs[i], u_secs[j]),
-                     f"(u{i + 1}, u{j + 1})")
-                for ib, b in enumerate(bp_secs):
-                    in_u_ann(prefix + "4_curvature_into_annihilator",
-                             dorfman.curv_matrix(u_secs[i],
-                                                 u_secs[j]).apply(b),
-                             f"(u{i + 1}, u{j + 1}, b{ib + 1})")
+                      dorfman.partial_b.apply(tau), witness(names))
+        for names, (u, b) in sweep(("u", u_secs), ("b", bp_secs)):
+            in_bprime(prefix + "2_nabla_preserves_Bprime",
+                      dorfman.nablaB.apply(u, b), witness(names))
+        for pair, (u1, u2) in sweep(("u", u_secs, 2, product)):
+            in_u(prefix + "3_bracket_closes_in_U", bracket.apply(u1, u2),
+                 witness(pair))
+            for names, (b,) in sweep(("b", bp_secs)):
+                in_u_ann(prefix + "4_curvature_into_annihilator",
+                         dorfman.curv_matrix(u1, u2).apply(b),
+                         witness(pair + names))
     if mode in ("la_subalgebroid", "la_dirac"):
         prefix = "la:" if mode == "la_dirac" else ""
-        for it, tau in enumerate(ann.data):
+        for names, (tau,) in sweep(("core", ann.data)):
             in_u(prefix + "1_partial_into_U",
-                 selfdual.partial_q.apply(tau), f"(core{it + 1})")
-        for ib, b in enumerate(bp_secs):
-            for iu, u in enumerate(u_secs):
-                in_u(prefix + "2_nabla_preserves_U",
-                     selfdual.nablaQ.apply(b, u), f"(b{ib + 1}, u{iu + 1})")
-        for i in range(len(bp_secs)):
-            for j in range(len(bp_secs)):
-                in_bprime(prefix + "3_bracket_closes_in_Bprime",
-                          selfdual.algebroid.bracket.apply(bp_secs[i],
-                                                           bp_secs[j]),
-                          f"(b{i + 1}, b{j + 1})")
-                for iu, u in enumerate(u_secs):
-                    in_u_ann(prefix + "4_curvature_into_annihilator",
-                             selfdual.curv_matrix(bp_secs[i],
-                                                  bp_secs[j]).apply(u),
-                             f"(b{i + 1}, b{j + 1}, u{iu + 1})")
+                 selfdual.partial_q.apply(tau), witness(names))
+        for names, (b, u) in sweep(("b", bp_secs), ("u", u_secs)):
+            in_u(prefix + "2_nabla_preserves_U",
+                 selfdual.nablaQ.apply(b, u), witness(names))
+        for pair, (b1, b2) in sweep(("b", bp_secs, 2, product)):
+            in_bprime(prefix + "3_bracket_closes_in_Bprime",
+                      selfdual.algebroid.bracket.apply(b1, b2), witness(pair))
+            for names, (u,) in sweep(("u", u_secs)):
+                in_u_ann(prefix + "4_curvature_into_annihilator",
+                         selfdual.curv_matrix(b1, b2).apply(u),
+                         witness(pair + names))
     return report
 
 

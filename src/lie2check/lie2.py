@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .exactpoly import Polynomial, PolyMatrix, PolyTensor
-from .report import CheckReport
+from .report import CheckReport, sweep, witness
 from .bundle import (
     AnchoredBundle, DorfmanConnection, DullBracket, LinearConnection,
     VectorValuedForm, connection_curvature, curvature_matrix, field_bracket,
@@ -391,74 +391,56 @@ def check_dorfman2rep(rep: Dorfman2Rep, seed: int = 0,
     chain = bundle.anchor.matmul(rep.partial_b.transpose())
     report.add("anchor_chain", chain.is_zero(),
                witness="rho_Q composed with partial_b^*")
-    for i in range(len(q_secs)):
-        for j in range(i + 1, len(q_secs)):
-            lhs = bundle.anchor_field(br(q_secs[i], q_secs[j]))
-            rhs = field_bracket(bundle.anchor_field(q_secs[i]),
-                                bundle.anchor_field(q_secs[j]))
-            report.add_residual_section("anchor_bracket", section_sub(lhs, rhs),
-                                        witness=f"(q{i + 1}, q{j + 1})")
+    for names, (q1, q2) in sweep(("q", q_secs, 2, combinations)):
+        lhs = bundle.anchor_field(br(q1, q2))
+        rhs = field_bracket(bundle.anchor_field(q1), bundle.anchor_field(q2))
+        report.add_residual_section("anchor_bracket", section_sub(lhs, rhs),
+                                    witness(names))
 
     # (D1) partial_b is Delta-to-nabla equivariant
-    for iq, q in enumerate(q_secs):
-        for it, tau in enumerate(tau_secs):
-            lhs = partial_b(delta(q, tau))
-            rhs = nablaB(q, partial_b(tau))
-            report.add_residual_section("D1", section_sub(lhs, rhs),
-                                        witness=f"(q{iq + 1}, tau{it + 1})")
+    for names, (q, tau) in sweep(("q", q_secs), ("tau", tau_secs)):
+        lhs = partial_b(delta(q, tau))
+        rhs = nablaB(q, partial_b(tau))
+        report.add_residual_section("D1", section_sub(lhs, rhs),
+                                    witness(names))
 
     # (D2) dual bracket is skew
     report.add("D2", bracket.is_skew(), witness="frame components")
 
     # (D3) nabla^* vanishes symmetrically along partial_b^*
-    for i in range(len(beta_secs)):
-        for j in range(i, len(beta_secs)):
-            xi1, xi2 = beta_secs[i], beta_secs[j]
-            res = section_add(
-                nabla_dual.apply(rep.partial_b_star_apply(xi1), xi2),
-                nabla_dual.apply(rep.partial_b_star_apply(xi2), xi1))
-            report.add_residual_section("D3", res,
-                                        witness=f"(beta{i + 1}, beta{j + 1})")
+    for names, (xi1, xi2) in sweep(("beta", beta_secs, 2,
+                                    combinations_with_replacement)):
+        res = section_add(
+            nabla_dual.apply(rep.partial_b_star_apply(xi1), xi2),
+            nabla_dual.apply(rep.partial_b_star_apply(xi2), xi1))
+        report.add_residual_section("D3", res, witness(names))
 
     # (D4) both curvatures factor through R
-    for i in range(len(q_secs)):
-        for j in range(i + 1, len(q_secs)):
-            q1, q2 = q_secs[i], q_secs[j]
-            rmat = curv(q1, q2)
-            for ib, b in enumerate(b_secs):
-                lhs = partial_b(rmat.apply(b))
-                rhs = connection_curvature(nablaB, br, q1, q2, b)
-                report.add_residual_section(
-                    "D4_nabla", section_sub(lhs, rhs),
-                    witness=f"(q{i + 1}, q{j + 1}, b{ib + 1})")
-            for it, tau in enumerate(tau_secs):
-                lhs = rmat.apply(partial_b(tau))
-                rhs = connection_curvature(delta, br, q1, q2, tau)
-                report.add_residual_section(
-                    "D4_delta", section_sub(lhs, rhs),
-                    witness=f"(q{i + 1}, q{j + 1}, tau{it + 1})")
+    for pair, (q1, q2) in sweep(("q", q_secs, 2, combinations)):
+        rmat = curv(q1, q2)
+        for names, (b,) in sweep(("b", b_secs)):
+            lhs = partial_b(rmat.apply(b))
+            rhs = connection_curvature(nablaB, br, q1, q2, b)
+            report.add_residual_section("D4_nabla", section_sub(lhs, rhs),
+                                        witness(pair + names))
+        for names, (tau,) in sweep(("tau", tau_secs)):
+            lhs = rmat.apply(partial_b(tau))
+            rhs = connection_curvature(delta, br, q1, q2, tau)
+            report.add_residual_section("D4_delta", section_sub(lhs, rhs),
+                                        witness(pair + names))
 
     # (D5) R^* q3 is alternating in its three Q-slots
-    d5_ok = True
-    d5_witness = "frame components"
-    for i in range(rq):
-        for j in range(i + 1, rq):
-            for r in range(rb):
-                for k in range(rq):
-                    res = rep.curv.get(i, j, r, k) + rep.curv.get(i, k, r, j)
-                    if not res.is_zero():
-                        d5_ok = False
-                        d5_witness = f"(q{i + 1}, q{j + 1}, b{r + 1}, q{k + 1})"
-    report.add("D5", d5_ok, witness=d5_witness)
+    failing = [witness(names) for names, (i, j, r, k) in sweep(
+        ("q", range(rq), 2, combinations), ("b", range(rb)), ("q", range(rq)))
+        if not (rep.curv.get(i, j, r, k) + rep.curv.get(i, k, r, j)).is_zero()]
+    report.add("D5", not failing,
+               witness=failing[-1] if failing else "frame components")
 
     # (D6) omega_R is closed for the dual connection
     omega = rep.omega_form()
-    frames = bundle.frames()
-    for key in combinations(range(rq), 4):
-        args = [frames[i] for i in key]
+    for names, args in sweep(("q", bundle.frames(), 4, combinations)):
         res = form_cartan_differential(omega, nabla_dual, bracket, args)
-        report.add_residual_section(
-            "D6", res, witness="(" + ", ".join(f"q{i + 1}" for i in key) + ")")
+        report.add_residual_section("D6", res, witness(names))
     if rq >= 4:
         args = [random_section(rng, p, rq) for _ in range(4)]
         res = form_cartan_differential(omega, nabla_dual, bracket, args)
@@ -574,8 +556,7 @@ def check_homological(rep: Dorfman2Rep, seed: int = 0,
         sample = sample + term * coeff
     res = field.apply(field.apply(sample))
     if report.passed:
-        report.add("Q_squared[random degree-3 function]", res.is_zero(),
-                   residual="" if res.is_zero() else res.render())
+        report.add_residual_poly("Q_squared[random degree-3 function]", res)
     return report
 
 
@@ -666,31 +647,26 @@ def check_lie2_morphism(split1: SplitLie2Data, split2: SplitLie2Data,
     q1_secs = split1.bundle.frames() + [random_section(rng, p, rq1)]
 
     # (3) brackets match up to l1 of mu12
-    for i in range(len(q1_secs)):
-        for j in range(i + 1, len(q1_secs)):
-            q, qp = q1_secs[i], q1_secs[j]
-            lhs = mu_q.apply(split1.bracket.apply(q, qp))
-            rhs = split2.bracket.apply(mu_q.apply(q), mu_q.apply(qp))
-            corr = split2.l1.apply(mu12_form.eval_sections([q, qp]))
-            report.add_residual_section(
-                "bracket", section_sub(lhs, section_add(rhs, corr)),
-                witness=f"(q{i + 1}, q{j + 1})")
+    for names, (q, qp) in sweep(("q", q1_secs, 2, combinations)):
+        lhs = mu_q.apply(split1.bracket.apply(q, qp))
+        rhs = split2.bracket.apply(mu_q.apply(q), mu_q.apply(qp))
+        corr = split2.l1.apply(mu12_form.eval_sections([q, qp]))
+        report.add_residual_section(
+            "bracket", section_sub(lhs, section_add(rhs, corr)), witness(names))
 
     # (4) connections match up to partial_1 of the mu12 contraction
     mu_b_t = mu_b.transpose()
     partial1 = split1.l1.transpose().scale(-1)
-    for iq, q in enumerate(q1_secs):
-        for r in range(rb2):
-            b2 = unit_section(p, rb2, r)
-            lhs = mu_b_t.apply(split2.nablaB.apply(mu_q.apply(q), b2))
-            rhs = split1.nablaB.apply(q, mu_b_t.apply(b2))
-            # <mu12(q, .), b2> in Gamma(Q1*)
-            contraction = [section_pair(mu12_form.eval_sections(
-                [q, unit_section(p, rq1, k)]), b2) for k in range(rq1)]
-            corr = partial1.apply(contraction)
-            res = section_add(section_sub(lhs, rhs), corr)
-            report.add_residual_section(
-                "connection", res, witness=f"(q{iq + 1}, b{r + 1})")
+    b2_frames = [unit_section(p, rb2, r) for r in range(rb2)]
+    for names, (q, b2) in sweep(("q", q1_secs), ("b", b2_frames)):
+        lhs = mu_b_t.apply(split2.nablaB.apply(mu_q.apply(q), b2))
+        rhs = split1.nablaB.apply(q, mu_b_t.apply(b2))
+        # <mu12(q, .), b2> in Gamma(Q1*)
+        contraction = [section_pair(mu12_form.eval_sections(
+            [q, unit_section(p, rq1, k)]), b2) for k in range(rq1)]
+        corr = partial1.apply(contraction)
+        res = section_add(section_sub(lhs, rhs), corr)
+        report.add_residual_section("connection", res, witness(names))
 
     # (5) mu_Q^* omega_{R2} - mu_B omega_{R1} = -d_{mu_Q^* nabla2} mu12
     omega1 = VectorValuedForm(split1.bundle, 3, rb1, split1.l3)
@@ -706,13 +682,10 @@ def check_lie2_morphism(split1: SplitLie2Data, split2: SplitLie2Data,
             return self.inner.apply(mu_q.apply(q), beta)
 
     pull_conn = _Pullback()
-    for key in combinations(range(len(q1_secs)), 3):
-        args = [q1_secs[i] for i in key]
+    for names, args in sweep(("q", q1_secs, 3, combinations)):
         lhs = omega2.eval_sections([mu_q.apply(a) for a in args])
         rhs = mu_b.apply(omega1.eval_sections(args))
         dmu = form_cartan_differential(mu12_form, pull_conn, split1.bracket, args)
         res = section_add(section_sub(lhs, rhs), dmu)
-        report.add_residual_section(
-            "curvature", res,
-            witness="(" + ", ".join(f"q{i + 1}" for i in key) + ")")
+        report.add_residual_section("curvature", res, witness(names))
     return report

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .exactpoly import Polynomial, PolyMatrix, PolyTensor
-from .report import CheckReport
+from .report import CheckReport, sweep, witness
 from .bundle import (
     AnchoredBundle, DullBracket, LieAlgebroidData, LinearConnection,
     TwoRepData, check_two_rep, curvature_matrix, field_bracket, memo,
@@ -96,72 +96,57 @@ def check_matched_two_reps(pair: MatchedPair2Reps, seed: int = 0,
     curvBA = memo(pair.curvBA_matrix)
 
     # (1) symmetric part of the C-bracket candidate vanishes
-    for i in range(len(c_secs)):
-        for j in range(i, len(c_secs)):
-            c1, c2 = c_secs[i], c_secs[j]
-            res = section_sub(nAC(dA(c1), c2), nBC(dB(c2), c1))
-            res = section_add(res, section_sub(nAC(dA(c2), c1), nBC(dB(c1), c2)))
-            report.add_residual_section("condition_1", res,
-                                        witness=f"(c{i + 1}, c{j + 1})")
+    for names, (c1, c2) in sweep(("c", c_secs, 2,
+                                  combinations_with_replacement)):
+        res = section_sub(nAC(dA(c1), c2), nBC(dB(c2), c1))
+        res = section_add(res, section_sub(nAC(dA(c2), c1), nBC(dB(c1), c2)))
+        report.add_residual_section("condition_1", res, witness(names))
 
     # (2) [a, partial_A c] = partial_A(nabla_a c) - nabla_{partial_B c} a
-    for ia, a in enumerate(a_secs):
-        for ic, c in enumerate(c_secs):
-            res = section_sub(brA(a, dA(c)),
-                              section_sub(dA(nAC(a, c)), nBA(dB(c), a)))
-            report.add_residual_section("condition_2", res,
-                                        witness=f"(a{ia + 1}, c{ic + 1})")
+    for names, (a, c) in sweep(("a", a_secs), ("c", c_secs)):
+        res = section_sub(brA(a, dA(c)),
+                          section_sub(dA(nAC(a, c)), nBA(dB(c), a)))
+        report.add_residual_section("condition_2", res, witness(names))
 
     # (3) [b, partial_B c] = partial_B(nabla_b c) - nabla_{partial_A c} b
-    for ib, b in enumerate(b_secs):
-        for ic, c in enumerate(c_secs):
-            res = section_sub(brB(b, dB(c)),
-                              section_sub(dB(nBC(b, c)), nAB(dA(c), b)))
-            report.add_residual_section("condition_3", res,
-                                        witness=f"(b{ib + 1}, c{ic + 1})")
+    for names, (b, c) in sweep(("b", b_secs), ("c", c_secs)):
+        res = section_sub(brB(b, dB(c)),
+                          section_sub(dB(nBC(b, c)), nAB(dA(c), b)))
+        report.add_residual_section("condition_3", res, witness(names))
 
     # (4) mixed flatness up to both curvatures
-    for ia, a in enumerate(a_secs):
-        for ib, b in enumerate(b_secs):
-            for ic, c in enumerate(c_secs):
-                lhs = section_sub(nBC(b, nAC(a, c)), nAC(a, nBC(b, c)))
-                lhs = section_sub(lhs, nAC(nBA(b, a), c))
-                lhs = section_add(lhs, nBC(nAB(a, b), c))
-                rhs = section_sub(curvBA(b, dB(c)).apply(a),
-                                  curvAB(a, dA(c)).apply(b))
-                report.add_residual_section(
-                    "condition_4", section_sub(lhs, rhs),
-                    witness=f"(a{ia + 1}, b{ib + 1}, c{ic + 1})")
+    for names, (a, b, c) in sweep(("a", a_secs), ("b", b_secs), ("c", c_secs)):
+        lhs = section_sub(nBC(b, nAC(a, c)), nAC(a, nBC(b, c)))
+        lhs = section_sub(lhs, nAC(nBA(b, a), c))
+        lhs = section_add(lhs, nBC(nAB(a, b), c))
+        rhs = section_sub(curvBA(b, dB(c)).apply(a),
+                          curvAB(a, dA(c)).apply(b))
+        report.add_residual_section("condition_4", section_sub(lhs, rhs),
+                                    witness(names))
 
     # (5) partial_A of R_AB measures the failure of nabla_b as a derivation
-    for i in range(len(a_secs)):
-        for j in range(i + 1, len(a_secs)):
-            a1, a2 = a_secs[i], a_secs[j]
-            for ib, b in enumerate(b_secs):
-                rhs = section_neg(nBA(b, brA(a1, a2)))
-                rhs = section_add(rhs, brA(nBA(b, a1), a2))
-                rhs = section_add(rhs, brA(a1, nBA(b, a2)))
-                rhs = section_add(rhs, nBA(nAB(a2, b), a1))
-                rhs = section_sub(rhs, nBA(nAB(a1, b), a2))
-                lhs = dA(curvAB(a1, a2).apply(b))
-                report.add_residual_section(
-                    "condition_5", section_sub(lhs, rhs),
-                    witness=f"(a{i + 1}, a{j + 1}, b{ib + 1})")
+    for names, (a1, a2, b) in sweep(("a", a_secs, 2, combinations),
+                                    ("b", b_secs)):
+        rhs = section_neg(nBA(b, brA(a1, a2)))
+        rhs = section_add(rhs, brA(nBA(b, a1), a2))
+        rhs = section_add(rhs, brA(a1, nBA(b, a2)))
+        rhs = section_add(rhs, nBA(nAB(a2, b), a1))
+        rhs = section_sub(rhs, nBA(nAB(a1, b), a2))
+        lhs = dA(curvAB(a1, a2).apply(b))
+        report.add_residual_section("condition_5", section_sub(lhs, rhs),
+                                    witness(names))
 
     # (6) mirror of (5)
-    for i in range(len(b_secs)):
-        for j in range(i + 1, len(b_secs)):
-            b1, b2 = b_secs[i], b_secs[j]
-            for ia, a in enumerate(a_secs):
-                rhs = section_neg(nAB(a, brB(b1, b2)))
-                rhs = section_add(rhs, brB(nAB(a, b1), b2))
-                rhs = section_add(rhs, brB(b1, nAB(a, b2)))
-                rhs = section_add(rhs, nAB(nBA(b2, a), b1))
-                rhs = section_sub(rhs, nAB(nBA(b1, a), b2))
-                lhs = dB(curvBA(b1, b2).apply(a))
-                report.add_residual_section(
-                    "condition_6", section_sub(lhs, rhs),
-                    witness=f"(b{i + 1}, b{j + 1}, a{ia + 1})")
+    for names, (b1, b2, a) in sweep(("b", b_secs, 2, combinations),
+                                    ("a", a_secs)):
+        rhs = section_neg(nAB(a, brB(b1, b2)))
+        rhs = section_add(rhs, brB(nAB(a, b1), b2))
+        rhs = section_add(rhs, brB(b1, nAB(a, b2)))
+        rhs = section_add(rhs, nAB(nBA(b2, a), b1))
+        rhs = section_sub(rhs, nAB(nBA(b1, a), b2))
+        lhs = dB(curvBA(b1, b2).apply(a))
+        report.add_residual_section("condition_6", section_sub(lhs, rhs),
+                                    witness(names))
 
     # (7) the two covariant differentials of the curvatures agree
     def d_nablaA_curvBA(a1, a2, b1, b2):
@@ -190,32 +175,24 @@ def check_matched_two_reps(pair: MatchedPair2Reps, seed: int = 0,
         out = section_sub(cov(b1, b2, a1, a2), cov(b2, b1, a1, a2))
         return section_sub(out, phi(brB(b1, b2), a1, a2))
 
-    for i in range(len(a_secs)):
-        for j in range(i + 1, len(a_secs)):
-            for k in range(len(b_secs)):
-                for l in range(k + 1, len(b_secs)):
-                    a1, a2 = a_secs[i], a_secs[j]
-                    b1, b2 = b_secs[k], b_secs[l]
-                    res = section_sub(d_nablaA_curvBA(a1, a2, b1, b2),
-                                      d_nablaB_curvAB(b1, b2, a1, a2))
-                    report.add_residual_section(
-                        "condition_7", res,
-                        witness=f"(a{i + 1}, a{j + 1}, b{k + 1}, b{l + 1})")
+    for names, (a1, a2, b1, b2) in sweep(("a", a_secs, 2, combinations),
+                                         ("b", b_secs, 2, combinations)):
+        res = section_sub(d_nablaA_curvBA(a1, a2, b1, b2),
+                          d_nablaB_curvAB(b1, b2, a1, a2))
+        report.add_residual_section("condition_7", res, witness(names))
 
     # derived identities
     res = pair.algA.bundle.anchor.matmul(pair.partialA).add(
         pair.algB.bundle.anchor.matmul(pair.partialB).scale(-1))
     report.add("anchor_chain", res.is_zero(),
                witness="rho_A partial_A = rho_B partial_B")
-    for ia, a in enumerate(a_secs):
-        for ib, b in enumerate(b_secs):
-            lhs = field_bracket(pair.algA.bundle.anchor_field(a),
-                                pair.algB.bundle.anchor_field(b))
-            rhs = section_sub(pair.algB.bundle.anchor_field(nAB(a, b)),
-                              pair.algA.bundle.anchor_field(nBA(b, a)))
-            report.add_residual_section(
-                "anchor_mixed", section_sub(lhs, rhs),
-                witness=f"(a{ia + 1}, b{ib + 1})")
+    for names, (a, b) in sweep(("a", a_secs), ("b", b_secs)):
+        lhs = field_bracket(pair.algA.bundle.anchor_field(a),
+                            pair.algB.bundle.anchor_field(b))
+        rhs = section_sub(pair.algB.bundle.anchor_field(nAB(a, b)),
+                          pair.algA.bundle.anchor_field(nBA(b, a)))
+        report.add_residual_section("anchor_mixed", section_sub(lhs, rhs),
+                                    witness(names))
     return report
 
 
@@ -447,58 +424,48 @@ def check_la_matched_pair(pair: LAPairData, seed: int = 0,
     RB = memo(S.curv_matrix)                  # Hom(Q, Q*)
 
     # (M1)
-    for iq, q in enumerate(q_secs):
-        for it, tau in enumerate(tau_secs):
-            res = dQ(delta(q, tau))
-            res = section_sub(res, nQ(dB(tau), q))
-            res = section_sub(res, brQ(q, dQ(tau)))
-            contraction = [section_pair(tau, nQ(b_frames[r], q))
-                           for r in range(rb)]
-            res = section_sub(res, dBstar(contraction))
-            report.add_residual_section("M1", res,
-                                        witness=f"(q{iq + 1}, tau{it + 1})")
+    for names, (q, tau) in sweep(("q", q_secs), ("tau", tau_secs)):
+        res = dQ(delta(q, tau))
+        res = section_sub(res, nQ(dB(tau), q))
+        res = section_sub(res, brQ(q, dQ(tau)))
+        contraction = [section_pair(tau, nQ(b_frames[r], q))
+                       for r in range(rb)]
+        res = section_sub(res, dBstar(contraction))
+        report.add_residual_section("M1", res, witness(names))
 
     # (M2)
-    for ib, b in enumerate(b_secs):
-        for it, tau in enumerate(tau_secs):
-            res = dB(nQstar(b, tau))
-            res = section_sub(res, brB(b, dB(tau)))
-            res = section_sub(res, nB(dQ(tau), b))
-            report.add_residual_section("M2", res,
-                                        witness=f"(b{ib + 1}, tau{it + 1})")
+    for names, (b, tau) in sweep(("b", b_secs), ("tau", tau_secs)):
+        res = dB(nQstar(b, tau))
+        res = section_sub(res, brB(b, dB(tau)))
+        res = section_sub(res, nB(dQ(tau), b))
+        report.add_residual_section("M2", res, witness(names))
 
     # (M3)
-    for i in range(len(b_secs)):
-        for j in range(i + 1, len(b_secs)):
-            b1, b2 = b_secs[i], b_secs[j]
-            for iq, q in enumerate(q_secs):
-                lhs = dB(RB(b1, b2).apply(q))
-                rhs = section_neg(nB(q, brB(b1, b2)))
-                rhs = section_add(rhs, brB(nB(q, b1), b2))
-                rhs = section_add(rhs, brB(b1, nB(q, b2)))
-                rhs = section_add(rhs, nB(nQ(b2, q), b1))
-                rhs = section_sub(rhs, nB(nQ(b1, q), b2))
-                report.add_residual_section(
-                    "M3", section_sub(lhs, rhs),
-                    witness=f"(b{i + 1}, b{j + 1}, q{iq + 1})")
+    for names, (b1, b2, q) in sweep(("b", b_secs, 2, combinations),
+                                    ("q", q_secs)):
+        lhs = dB(RB(b1, b2).apply(q))
+        rhs = section_neg(nB(q, brB(b1, b2)))
+        rhs = section_add(rhs, brB(nB(q, b1), b2))
+        rhs = section_add(rhs, brB(b1, nB(q, b2)))
+        rhs = section_add(rhs, nB(nQ(b2, q), b1))
+        rhs = section_sub(rhs, nB(nQ(b1, q), b2))
+        report.add_residual_section("M3", section_sub(lhs, rhs),
+                                    witness(names))
 
     # (M4)
-    for i in range(len(q_secs)):
-        for j in range(i + 1, len(q_secs)):
-            q1, q2 = q_secs[i], q_secs[j]
-            for ib, b in enumerate(b_secs):
-                lhs = dQ(RQ(q1, q2).apply(b))
-                rhs = section_neg(nQ(b, brQ(q1, q2)))
-                rhs = section_add(rhs, brQ(q1, nQ(b, q2)))
-                rhs = section_add(rhs, brQ(nQ(b, q1), q2))
-                rhs = section_add(rhs, nQ(nB(q2, b), q1))
-                rhs = section_sub(rhs, nQ(nB(q1, b), q2))
-                contraction = [section_pair(RB(b_frames[r], b).apply(q1), q2)
-                               for r in range(rb)]
-                rhs = section_add(rhs, dBstar(contraction))
-                report.add_residual_section(
-                    "M4", section_sub(lhs, rhs),
-                    witness=f"(q{i + 1}, q{j + 1}, b{ib + 1})")
+    for names, (q1, q2, b) in sweep(("q", q_secs, 2, combinations),
+                                    ("b", b_secs)):
+        lhs = dQ(RQ(q1, q2).apply(b))
+        rhs = section_neg(nQ(b, brQ(q1, q2)))
+        rhs = section_add(rhs, brQ(q1, nQ(b, q2)))
+        rhs = section_add(rhs, brQ(nQ(b, q1), q2))
+        rhs = section_add(rhs, nQ(nB(q2, b), q1))
+        rhs = section_sub(rhs, nQ(nB(q1, b), q2))
+        contraction = [section_pair(RB(b_frames[r], b).apply(q1), q2)
+                       for r in range(rb)]
+        rhs = section_add(rhs, dBstar(contraction))
+        report.add_residual_section("M4", section_sub(lhs, rhs),
+                                    witness(names))
 
     # (M5): the two covariant differentials agree as scalars on
     # (b1, b2; q1, q2, q3)
@@ -544,20 +511,11 @@ def check_la_matched_pair(pair: LAPairData, seed: int = 0,
         return out
 
     m5_abstract_ok = True
-    for i in range(len(b_secs)):
-        for j in range(i + 1, len(b_secs)):
-            b1, b2 = b_secs[i], b_secs[j]
-            for k in range(len(q_secs)):
-                for l in range(k + 1, len(q_secs)):
-                    for m in range(l + 1, len(q_secs)):
-                        qs = [q_secs[k], q_secs[l], q_secs[m]]
-                        res = lhs_m5(b1, b2, qs) - rhs_m5(qs, b1, b2)
-                        if not res.is_zero():
-                            m5_abstract_ok = False
-                        report.add_residual_poly(
-                            "M5", res,
-                            witness=f"(b{i + 1}, b{j + 1}, "
-                                    f"q{k + 1}, q{l + 1}, q{m + 1})")
+    for names, (b1, b2, *qs) in sweep(("b", b_secs, 2, combinations),
+                                      ("q", q_secs, 3, combinations)):
+        res = lhs_m5(b1, b2, qs) - rhs_m5(qs, b1, b2)
+        m5_abstract_ok = m5_abstract_ok and res.is_zero()
+        report.add_residual_poly("M5", res, witness(names))
 
     # (M5) in the expanded componentwise form
     def m5_expanded(q1, q2, b1, b2):
@@ -584,62 +542,51 @@ def check_la_matched_pair(pair: LAPairData, seed: int = 0,
         return section_sub(lhs, rhs)
 
     m5_expanded_ok = True
-    for i in range(len(b_secs)):
-        for j in range(i + 1, len(b_secs)):
-            for k in range(len(q_secs)):
-                for l in range(k + 1, len(q_secs)):
-                    res = m5_expanded(q_secs[k], q_secs[l],
-                                      b_secs[i], b_secs[j])
-                    if not section_is_zero(res):
-                        m5_expanded_ok = False
-                    report.add_residual_section(
-                        "M5_expanded", res,
-                        witness=f"(q{k + 1}, q{l + 1}, b{i + 1}, b{j + 1})")
+    for names, (b1, b2, q1, q2) in sweep(("b", b_secs, 2, combinations),
+                                         ("q", q_secs, 2, combinations)):
+        res = m5_expanded(q1, q2, b1, b2)
+        m5_expanded_ok = m5_expanded_ok and section_is_zero(res)
+        report.add_residual_section("M5_expanded", res,
+                                    witness(names[2:] + names[:2]))
     report.add("M5_agreement", m5_abstract_ok == m5_expanded_ok,
                witness="expanded form verdict matches the differential form")
 
     # equivalent forms, which must agree with the primary entries
-    for i in range(len(tau_secs)):
-        for j in range(i, len(tau_secs)):
-            s1, s2 = tau_secs[i], tau_secs[j]
-            res = section_sub(delta(dQ(s1), s2), nQstar(dB(s2), s1))
-            res = section_add(res, section_sub(delta(dQ(s2), s1),
-                                               nQstar(dB(s1), s2)))
-            res = section_sub(res, D.bundle.anchor_pullback_d(
-                section_pair(s1, dQ(s2))))
-            report.add_residual_section("almost_C", res,
-                                        witness=f"(tau{i + 1}, tau{j + 1})")
+    for names, (s1, s2) in sweep(("tau", tau_secs, 2,
+                                  combinations_with_replacement)):
+        res = section_sub(delta(dQ(s1), s2), nQstar(dB(s2), s1))
+        res = section_add(res, section_sub(delta(dQ(s2), s1),
+                                           nQstar(dB(s1), s2)))
+        res = section_sub(res, D.bundle.anchor_pullback_d(
+            section_pair(s1, dQ(s2))))
+        report.add_residual_section("almost_C", res, witness(names))
 
-    for iq, q in enumerate(q_secs):
-        for it, tau in enumerate(tau_secs):
-            for ib, b in enumerate(b_secs):
-                lhs = section_sub(RQ(q, dQ(tau)).apply(b),
-                                  RB(b, dB(tau)).apply(q))
-                rhs = section_sub(delta(q, nQstar(b, tau)),
-                                  nQstar(b, delta(q, tau)))
-                rhs = section_add(rhs, delta(nQ(b, q), tau))
-                rhs = section_sub(rhs, nQstar(nB(q, b), tau))
-                corr = [section_pair(nQ(nB(q_frames[k], b), q), tau)
-                        for k in range(rq)]
-                rhs = section_sub(rhs, corr)
-                report.add_residual_section(
-                    "LC10", section_sub(lhs, rhs),
-                    witness=f"(q{iq + 1}, tau{it + 1}, b{ib + 1})")
+    for names, (q, tau, b) in sweep(("q", q_secs), ("tau", tau_secs),
+                                    ("b", b_secs)):
+        lhs = section_sub(RQ(q, dQ(tau)).apply(b),
+                          RB(b, dB(tau)).apply(q))
+        rhs = section_sub(delta(q, nQstar(b, tau)),
+                          nQstar(b, delta(q, tau)))
+        rhs = section_add(rhs, delta(nQ(b, q), tau))
+        rhs = section_sub(rhs, nQstar(nB(q, b), tau))
+        corr = [section_pair(nQ(nB(q_frames[k], b), q), tau)
+                for k in range(rq)]
+        rhs = section_sub(rhs, corr)
+        report.add_residual_section("LC10", section_sub(lhs, rhs),
+                                    witness(names))
 
     # derived anchor identities
     res = D.bundle.anchor.matmul(S.partial_q).add(
         S.algebroid.bundle.anchor.matmul(D.partial_b).scale(-1))
     report.add("anchor_chain", res.is_zero(),
                witness="rho_Q partial_Q = rho_B partial_B")
-    for iq, q in enumerate(q_secs):
-        for ib, b in enumerate(b_secs):
-            lhs = field_bracket(D.bundle.anchor_field(q),
-                                S.algebroid.bundle.anchor_field(b))
-            rhs = section_sub(S.algebroid.bundle.anchor_field(nB(q, b)),
-                              D.bundle.anchor_field(nQ(b, q)))
-            report.add_residual_section(
-                "anchor_mixed", section_sub(lhs, rhs),
-                witness=f"(q{iq + 1}, b{ib + 1})")
+    for names, (q, b) in sweep(("q", q_secs), ("b", b_secs)):
+        lhs = field_bracket(D.bundle.anchor_field(q),
+                            S.algebroid.bundle.anchor_field(b))
+        rhs = section_sub(S.algebroid.bundle.anchor_field(nB(q, b)),
+                          D.bundle.anchor_field(nQ(b, q)))
+        report.add_residual_section("anchor_mixed", section_sub(lhs, rhs),
+                                    witness(names))
     return report
 
 
@@ -650,17 +597,15 @@ def check_q_preserves_poisson(pair: LAPairData, seed: int = 0,
     ps = PoissonStructure(pair.selfdual)
     field = build_homological_field(pair.dorfman)
     gens = ps.generators()
+    labels = [name for name, _, _ in gens]
 
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            n1, g1, d1 = gens[i]
-            n2, g2, d2 = gens[j]
-            res = field.apply(ps.bracket(g1, g2))
-            res = res - ps.bracket(field.apply(g1), g2)
-            cross = ps.bracket(g1, field.apply(g2))
-            res = res + cross if d1 % 2 == 1 else res - cross
-            report.add("derivation", res.is_zero(), witness=f"({n1}, {n2})",
-                       residual="" if res.is_zero() else res.render())
+    for names, ((_, g1, d1), (_, g2, _)) in sweep(
+            (labels, gens, 2, combinations_with_replacement)):
+        res = field.apply(ps.bracket(g1, g2))
+        res = res - ps.bracket(field.apply(g1), g2)
+        cross = ps.bracket(g1, field.apply(g2))
+        res = res + cross if d1 % 2 == 1 else res - cross
+        report.add_residual_poly("derivation", res, witness(names))
 
     agreement = check_la_matched_pair(pair, seed).passed == report.passed
     report.add("matched_agreement", agreement,

@@ -9,10 +9,10 @@ B frame functions).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .exactpoly import Polynomial, PolyMatrix, PolyTensor
-from .report import CheckReport
+from .report import CheckReport, sweep, witness
 from .bundle import (
     LieAlgebroidData, LinearConnection, TwoRepData, check_two_rep,
     curvature_matrix, unit_section,
@@ -73,27 +73,18 @@ def check_selfdual2rep(rep: SelfDual2Rep, seed: int = 0,
     report = CheckReport(title, seed)
     rq = rep.rank_q
 
-    sym_ok = True
-    witness = "frame components"
-    for i in range(rq):
-        for j in range(i + 1, rq):
-            if not (rep.partial_q[i, j] - rep.partial_q[j, i]).is_zero():
-                sym_ok = False
-                witness = f"(tau{i + 1}, tau{j + 1})"
-    report.add("partial_symmetric", sym_ok, witness=witness)
+    failing = [witness(names) for names, (i, j) in sweep(
+        ("tau", range(rq), 2, combinations))
+        if not (rep.partial_q[i, j] - rep.partial_q[j, i]).is_zero()]
+    report.add("partial_symmetric", not failing,
+               witness=failing[-1] if failing else "frame components")
 
-    anti_ok = True
-    witness = "frame components"
-    rb = rep.rank_b
-    for i in range(rb):
-        for j in range(i + 1, rb):
-            for s in range(rq):
-                for t in range(s, rq):
-                    res = rep.curvB.get(i, j, s, t) + rep.curvB.get(i, j, t, s)
-                    if not res.is_zero():
-                        anti_ok = False
-                        witness = f"(b{i + 1}, b{j + 1}, q{s + 1}, q{t + 1})"
-    report.add("curv_antisymmetric", anti_ok, witness=witness)
+    failing = [witness(names) for names, (i, j, s, t) in sweep(
+        ("b", range(rep.rank_b), 2, combinations),
+        ("q", range(rq), 2, combinations_with_replacement))
+        if not (rep.curvB.get(i, j, s, t) + rep.curvB.get(i, j, t, s)).is_zero()]
+    report.add("curv_antisymmetric", not failing,
+               witness=failing[-1] if failing else "frame components")
 
     report.merge(check_two_rep(rep.as_two_rep(), seed))
     return report
@@ -270,24 +261,20 @@ def check_graded_jacobi(rep: SelfDual2Rep, seed: int = 0,
     report = CheckReport(title, seed)
     ps = PoissonStructure(rep)
     gens = ps.generators()
+    labels = [name for name, _, _ in gens]
 
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            n1, g1, d1 = gens[i]
-            n2, g2, d2 = gens[j]
-            res = ps.bracket(g1, g2)
-            flip = ps.bracket(g2, g1)
-            if (d1 * d2) % 2 == 0:
-                res = res + flip
-            else:
-                res = res - flip
-            report.add(f"skew", res.is_zero(), witness=f"({n1}, {n2})",
-                       residual="" if res.is_zero() else res.render())
+    for names, ((_, g1, d1), (_, g2, d2)) in sweep(
+            (labels, gens, 2, combinations_with_replacement)):
+        res = ps.bracket(g1, g2)
+        flip = ps.bracket(g2, g1)
+        if (d1 * d2) % 2 == 0:
+            res = res + flip
+        else:
+            res = res - flip
+        report.add_residual_poly("skew", res, witness(names))
 
-    for key in combinations_with_replacement(range(len(gens)), 3):
-        n1, g1, d1 = gens[key[0]]
-        n2, g2, d2 = gens[key[1]]
-        n3, g3, d3 = gens[key[2]]
+    for names, ((_, g1, d1), (_, g2, d2), (_, g3, _)) in sweep(
+            (labels, gens, 3, combinations_with_replacement)):
         res = ps.bracket(g1, ps.bracket(g2, g3)) \
             - ps.bracket(ps.bracket(g1, g2), g3)
         nested = ps.bracket(g2, ps.bracket(g1, g3))
@@ -295,8 +282,7 @@ def check_graded_jacobi(rep: SelfDual2Rep, seed: int = 0,
             res = res - nested
         else:
             res = res + nested
-        report.add("jacobi", res.is_zero(), witness=f"({n1}, {n2}, {n3})",
-                   residual="" if res.is_zero() else res.render())
+        report.add_residual_poly("jacobi", res, witness(names))
 
     agreement = check_selfdual2rep(rep, seed).passed == report.passed
     report.add("selfdual_agreement", agreement,

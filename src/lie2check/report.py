@@ -1,8 +1,39 @@
-"""Check reports: labelled pass/fail entries with witnesses and residuals."""
+"""Check reports: labelled pass/fail entries with witnesses and residuals,
+and ``sweep``, which enumerates the witness tuples a checker evaluates."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+
+
+def sweep(*slots):
+    """Every witness tuple over the slots, the first slot outermost.
+
+    A slot is ``(names, items)`` or ``(names, items, k, pick)``: ``names``
+    is a prefix (item i is called prefix + str(i + 1)) or one name per
+    item, ``k`` (default 1) is how many items the slot takes, and
+    ``pick`` chooses their indices: ``itertools.product`` independently,
+    ``combinations`` strictly increasing, ``combinations_with_replacement``
+    non-decreasing.  Returns a list of ``(names, items)`` pairs, each one
+    flat tuple over all slots.
+    """
+    out = [((), ())]
+    for names, items, *rule in slots:
+        k, pick = rule or (1, product)
+        if isinstance(names, str):
+            names = [f"{names}{i + 1}" for i in range(len(items))]
+        idx = range(len(items))
+        draws = [(tuple([names[i] for i in d]), tuple([items[i] for i in d]))
+                 for d in (product(idx, repeat=k) if pick is product
+                           else pick(idx, k))]
+        out = [(n + dn, s + ds) for n, s in out for dn, ds in draws]
+    return out
+
+
+def witness(names) -> str:
+    """The report's witness for a tuple of section names."""
+    return f"({', '.join(names)})"
 
 
 @dataclass
@@ -36,8 +67,7 @@ class CheckReport:
     def add(self, label: str, passed: bool, witness: str = "", residual: str = ""):
         self.entries.append(CheckEntry(label, passed, witness, residual))
 
-    def add_residual_section(self, label: str, residual, witness: str = "",
-                             names=None):
+    def add_residual_section(self, label: str, residual, witness: str = ""):
         """Record one residual section (list of Polynomials); passes iff zero."""
         nonzero = [(i, f) for i, f in enumerate(residual) if not f.is_zero()]
         if not nonzero:
@@ -45,14 +75,15 @@ class CheckReport:
         else:
             i, f = nonzero[0]
             self.add(label, False, witness,
-                     f"component {i + 1}: {f.render(names)}")
+                     f"component {i + 1}: {f.render()}")
 
-    def add_residual_poly(self, label: str, residual, witness: str = "",
-                          names=None):
+    def add_residual_poly(self, label: str, residual, witness: str = ""):
+        """Record one residual with ``is_zero()`` and ``render()`` (a
+        Polynomial or a GradedFunction); passes iff zero."""
         if residual.is_zero():
             self.add(label, True, witness)
         else:
-            self.add(label, False, witness, residual.render(names))
+            self.add(label, False, witness, residual.render())
 
     def merge(self, other: "CheckReport", prefix: str = ""):
         for e in other.entries:

@@ -54,7 +54,7 @@ def _standard_dorfman():
     z = Polynomial.zero(1)
     dull = DullBracket(bundle, [[[z, z] for _ in range(2)]
                                 for _ in range(2)])
-    return standard_dorfman2rep(1, dull)
+    return standard_dorfman2rep(dull)
 
 
 def test_acceptance_1_q_squared_equivalence():

@@ -5,10 +5,13 @@ import json
 import pytest
 
 from lie2check import serialize
+from lie2check.bundle import (
+    AnchoredBundle, BaseSpace, DullBracket, LieAlgebroidData,
+)
 from lie2check.cli import main
 from lie2check.courant import DiracData
 from lie2check.examples import EXAMPLES
-from lie2check.exactpoly import EXP_BOUND, PolyMatrix
+from lie2check.exactpoly import EXP_BOUND, Polynomial, PolyMatrix
 
 SOUND = sorted(n for n in EXAMPLES if not n.startswith("broken_"))
 BROKEN = sorted(n for n in EXAMPLES if n.startswith("broken_"))
@@ -228,6 +231,37 @@ def test_construct_outputs_pass_their_checkers(tmp_path):
         out = tmp_path / fname
         assert main(argv + ["--out", str(out)]) == 0, argv
         assert main(["check", str(out)] + extra) == 0, argv
+
+
+def _zero_algebroid_file(tmp_path, base_dim, rank):
+    """A rank-``rank`` algebroid over R^base_dim with zero bracket,
+    anchored by the projection onto the first min(rank, base_dim) frames."""
+    anchor = PolyMatrix(base_dim, base_dim, rank)
+    for m in range(min(rank, base_dim)):
+        anchor[m, m] = Polynomial.const(base_dim, 1)
+    bundle = AnchoredBundle(BaseSpace(base_dim), rank, anchor)
+    z = Polynomial.zero(base_dim)
+    comps = [[[z] * rank for _ in range(rank)] for _ in range(rank)]
+    path = tmp_path / f"alg_{base_dim}_{rank}.json"
+    path.write_text(serialize.dumps(serialize.encode_structure(
+        LieAlgebroidData(bundle, DullBracket(bundle, comps)))))
+    return path
+
+
+def test_construct_standard_passes_the_dorfman_check(tmp_path):
+    out = tmp_path / "standard.json"
+    assert main(["construct", "standard", str(_zero_algebroid_file(
+        tmp_path, 1, 2)), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["rank_b"] == 1
+    assert main(["check", "--mode", "dorfman", str(out),
+                 "--out", str(tmp_path / "r.txt")]) == 0
+
+
+def test_construct_standard_rank_below_base_is_exit_1(tmp_path, capsys):
+    alg = _zero_algebroid_file(tmp_path, 2, 1)
+    capsys.readouterr()
+    assert main(["construct", "standard", str(alg)]) == 1
+    assert "precondition failed" in capsys.readouterr().err
 
 
 def test_construct_precondition_failure_is_exit_1(tmp_path, capsys):

@@ -102,3 +102,43 @@ def test_zero_is_shared(p):
     assert Polynomial.const(p, 0) is zero
     assert Polynomial.const(p, 1).scale(0) is zero
     assert zero.terms == {} and zero.base_dim == p
+
+
+# Witness tuples are formatted in one place, ``report.witness``; a checker
+# names its sections through ``report.sweep`` and never writes "(q1, b2)"
+# itself.  The scan flags an f-string inside a ``witness=`` argument or an
+# assignment to a name ending in ``witness`` whose text opens with "(",
+# directly or as the left end of a string sum.  Descriptive witnesses that
+# name no tuple ("rank(B) = 2, base dimension = 1") are not tuples and
+# stay where they are written.
+def _opens_tuple(node):
+    while isinstance(node, ast.BinOp):
+        node = node.left
+    if isinstance(node, ast.JoinedStr):
+        node = node.values[0] if node.values else None
+    return isinstance(node, ast.Constant) and str(node.value).startswith("(")
+
+
+def _tuple_witness_fstrings(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    values = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "witness":
+            values.append(node.value)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if any(isinstance(t, ast.Name) and t.id.endswith("witness")
+                   for t in _flat(targets)):
+                values.append(node.value)
+    return sorted(value.lineno for value in values
+                  if value is not None and _opens_tuple(value)
+                  and any(isinstance(n, ast.JoinedStr)
+                          for n in ast.walk(value)))
+
+
+def test_no_hand_formatted_witness_tuples():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line in _tuple_witness_fstrings(path)]
+    assert not found, "witness tuples formatted outside report.witness:\n" \
+        + "\n".join(found)
