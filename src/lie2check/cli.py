@@ -9,10 +9,10 @@ import os
 import sys
 
 from . import __version__
-from .exactpoly import Polynomial, PolyMatrix, PolyTensor
+from .exactpoly import Polynomial
 from .bundle import check_lie_algebroid, check_two_rep, dualize_two_rep
 from .lie2 import (
-    change_splitting, check_dorfman2rep, check_homological,
+    Dorfman2Rep, change_splitting, check_dorfman2rep, check_homological,
     dorfman_from_split, split_from_dorfman,
 )
 from .poisson import check_graded_jacobi, check_selfdual2rep, is_symplectic
@@ -64,16 +64,21 @@ class CliError(Exception):
     """Input problem: bad file, schema violation, unusable arguments."""
 
 
-def _read_document(path):
+def _read_json(path):
+    """The bytes of a JSON file and the value they hold."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        return raw, json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _read_document(path):
+    raw, doc = _read_json(path)
     try:
         kind, obj, meta = serialize.decode_structure(doc)
     except SchemaError as exc:
@@ -230,6 +235,15 @@ def cmd_check(args):
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
+def _load_side_file(path, what, column, base_dim, *dims):
+    """Decode a --connection or --phi file through a schema column type."""
+    try:
+        return serialize.decoding(f"{what} file {path}", column.decode,
+                                  _read_json(path)[1], base_dim, *dims)
+    except SchemaError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def _load_connection(path, base_dim, rank):
     """Load a TM-connection: JSON list (one rank x rank matrix per base
     coordinate) of polynomial entries.  None means the flat connection."""
@@ -237,30 +251,16 @@ def _load_connection(path, base_dim, rank):
         z = Polynomial.zero(base_dim)
         return [[[z for _ in range(rank)] for _ in range(rank)]
                 for _ in range(base_dim)]
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        mats = [PolyMatrix.from_json(base_dim, rank, rank, m) for m in data]
-    except (OSError, ValueError, TypeError, KeyError,
-            json.JSONDecodeError) as exc:
-        raise CliError(f"connection file {path}: {exc}") from exc
-    if len(mats) != base_dim:
-        raise CliError(f"connection file {path}: expected {base_dim} matrices")
-    return [[[m.data[s][t] for t in range(rank)] for s in range(rank)]
-            for m in mats]
+    return _load_side_file(path, "connection", serialize.Components(),
+                           base_dim, base_dim, rank, rank)
 
 
 def _load_phi(path_or_zero, rep):
-    groups = [(rep.rank_q, 2, True), (rep.rank_b, 1, False)]
+    p, rq, rb = rep.bundle.base.dim, rep.rank_q, rep.rank_b
     if path_or_zero == "zero":
-        return PolyTensor(rep.bundle.base.dim, groups)
-    try:
-        with open(path_or_zero, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return PolyTensor.from_json(rep.bundle.base.dim, groups, data)
-    except (OSError, ValueError, TypeError, KeyError, IndexError,
-            json.JSONDecodeError) as exc:
-        raise CliError(f"phi file {path_or_zero}: {exc}") from exc
+        return Dorfman2Rep.phi_tensor(p, rq, rb)
+    return _load_side_file(path_or_zero, "phi",
+                           serialize.Tensor(Dorfman2Rep.phi_tensor), p, rq, rb)
 
 
 def _expect_kind(kind, wanted, recipe):

@@ -349,10 +349,15 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, base_dim: int, data) -> "Polynomial":
+        if not isinstance(data, list):
+            raise ValueError("polynomial must be a list of terms, got "
+                             f"{type(data).__name__}")
         terms = {}
         for item in data:
             if set(item) != {"coeff", "exps"}:
                 raise ValueError("polynomial term must have exactly coeff and exps")
+            if not isinstance(item["exps"], list):
+                raise ValueError("exps must be a list of exponents")
             exps = tuple(item["exps"])
             coeff = rational(item["coeff"])
             if exps in terms:
@@ -478,6 +483,9 @@ class PolyTensor:
 
     @classmethod
     def from_json(cls, base_dim: int, groups, data) -> "PolyTensor":
+        if not isinstance(data, list):
+            raise ValueError("tensor must be a list of entries, got "
+                             f"{type(data).__name__}")
         out = cls(base_dim, groups)
         for item in data:
             if set(item) != {"idx", "val"}:

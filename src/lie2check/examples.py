@@ -8,7 +8,7 @@ examples).
 
 from __future__ import annotations
 
-from .exactpoly import Polynomial, PolyMatrix, PolyTensor
+from .exactpoly import Polynomial, PolyMatrix
 from .bundle import (
     AnchoredBundle, BaseSpace, DullBracket, LieAlgebroidData,
     LinearConnection, TwoRepData,
@@ -113,16 +113,19 @@ def so3_lie2() -> Dorfman2Rep:
                        Dorfman2Rep.curv_tensor(1, 3, 0))
 
 
+def tm_r1_identity_2rep() -> TwoRepData:
+    """The identity 2-representation id : TM -> TM of TM over R^1 with
+    flat connections."""
+    alg = _tm_algebroid(1)
+    flat = LinearConnection(alg.bundle, 1, [[[_zero(1)]]])
+    return TwoRepData(alg, 1, 1, PolyMatrix.identity(1, 1), flat, flat,
+                      TwoRepData.curv_tensor(1, 1, 1, 1))
+
+
 def semidirect_flat() -> Dorfman2Rep:
     """Semidirect product for the identity 2-representation of TM over
     R^1 with flat connections."""
-    base = _base(1)
-    bundle = AnchoredBundle(base, 1, PolyMatrix.identity(1, 1))
-    alg = LieAlgebroidData(bundle, DullBracket(bundle, [[[_zero(1)]]]))
-    flat = LinearConnection(bundle, 1, [[[_zero(1)]]])
-    curv = PolyTensor(1, [(1, 2, True), (1, 1, False), (1, 1, False)])
-    rep = TwoRepData(alg, 1, 1, PolyMatrix.identity(1, 1), flat, flat, curv)
-    return semidirect_dorfman2rep(rep)
+    return semidirect_dorfman2rep(tm_r1_identity_2rep())
 
 
 def broken_so3_bad_jacobi() -> SplitLie2Data:
@@ -166,6 +169,7 @@ def broken_so3_string_l1() -> SplitLie2Data:
 
 
 def _tm_algebroid(base_dim):
+    """The tangent Lie algebroid of R^base_dim in the coordinate frame."""
     base = _base(base_dim)
     bundle = AnchoredBundle(base, base_dim,
                             PolyMatrix.identity(base_dim, base_dim))
@@ -173,6 +177,11 @@ def _tm_algebroid(base_dim):
     comps = [[[z for _ in range(base_dim)] for _ in range(base_dim)]
              for _ in range(base_dim)]
     return LieAlgebroidData(bundle, DullBracket(bundle, comps))
+
+
+def tm_r2_algebroid() -> LieAlgebroidData:
+    """The tangent Lie algebroid of R^2."""
+    return _tm_algebroid(2)
 
 
 def euclidean_selfdual_r1() -> SelfDual2Rep:
@@ -238,7 +247,7 @@ def unit_matched_point() -> MatchedPair2Reps:
     algB = LieAlgebroidData(B, DullBracket(B, [[[_zero(1)]]]))
     unit = PolyMatrix.identity(1, 1)
     conn = lambda bundle: LinearConnection(bundle, 1, [[[_one(1)]]])
-    curv = PolyTensor(1, [(1, 2, True), (1, 1, False), (1, 1, False)])
+    curv = TwoRepData.curv_tensor(1, 1, 1, 1)
     return MatchedPair2Reps(algA, algB, 1, unit, unit,
                             conn(A), conn(A), conn(B), conn(B),
                             curv, curv.copy())
@@ -257,8 +266,8 @@ def _axb_matched(broken=False) -> MatchedPair2Reps:
     cBA = LinearConnection(B, 1, [[[_one(1) if broken else _zero(1)]]])
     cAC = LinearConnection(A, 0, [[]])
     cBC = LinearConnection(B, 0, [[]])
-    curvAB = PolyTensor(1, [(1, 2, True), (1, 1, False), (0, 1, False)])
-    curvBA = PolyTensor(1, [(1, 2, True), (1, 1, False), (0, 1, False)])
+    curvAB = MatchedPair2Reps.curv_tensor(1, 1, 1, 0)
+    curvBA = MatchedPair2Reps.curv_tensor(1, 1, 1, 0)
     return MatchedPair2Reps(algA, algB, 0, PolyMatrix(1, 1, 0),
                             PolyMatrix(1, 1, 0), cAB, cAC, cBA, cBC,
                             curvAB, curvBA)
@@ -374,6 +383,8 @@ EXAMPLES = {
     "so3_symplectic_pair": (so3_symplectic_pair, None),
     "so3_poisson_pair": (so3_poisson_pair, None),
     "so3_e3_dirac": (so3_e3_dirac, None),
+    "tm_r2_algebroid": (tm_r2_algebroid, None),
+    "tm_r1_identity_2rep": (tm_r1_identity_2rep, None),
     "broken_so3_bad_jacobi": (broken_so3_bad_jacobi, ["D4_delta"]),
     "broken_r4_nonclosed": (broken_r4_nonclosed, ["D6"]),
     "broken_so3_string_l1": (broken_so3_string_l1, ["D1"]),

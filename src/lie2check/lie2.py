@@ -258,6 +258,11 @@ class Dorfman2Rep:
         return PolyTensor(base_dim,
                           [(rank_q, 2, True), (rank_b, 1, False), (rank_q, 1, False)])
 
+    @classmethod
+    def phi_tensor(cls, base_dim, rank_q, rank_b) -> PolyTensor:
+        """The layout of a change of splitting phi (see change_splitting)."""
+        return PolyTensor(base_dim, [(rank_q, 2, True), (rank_b, 1, False)])
+
     @property
     def rank_q(self):
         return self.bundle.rank

@@ -44,6 +44,12 @@ class MatchedPair2Reps:
     curvAB: PolyTensor
     curvBA: PolyTensor
 
+    @classmethod
+    def curv_tensor(cls, base_dim, rank_x, rank_y, rank_c) -> PolyTensor:
+        """R_XY(x_i, x_j) as a Hom(Y, C) block: the curvature layout of
+        the 2-representation of X on Y -> C."""
+        return TwoRepData.curv_tensor(base_dim, rank_x, rank_y, rank_c)
+
     @property
     def rank_a(self):
         return self.algA.bundle.rank
@@ -348,7 +354,7 @@ def decompose_bicrossproduct(split: SplitLie2Data, rank_a: int
     nablaAC = LinearConnection(bundleA, rc, gammaC[:ra])
     nablaBC = LinearConnection(bundleB, rc, gammaC[ra:])
 
-    curvAB = PolyTensor(p, [(ra, 2, True), (rb, 1, False), (rc, 1, False)])
+    curvAB = MatchedPair2Reps.curv_tensor(p, ra, rb, rc)
     for i in range(ra):
         for j in range(i + 1, ra):
             for r in range(rb):
@@ -356,7 +362,7 @@ def decompose_bicrossproduct(split: SplitLie2Data, rank_a: int
                     entry = split.l3.get(i, j, ra + r, m)
                     if not entry.is_zero():
                         curvAB.set((i, j, r, m), entry)
-    curvBA = PolyTensor(p, [(rb, 2, True), (ra, 1, False), (rc, 1, False)])
+    curvBA = MatchedPair2Reps.curv_tensor(p, rb, ra, rc)
     for i in range(rb):
         for j in range(i + 1, rb):
             for r in range(ra):

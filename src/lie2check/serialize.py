@@ -1,13 +1,23 @@
 """Versioned JSON serialization for every structure kind.
 
 Every document carries {"format": 1, "kind": <tag>, ...payload...} plus
-the optional metadata fields "name" and "expect_fail".  Unknown fields
-are rejected.
+the optional metadata fields "name" (a string) and "expect_fail" (a list
+of strings).  Unknown fields are rejected.
+
+Each kind is one row of ``_KINDS``: its data class, the field holding
+the base dimension of its polynomials, its fields and a build step that
+calls the constructor.  A field is a JSON name, a column type and the
+attribute path that encodes it (the JSON name when omitted).  A column
+type is a ``Count``, ``Matrix``, ``Components`` or ``Tensor``, or the
+name of a nested kind; its dimensions name earlier fields, and a nested
+kind's own fields as "<field>.<subfield>".  ``encode_structure`` and
+``decode_structure`` walk the table.
 """
 
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 
 from .exactpoly import Polynomial, PolyMatrix, PolyTensor
 from .bundle import (
@@ -28,28 +38,55 @@ class SchemaError(ValueError):
     """Raised when a document does not match the expected schema."""
 
 
+def decoding(context, decode, *args):
+    """decode(*args), with a malformed input reported as a SchemaError
+    that names ``context``."""
+    try:
+        return decode(*args)
+    except SchemaError:
+        raise
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        raise SchemaError(f"{context}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
-# low-level helpers
+# column types: decode(data, base_dim, *dims) takes the values of the
+# fields that ``dims`` names (the CLI's side-file loaders pass them
+# directly) and raises ValueError, TypeError, KeyError or IndexError on
+# malformed data
 
 
-def _require(data, fields, context):
-    if not isinstance(data, dict):
-        raise SchemaError(f"{context}: expected a JSON object")
-    extra = set(data) - set(fields)
-    missing = set(fields) - set(data)
-    if extra:
-        raise SchemaError(f"{context}: unknown fields {sorted(extra)}")
-    if missing:
-        raise SchemaError(f"{context}: missing fields {sorted(missing)}")
+class Count:
+    """A rank or dimension: a non-negative int (bool is rejected)."""
+
+    dims = ()
+
+    def encode(self, value):
+        return value
+
+    def decode(self, data, base_dim):
+        if isinstance(data, bool) or not isinstance(data, int) or data < 0:
+            raise ValueError(f"expected a non-negative integer, got {data!r}")
+        return data
 
 
-def _count(data, field, context):
-    """A rank or dimension field: a non-negative int (bool is rejected)."""
-    value = data[field]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise SchemaError(f"{context}.{field}: expected a non-negative "
-                          f"integer, got {value!r}")
-    return value
+class Matrix:
+    """A rows x cols polynomial matrix; with cols None the width is
+    taken from the data."""
+
+    def __init__(self, rows, cols):
+        self.dims = (rows,) if cols is None else (rows, cols)
+
+    def encode(self, value):
+        return value.to_json()
+
+    def decode(self, data, base_dim, rows, cols=None):
+        if not isinstance(data, list) or \
+                not all(isinstance(row, list) for row in data):
+            raise ValueError("expected a list of rows")
+        if cols is None:
+            cols = len(data[0]) if data else 0
+        return PolyMatrix.from_json(base_dim, rows, cols, data)
 
 
 def _has_shape(data, shape):
@@ -60,318 +97,237 @@ def _has_shape(data, shape):
         all(_has_shape(item, shape[1:]) for item in data)
 
 
-def _matrix_json(mat: PolyMatrix):
-    return mat.to_json()
+class Components:
+    """Frame components: a three-level nested list of polynomials, such
+    as bracket structure functions or Christoffel symbols."""
 
+    def __init__(self, *shape):
+        self.dims = shape
 
-def _matrix_load(base_dim, rows, cols, data, context):
-    try:
-        return PolyMatrix.from_json(base_dim, rows, cols, data)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise SchemaError(f"{context}: {exc}") from exc
+    def encode(self, value):
+        return [[[e.to_json() for e in row] for row in plane]
+                for plane in value]
 
-
-def _comps_json(comps):
-    return [[[e.to_json() for e in row] for row in plane] for plane in comps]
-
-
-def _comps_load(base_dim, shape, data, context):
-    if not _has_shape(data, shape):
-        raise SchemaError(f"{context}: component shape mismatch")
-    try:
+    def decode(self, data, base_dim, *shape):
+        if not _has_shape(data, shape):
+            raise ValueError("component shape mismatch")
         return [[[Polynomial.from_json(base_dim, e) for e in row]
                  for row in plane] for plane in data]
-    except (ValueError, TypeError, KeyError) as exc:
-        raise SchemaError(f"{context}: {exc}") from exc
 
 
-def _tensor_load(base_dim, groups, data, context):
-    try:
+class Tensor:
+    """A PolyTensor whose index layout is the data class's factory,
+    called as factory(base_dim, *dims)."""
+
+    def __init__(self, factory, *dims):
+        self.factory = factory
+        self.dims = dims
+
+    def encode(self, value):
+        return value.to_json()
+
+    def decode(self, data, base_dim, *dims):
+        groups = self.factory(base_dim, *dims).groups
         return PolyTensor.from_json(base_dim, groups, data)
-    except (ValueError, TypeError, KeyError, IndexError) as exc:
-        raise SchemaError(f"{context}: {exc}") from exc
+
+
+COUNT = Count()
 
 
 # ---------------------------------------------------------------------------
-# per-kind payload encoders/decoders
+# the table
 
 
-def _algebroid_payload(alg: LieAlgebroidData):
-    return {
-        "base_dim": alg.bundle.base_dim,
-        "rank": alg.bundle.rank,
-        "anchor": _matrix_json(alg.bundle.anchor),
-        "bracket": _comps_json(alg.bracket.comps),
-    }
+class Kind:
+    """One file kind, one row of the table: see the module docstring."""
+
+    def __init__(self, cls, base, fields, build):
+        self.cls = cls
+        self.base = base
+        self.fields = [(name, column, path[0] if path else name)
+                       for name, column, *path in fields]
+        self.build = build
+
+    def encode(self, obj):
+        payload = {}
+        for name, column, path in self.fields:
+            if isinstance(column, str):
+                column = _KINDS[column]
+            payload[name] = column.encode(attrgetter(path)(obj))
+        return payload
+
+    def decode(self, data, context):
+        """The structure and the decoded value of each field, a nested
+        kind's fields included as "<field>.<subfield>"."""
+        if not isinstance(data, dict):
+            raise SchemaError(f"{context}: expected a JSON object")
+        names = {name for name, _, _ in self.fields}
+        extra = data.keys() - names
+        missing = names - data.keys()
+        if extra:
+            raise SchemaError(f"{context}: unknown fields {sorted(extra)}")
+        if missing:
+            raise SchemaError(f"{context}: missing fields {sorted(missing)}")
+        values = {}
+        for name, column, _ in self.fields:
+            where = f"{context}.{name}"
+            if isinstance(column, str):
+                values[name], nested = _KINDS[column].decode(data[name], where)
+                values.update((f"{name}.{k}", v) for k, v in nested.items())
+            else:
+                values[name] = decoding(
+                    where, column.decode, data[name], values.get(self.base),
+                    *(values[dim] for dim in column.dims))
+        return decoding(context, self.build, values), values
 
 
-def _algebroid_load(data, context):
-    _require(data, ("base_dim", "rank", "anchor", "bracket"), context)
-    p, r = _count(data, "base_dim", context), _count(data, "rank", context)
-    base = BaseSpace(p)
-    anchor = _matrix_load(p, p, r, data["anchor"], context + ".anchor")
-    bundle = AnchoredBundle(base, r, anchor)
-    comps = _comps_load(p, (r, r, r), data["bracket"], context + ".bracket")
-    return LieAlgebroidData(bundle, DullBracket(bundle, comps))
+def _bundle(v, rank):
+    return AnchoredBundle(BaseSpace(v["base_dim"]), v[rank], v["anchor"])
 
 
-def _encode_liealgebroid(alg: LieAlgebroidData):
-    return _algebroid_payload(alg)
+def _algebroid(v):
+    bundle = _bundle(v, "rank")
+    return LieAlgebroidData(bundle, DullBracket(bundle, v["bracket"]))
 
 
-def _decode_liealgebroid(data):
-    return _algebroid_load(data, "liealgebroid")
+def _tworep(v):
+    bundle = v["algebroid"].bundle
+    return TwoRepData(v["algebroid"], v["rank_b"], v["rank_c"], v["partial"],
+                      LinearConnection(bundle, v["rank_b"], v["connB"]),
+                      LinearConnection(bundle, v["rank_c"], v["connC"]),
+                      v["curv"])
 
 
-def _encode_tworep(rep: TwoRepData):
-    return {
-        "algebroid": _algebroid_payload(rep.algebroid),
-        "rank_b": rep.rank_b,
-        "rank_c": rep.rank_c,
-        "partial": _matrix_json(rep.partial),
-        "connB": _comps_json(rep.connB.gamma),
-        "connC": _comps_json(rep.connC.gamma),
-        "curv": rep.curv.to_json(),
-    }
+def _dorfman2rep(v):
+    bundle = _bundle(v, "rank_q")
+    return Dorfman2Rep(bundle, v["rank_b"], v["partial_b"],
+                       DorfmanConnection(bundle, v["delta"]),
+                       LinearConnection(bundle, v["rank_b"], v["nablaB"]),
+                       v["curv"])
 
 
-def _decode_tworep(data):
-    _require(data, ("algebroid", "rank_b", "rank_c", "partial", "connB",
-                    "connC", "curv"), "tworep")
-    alg = _algebroid_load(data["algebroid"], "tworep.algebroid")
-    p = alg.bundle.base_dim
-    ra = alg.bundle.rank
-    rb, rc = _count(data, "rank_b", "tworep"), _count(data, "rank_c", "tworep")
-    partial = _matrix_load(p, rb, rc, data["partial"], "tworep.partial")
-    connB = LinearConnection(alg.bundle, rb, _comps_load(
-        p, (ra, rb, rb), data["connB"], "tworep.connB"))
-    connC = LinearConnection(alg.bundle, rc, _comps_load(
-        p, (ra, rc, rc), data["connC"], "tworep.connC"))
-    curv = _tensor_load(p, [(ra, 2, True), (rb, 1, False), (rc, 1, False)],
-                        data["curv"], "tworep.curv")
-    return TwoRepData(alg, rb, rc, partial, connB, connC, curv)
+def _splitlie2(v):
+    bundle = _bundle(v, "rank_q")
+    return SplitLie2Data(bundle, v["rank_b"], v["l1"],
+                         DullBracket(bundle, v["bracket"]),
+                         LinearConnection(bundle, v["rank_b"], v["nablaB"]),
+                         v["l3"])
 
 
-def _encode_dorfman2rep(rep: Dorfman2Rep):
-    return {
-        "base_dim": rep.bundle.base_dim,
-        "rank_q": rep.rank_q,
-        "rank_b": rep.rank_b,
-        "anchor": _matrix_json(rep.bundle.anchor),
-        "partial_b": _matrix_json(rep.partial_b),
-        "delta": _comps_json(rep.delta.comps),
-        "nablaB": _comps_json(rep.nablaB.gamma),
-        "curv": rep.curv.to_json(),
-    }
+def _selfdual2rep(v):
+    alg = v["algebroid"]
+    return SelfDual2Rep(alg, v["rank_q"], v["partial_q"],
+                        LinearConnection(alg.bundle, v["rank_q"], v["nablaQ"]),
+                        v["curvB"])
 
 
-def _decode_dorfman2rep(data):
-    _require(data, ("base_dim", "rank_q", "rank_b", "anchor", "partial_b",
-                    "delta", "nablaB", "curv"), "dorfman2rep")
-    p = _count(data, "base_dim", "dorfman2rep")
-    rq = _count(data, "rank_q", "dorfman2rep")
-    rb = _count(data, "rank_b", "dorfman2rep")
-    base = BaseSpace(p)
-    anchor = _matrix_load(p, p, rq, data["anchor"], "dorfman2rep.anchor")
-    bundle = AnchoredBundle(base, rq, anchor)
-    partial_b = _matrix_load(p, rb, rq, data["partial_b"],
-                             "dorfman2rep.partial_b")
-    delta = DorfmanConnection(bundle, _comps_load(
-        p, (rq, rq, rq), data["delta"], "dorfman2rep.delta"))
-    nablaB = LinearConnection(bundle, rb, _comps_load(
-        p, (rq, rb, rb), data["nablaB"], "dorfman2rep.nablaB"))
-    curv = _tensor_load(p, [(rq, 2, True), (rb, 1, False), (rq, 1, False)],
-                        data["curv"], "dorfman2rep.curv")
-    return Dorfman2Rep(bundle, rb, partial_b, delta, nablaB, curv)
-
-
-def _encode_splitlie2(split: SplitLie2Data):
-    return {
-        "base_dim": split.bundle.base_dim,
-        "rank_q": split.rank_q,
-        "rank_b": split.rank_b,
-        "anchor": _matrix_json(split.bundle.anchor),
-        "l1": _matrix_json(split.l1),
-        "bracket": _comps_json(split.bracket.comps),
-        "nablaB": _comps_json(split.nablaB.gamma),
-        "l3": split.l3.to_json(),
-    }
-
-
-def _decode_splitlie2(data):
-    _require(data, ("base_dim", "rank_q", "rank_b", "anchor", "l1",
-                    "bracket", "nablaB", "l3"), "splitlie2")
-    p = _count(data, "base_dim", "splitlie2")
-    rq = _count(data, "rank_q", "splitlie2")
-    rb = _count(data, "rank_b", "splitlie2")
-    base = BaseSpace(p)
-    anchor = _matrix_load(p, p, rq, data["anchor"], "splitlie2.anchor")
-    bundle = AnchoredBundle(base, rq, anchor)
-    l1 = _matrix_load(p, rq, rb, data["l1"], "splitlie2.l1")
-    bracket = DullBracket(bundle, _comps_load(
-        p, (rq, rq, rq), data["bracket"], "splitlie2.bracket"))
-    nablaB = LinearConnection(bundle, rb, _comps_load(
-        p, (rq, rb, rb), data["nablaB"], "splitlie2.nablaB"))
-    l3 = _tensor_load(p, [(rq, 3, True), (rb, 1, False)], data["l3"],
-                      "splitlie2.l3")
-    return SplitLie2Data(bundle, rb, l1, bracket, nablaB, l3)
-
-
-def _encode_selfdual2rep(rep: SelfDual2Rep):
-    return {
-        "algebroid": _algebroid_payload(rep.algebroid),
-        "rank_q": rep.rank_q,
-        "partial_q": _matrix_json(rep.partial_q),
-        "nablaQ": _comps_json(rep.nablaQ.gamma),
-        "curvB": rep.curvB.to_json(),
-    }
-
-
-def _decode_selfdual2rep(data):
-    _require(data, ("algebroid", "rank_q", "partial_q", "nablaQ", "curvB"),
-             "selfdual2rep")
-    alg = _algebroid_load(data["algebroid"], "selfdual2rep.algebroid")
-    p = alg.bundle.base_dim
-    rb = alg.bundle.rank
-    rq = _count(data, "rank_q", "selfdual2rep")
-    partial_q = _matrix_load(p, rq, rq, data["partial_q"],
-                             "selfdual2rep.partial_q")
-    nablaQ = LinearConnection(alg.bundle, rq, _comps_load(
-        p, (rb, rq, rq), data["nablaQ"], "selfdual2rep.nablaQ"))
-    curvB = _tensor_load(p, [(rb, 2, True), (rq, 1, False), (rq, 1, False)],
-                         data["curvB"], "selfdual2rep.curvB")
-    return SelfDual2Rep(alg, rq, partial_q, nablaQ, curvB)
-
-
-def _encode_matched2reps(pair: MatchedPair2Reps):
-    return {
-        "algA": _algebroid_payload(pair.algA),
-        "algB": _algebroid_payload(pair.algB),
-        "rank_c": pair.rank_c,
-        "partialA": _matrix_json(pair.partialA),
-        "partialB": _matrix_json(pair.partialB),
-        "nablaAB": _comps_json(pair.nablaAB.gamma),
-        "nablaAC": _comps_json(pair.nablaAC.gamma),
-        "nablaBA": _comps_json(pair.nablaBA.gamma),
-        "nablaBC": _comps_json(pair.nablaBC.gamma),
-        "curvAB": pair.curvAB.to_json(),
-        "curvBA": pair.curvBA.to_json(),
-    }
-
-
-def _decode_matched2reps(data):
-    _require(data, ("algA", "algB", "rank_c", "partialA", "partialB",
-                    "nablaAB", "nablaAC", "nablaBA", "nablaBC",
-                    "curvAB", "curvBA"), "matched2reps")
-    algA = _algebroid_load(data["algA"], "matched2reps.algA")
-    algB = _algebroid_load(data["algB"], "matched2reps.algB")
-    p = algA.bundle.base_dim
-    ra, rb = algA.bundle.rank, algB.bundle.rank
-    rc = _count(data, "rank_c", "matched2reps")
-    partialA = _matrix_load(p, ra, rc, data["partialA"],
-                            "matched2reps.partialA")
-    partialB = _matrix_load(p, rb, rc, data["partialB"],
-                            "matched2reps.partialB")
-    nablaAB = LinearConnection(algA.bundle, rb, _comps_load(
-        p, (ra, rb, rb), data["nablaAB"], "matched2reps.nablaAB"))
-    nablaAC = LinearConnection(algA.bundle, rc, _comps_load(
-        p, (ra, rc, rc), data["nablaAC"], "matched2reps.nablaAC"))
-    nablaBA = LinearConnection(algB.bundle, ra, _comps_load(
-        p, (rb, ra, ra), data["nablaBA"], "matched2reps.nablaBA"))
-    nablaBC = LinearConnection(algB.bundle, rc, _comps_load(
-        p, (rb, rc, rc), data["nablaBC"], "matched2reps.nablaBC"))
-    curvAB = _tensor_load(p, [(ra, 2, True), (rb, 1, False), (rc, 1, False)],
-                          data["curvAB"], "matched2reps.curvAB")
-    curvBA = _tensor_load(p, [(rb, 2, True), (ra, 1, False), (rc, 1, False)],
-                          data["curvBA"], "matched2reps.curvBA")
-    return MatchedPair2Reps(algA, algB, rc, partialA, partialB,
-                            nablaAB, nablaAC, nablaBA, nablaBC,
-                            curvAB, curvBA)
-
-
-def _encode_lapair(pair: LAPairData):
-    return {
-        "selfdual": _encode_selfdual2rep(pair.selfdual),
-        "dorfman": _encode_dorfman2rep(pair.dorfman),
-    }
-
-
-def _decode_lapair(data):
-    _require(data, ("selfdual", "dorfman"), "lapair")
-    return LAPairData(_decode_selfdual2rep(data["selfdual"]),
-                      _decode_dorfman2rep(data["dorfman"]))
-
-
-def _encode_courant(ca: DegenerateCourant):
-    return {
-        "base_dim": ca.base_dim,
-        "rank": ca.rank,
-        "rho": _matrix_json(ca.rho),
-        "pairing": _matrix_json(ca.pairing),
-        "bracket": _comps_json(ca.bracket_comps),
-        "Dmap": _matrix_json(ca.dmat),
-    }
-
-
-def _decode_courant(data):
-    _require(data, ("base_dim", "rank", "rho", "pairing", "bracket", "Dmap"),
-             "courant")
-    p, n = _count(data, "base_dim", "courant"), _count(data, "rank", "courant")
-    base = BaseSpace(p)
-    rho = _matrix_load(p, p, n, data["rho"], "courant.rho")
-    pairing = _matrix_load(p, n, n, data["pairing"], "courant.pairing")
-    comps = _comps_load(p, (n, n, n), data["bracket"], "courant.bracket")
-    dmat = _matrix_load(p, n, p, data["Dmap"], "courant.Dmap")
-    return DegenerateCourant(base, n, rho, pairing, comps, dmat)
-
-
-def _encode_dirac(data: DiracData):
-    return {
-        "base_dim": data.u_incl.base_dim,
-        "rank_q": data.u_incl.rows,
-        "rank_b": data.bprime_incl.rows,
-        "U": _matrix_json(data.u_incl),
-        "Bprime": _matrix_json(data.bprime_incl),
-    }
-
-
-def _decode_dirac(data):
-    _require(data, ("base_dim", "rank_q", "rank_b", "U", "Bprime"), "dirac")
-    p = _count(data, "base_dim", "dirac")
-    rq, rb = _count(data, "rank_q", "dirac"), _count(data, "rank_b", "dirac")
-    u, bp = data["U"], data["Bprime"]
-    for mat, context in ((u, "dirac.U"), (bp, "dirac.Bprime")):
-        if not isinstance(mat, list) or \
-                not all(isinstance(row, list) for row in mat):
-            raise SchemaError(f"{context}: expected a list of rows")
-    u_cols = len(u[0]) if u else 0
-    bp_cols = len(bp[0]) if bp else 0
-    u_incl = _matrix_load(p, rq, u_cols, u, "dirac.U")
-    bprime = _matrix_load(p, rb, bp_cols, bp, "dirac.Bprime")
-    try:
-        return DiracData(u_incl, bprime)
-    except ValueError as exc:
-        raise SchemaError(f"dirac: {exc}") from exc
+def _matched2reps(v):
+    a, b = v["algA"].bundle, v["algB"].bundle
+    ra, rb, rc = a.rank, b.rank, v["rank_c"]
+    return MatchedPair2Reps(v["algA"], v["algB"], rc, v["partialA"],
+                            v["partialB"],
+                            LinearConnection(a, rb, v["nablaAB"]),
+                            LinearConnection(a, rc, v["nablaAC"]),
+                            LinearConnection(b, ra, v["nablaBA"]),
+                            LinearConnection(b, rc, v["nablaBC"]),
+                            v["curvAB"], v["curvBA"])
 
 
 _KINDS = {
-    "liealgebroid": (LieAlgebroidData, _encode_liealgebroid,
-                     _decode_liealgebroid),
-    "tworep": (TwoRepData, _encode_tworep, _decode_tworep),
-    "dorfman2rep": (Dorfman2Rep, _encode_dorfman2rep, _decode_dorfman2rep),
-    "splitlie2": (SplitLie2Data, _encode_splitlie2, _decode_splitlie2),
-    "selfdual2rep": (SelfDual2Rep, _encode_selfdual2rep, _decode_selfdual2rep),
-    "matched2reps": (MatchedPair2Reps, _encode_matched2reps,
-                     _decode_matched2reps),
-    "lapair": (LAPairData, _encode_lapair, _decode_lapair),
-    "courant": (DegenerateCourant, _encode_courant, _decode_courant),
-    "dirac": (DiracData, _encode_dirac, _decode_dirac),
+    "liealgebroid": Kind(LieAlgebroidData, "base_dim", [
+        ("base_dim", COUNT, "bundle.base_dim"),
+        ("rank", COUNT, "bundle.rank"),
+        ("anchor", Matrix("base_dim", "rank"), "bundle.anchor"),
+        ("bracket", Components("rank", "rank", "rank"), "bracket.comps"),
+    ], _algebroid),
+    "tworep": Kind(TwoRepData, "algebroid.base_dim", [
+        ("algebroid", "liealgebroid"),
+        ("rank_b", COUNT),
+        ("rank_c", COUNT),
+        ("partial", Matrix("rank_b", "rank_c")),
+        ("connB", Components("algebroid.rank", "rank_b", "rank_b"),
+         "connB.gamma"),
+        ("connC", Components("algebroid.rank", "rank_c", "rank_c"),
+         "connC.gamma"),
+        ("curv", Tensor(TwoRepData.curv_tensor, "algebroid.rank", "rank_b",
+                        "rank_c")),
+    ], _tworep),
+    "dorfman2rep": Kind(Dorfman2Rep, "base_dim", [
+        ("base_dim", COUNT, "bundle.base_dim"),
+        ("rank_q", COUNT),
+        ("rank_b", COUNT),
+        ("anchor", Matrix("base_dim", "rank_q"), "bundle.anchor"),
+        ("partial_b", Matrix("rank_b", "rank_q")),
+        ("delta", Components("rank_q", "rank_q", "rank_q"), "delta.comps"),
+        ("nablaB", Components("rank_q", "rank_b", "rank_b"), "nablaB.gamma"),
+        ("curv", Tensor(Dorfman2Rep.curv_tensor, "rank_q", "rank_b")),
+    ], _dorfman2rep),
+    "splitlie2": Kind(SplitLie2Data, "base_dim", [
+        ("base_dim", COUNT, "bundle.base_dim"),
+        ("rank_q", COUNT),
+        ("rank_b", COUNT),
+        ("anchor", Matrix("base_dim", "rank_q"), "bundle.anchor"),
+        ("l1", Matrix("rank_q", "rank_b")),
+        ("bracket", Components("rank_q", "rank_q", "rank_q"),
+         "bracket.comps"),
+        ("nablaB", Components("rank_q", "rank_b", "rank_b"), "nablaB.gamma"),
+        ("l3", Tensor(SplitLie2Data.l3_tensor, "rank_q", "rank_b")),
+    ], _splitlie2),
+    "selfdual2rep": Kind(SelfDual2Rep, "algebroid.base_dim", [
+        ("algebroid", "liealgebroid"),
+        ("rank_q", COUNT),
+        ("partial_q", Matrix("rank_q", "rank_q")),
+        ("nablaQ", Components("algebroid.rank", "rank_q", "rank_q"),
+         "nablaQ.gamma"),
+        ("curvB", Tensor(SelfDual2Rep.curv_tensor, "algebroid.rank",
+                         "rank_q")),
+    ], _selfdual2rep),
+    "matched2reps": Kind(MatchedPair2Reps, "algA.base_dim", [
+        ("algA", "liealgebroid"),
+        ("algB", "liealgebroid"),
+        ("rank_c", COUNT),
+        ("partialA", Matrix("algA.rank", "rank_c")),
+        ("partialB", Matrix("algB.rank", "rank_c")),
+        ("nablaAB", Components("algA.rank", "algB.rank", "algB.rank"),
+         "nablaAB.gamma"),
+        ("nablaAC", Components("algA.rank", "rank_c", "rank_c"),
+         "nablaAC.gamma"),
+        ("nablaBA", Components("algB.rank", "algA.rank", "algA.rank"),
+         "nablaBA.gamma"),
+        ("nablaBC", Components("algB.rank", "rank_c", "rank_c"),
+         "nablaBC.gamma"),
+        ("curvAB", Tensor(MatchedPair2Reps.curv_tensor, "algA.rank",
+                          "algB.rank", "rank_c")),
+        ("curvBA", Tensor(MatchedPair2Reps.curv_tensor, "algB.rank",
+                          "algA.rank", "rank_c")),
+    ], _matched2reps),
+    "lapair": Kind(LAPairData, None, [
+        ("selfdual", "selfdual2rep"),
+        ("dorfman", "dorfman2rep"),
+    ], lambda v: LAPairData(v["selfdual"], v["dorfman"])),
+    "courant": Kind(DegenerateCourant, "base_dim", [
+        ("base_dim", COUNT),
+        ("rank", COUNT),
+        ("rho", Matrix("base_dim", "rank")),
+        ("pairing", Matrix("rank", "rank")),
+        ("bracket", Components("rank", "rank", "rank"), "bracket_comps"),
+        ("Dmap", Matrix("rank", "base_dim"), "dmat"),
+    ], lambda v: DegenerateCourant(BaseSpace(v["base_dim"]), v["rank"],
+                                   v["rho"], v["pairing"], v["bracket"],
+                                   v["Dmap"])),
+    "dirac": Kind(DiracData, "base_dim", [
+        ("base_dim", COUNT, "u_incl.base_dim"),
+        ("rank_q", COUNT, "u_incl.rows"),
+        ("rank_b", COUNT, "bprime_incl.rows"),
+        ("U", Matrix("rank_q", None), "u_incl"),
+        ("Bprime", Matrix("rank_b", None), "bprime_incl"),
+    ], lambda v: DiracData(v["U"], v["Bprime"])),
 }
 
 
 def kind_of(obj) -> str:
-    for kind, (cls, _, _) in _KINDS.items():
-        if type(obj) is cls:
+    for kind, row in _KINDS.items():
+        if type(obj) is row.cls:
             return kind
     raise SchemaError(f"unsupported structure type: {type(obj).__name__}")
 
@@ -383,7 +339,7 @@ def encode_structure(obj, name=None, expect_fail=None) -> dict:
         doc["name"] = name
     if expect_fail is not None:
         doc["expect_fail"] = sorted(expect_fail)
-    doc.update(_KINDS[kind][1](obj))
+    doc.update(_KINDS[kind].encode(obj))
     return doc
 
 
@@ -391,15 +347,24 @@ def decode_structure(doc: dict):
     """Return (kind, structure, metadata) for a schema-valid document."""
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
-    if doc.get("format") != FORMAT_VERSION:
-        raise SchemaError(f"unsupported format: {doc.get('format')!r}")
+    version = doc.get("format")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise SchemaError(f"unsupported format: {version!r}")
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise SchemaError(f"unknown kind: {kind!r}")
     meta = {k: doc[k] for k in META_FIELDS if k in doc}
+    if not isinstance(meta.get("name", ""), str):
+        raise SchemaError(f"{kind}.name: expected a string, "
+                          f"got {meta['name']!r}")
+    labels = meta.get("expect_fail", [])
+    if not isinstance(labels, list) or \
+            not all(isinstance(label, str) for label in labels):
+        raise SchemaError(f"{kind}.expect_fail: expected a list of strings, "
+                          f"got {labels!r}")
     payload = {k: v for k, v in doc.items()
                if k not in ("format", "kind") + META_FIELDS}
-    obj = _KINDS[kind][2](payload)
+    obj, _ = _KINDS[kind].decode(payload, kind)
     return kind, obj, meta
 
 

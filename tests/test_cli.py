@@ -10,7 +10,7 @@ from lie2check.bundle import (
 )
 from lie2check.cli import main
 from lie2check.courant import DiracData
-from lie2check.examples import EXAMPLES
+from lie2check.examples import EXAMPLES, build_example
 from lie2check.exactpoly import EXP_BOUND, Polynomial, PolyMatrix
 
 SOUND = sorted(n for n in EXAMPLES if not n.startswith("broken_"))
@@ -101,6 +101,12 @@ def test_malformed_polynomial_term_is_exit_2(tmp_path, capsys, field, value):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def _payload(name):
+    """The fields of an example's document, without format and kind."""
+    doc = serialize.encode_structure(build_example(name)[0])
+    return {k: v for k, v in doc.items() if k not in ("format", "kind")}
+
+
 @pytest.mark.parametrize("example, field, value", [
     ("tm_r1_lie1", "base_dim", "abc"), ("tm_r1_lie1", "base_dim", -1),
     ("tm_r1_lie1", "base_dim", None), ("tm_r1_lie1", "base_dim", 1.0),
@@ -110,11 +116,24 @@ def test_malformed_polynomial_term_is_exit_2(tmp_path, capsys, field, value):
     ("so3_e3_dirac", "U", [[[]], [[]], [[]]]),
     ("so3_symplectic_pair", "selfdual", 5),
     ("standard_courant_r1", "kind", []), ("standard_courant_r1", "kind", {}),
+    ("tm_r1_lie1", "anchor/0/0", {}), ("tm_r1_lie1", "anchor/0/0", ""),
+    ("tm_r1_lie1", "bracket/0/0/0", {}), ("tm_r1_lie1", "bracket/0/0/0", ""),
+    ("euclidean_curved_r2", "curvB", {}), ("euclidean_curved_r2", "curvB", ""),
+    ("tm_r1_lie1", "format", True), ("tm_r1_lie1", "format", 1.0),
+    ("tm_r1_lie1", "name", 5), ("broken_so3_bad_jacobi", "expect_fail", "zz"),
+    ("broken_so3_bad_jacobi", "expect_fail", [5]),
+    # a Dorfman half whose B has rank 0 against a self-dual half of rank 3
+    ("so3_symplectic_pair", "dorfman", _payload("so3_lie2")),
 ])
 def test_malformed_field_is_exit_2(tmp_path, capsys, example, field, value):
+    """``field`` is a top-level field or a "/"-separated path into one."""
     path = _emit(tmp_path, example)
     doc = json.loads(path.read_text())
-    doc[field] = value
+    *parents, last = field.split("/")
+    node = doc
+    for key in parents:
+        node = node[int(key) if isinstance(node, list) else key]
+    node[int(last) if isinstance(node, list) else last] = value
     path.write_text(json.dumps(doc))
     inputs = [str(path)]
     if example in DIRAC_EXAMPLES:
@@ -291,6 +310,24 @@ def test_dirac_file_of_the_wrong_shape_is_exit_2(tmp_path, capsys, argv,
     assert main([*argv, str(pair), str(dirac)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: dirac ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("value", [{}, 5], ids=["object", "int"])
+@pytest.mark.parametrize("example, recipe, option", [
+    ("semidirect_flat", "change-splitting", "--phi"),
+    ("so3_lie2", "change-splitting", "--phi"),
+    ("so3_quadratic", "adjoint", "--connection"),
+])
+def test_malformed_side_file_is_exit_2(tmp_path, capsys, example, recipe,
+                                       option, value):
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps(value))
+    capsys.readouterr()
+    assert main(["construct", recipe, str(_emit(tmp_path, example)),
+                 option, str(side)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option[2:]} file {side}: ") \
+        and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("rank_a", ["-1", "99"])

@@ -133,6 +133,12 @@ def test_from_json_rejects_bad_terms():
     for exps in ([-1], [1.5], ["1"], [True]):
         with pytest.raises(ValueError):
             Polynomial.from_json(1, [{"coeff": "1", "exps": exps}])
+    for data in ({}, "", None):
+        with pytest.raises(ValueError):
+            Polynomial.from_json(1, data)
+    for exps in ({}, ""):   # as empty as the exponents over R^0, not lists
+        with pytest.raises(ValueError):
+            Polynomial.from_json(0, [{"coeff": "1", "exps": exps}])
 
 
 def _constant_matrix(rows):

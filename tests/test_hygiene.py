@@ -142,3 +142,27 @@ def test_no_hand_formatted_witness_tuples():
              for line in _tuple_witness_fstrings(path)]
     assert not found, "witness tuples formatted outside report.witness:\n" \
         + "\n".join(found)
+
+
+# Each file kind is one row of the schema table in ``serialize``; no kind
+# has a hand-written encoder or decoder of its own.
+def test_no_per_kind_encoders_or_decoders():
+    found = [f"{path.relative_to(ROOT)}:{n}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for n, line in enumerate(path.read_text(encoding="utf-8")
+                                      .splitlines(), 1)
+             if line.lstrip().startswith(("def _encode_", "def _decode_"))]
+    assert not found, "per-kind encoders or decoders:\n" + "\n".join(found)
+
+
+# A tensor's index layout is stated once, by its data class's factory
+# (``TwoRepData.curv_tensor`` and the like); the serializer and the CLI
+# take it from there.
+@pytest.mark.parametrize("module", ["serialize.py", "cli.py"])
+def test_no_literal_tensor_layouts(module):
+    path = ROOT / "src" / "lie2check" / module
+    found = [f"{path.relative_to(ROOT)}:{n}"
+             for n, line in enumerate(path.read_text(encoding="utf-8")
+                                      .splitlines(), 1)
+             if ", 2, True)" in line or ", 3, True)" in line]
+    assert not found, "literal tensor layouts:\n" + "\n".join(found)

@@ -1,5 +1,7 @@
 """JSON schema round trips and validation."""
 
+from pathlib import Path
+
 import pytest
 
 from lie2check import serialize
@@ -69,3 +71,42 @@ def test_non_object_rejected():
 def test_kind_of_rejects_foreign_objects():
     with pytest.raises(SchemaError):
         serialize.encode_structure(object())
+
+
+def test_every_kind_has_an_example_and_every_example_a_kind():
+    """With test_round_trip_is_stable, every table row is round-tripped."""
+    kinds = {serialize.kind_of(build_example(name)[0]) for name in EXAMPLES}
+    assert kinds == set(serialize._KINDS)
+
+
+def _column_text(column):
+    """A column type as the README's "File format" tables write it."""
+    if isinstance(column, str):
+        return "kind", f"`{column}`"
+    if isinstance(column, serialize.Count):
+        return "count", ""
+    dims = [f"`{dim}`" for dim in column.dims]
+    if isinstance(column, serialize.Matrix):
+        if len(dims) == 1:
+            dims.append("width of the data")
+        return "matrix", " × ".join(dims)
+    if isinstance(column, serialize.Components):
+        return "components", " × ".join(dims)
+    return "tensor", f"`{column.factory.__qualname__}`({', '.join(dims)})"
+
+
+def test_readme_file_format_matches_the_table():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = text.split("\n## File format\n", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for block in section.split("\n### ")[1:]:
+        kind = block.split("`")[1]
+        documented[kind] = [
+            tuple(cell.strip() for cell in line.strip("|").split("|"))
+            for line in block.splitlines()
+            if line.startswith("| `")]
+    assert documented == {
+        kind: [(f"`{name}`", *_column_text(column))
+               for name, column, _ in row.fields]
+        for kind, row in serialize._KINDS.items()}
