@@ -10,7 +10,7 @@ from functools import partial
 from itertools import combinations_with_replacement, product
 
 from .exactpoly import (
-    Polynomial, PolyMatrix, PolyTensor, random_polynomial, rank,
+    Polynomial, PolyMatrix, PolyTensor, dot, random_polynomial, rank,
 )
 from .report import CheckReport, sweep, witness
 from .bundle import (
@@ -69,15 +69,9 @@ class DegenerateCourant:
         return self.rho.apply(e)
 
     def pair(self, e1, e2) -> Polynomial:
-        out = Polynomial.zero(self.base_dim)
-        for i in range(self.rank):
-            if e1[i].is_zero():
-                continue
-            for j in range(self.rank):
-                if e2[j].is_zero():
-                    continue
-                out = out + e1[i] * self.pairing[i, j] * e2[j]
-        return out
+        """<e1, e2> = sum_i e1_i sum_j G_ij e2_j, with the zero skip and
+        base dimension checks of ``dot``."""
+        return dot(e1, self.pairing.apply(e2), self.base_dim)
 
     def dee(self, f: Polynomial):
         """D f: dmat applied to the gradient, each derivative taken once."""
@@ -107,6 +101,23 @@ class DegenerateCourant:
 
 def check_courant_axioms(ca: DegenerateCourant, seed: int = 0,
                          title: str = "Courant algebroid") -> CheckReport:
+    """Axioms CA1-CA5, D-compatibility and rho D = 0 on frames, the
+    coordinate functions and seeded random sections and functions.
+
+    Settles (see ``report``), with a side condition.  The bracket obeys
+    both Leibniz rules by construction and D is a derivation, so CA5
+    holds identically; CA4 is tensorial once rho_D_zero holds; CA3 once
+    G_symmetric holds (it is then symmetric); D_compat is tensorial in e
+    and a derivation in f, so the coordinates x_m suffice; CA2 is
+    tensorial once G_symmetric and D_compat hold.  With all of those,
+    multiplying one slot of CA1 by f multiplies it by f up to terms
+    <e, e'> K(e'', f), where K(e, f) = [[e, Df]] - D(rho(e) f) is
+    tensorial in e and a derivation in f.  So the side condition asks
+    that the pairing be zero or K vanish on frames and coordinates.
+    K = 0 follows from CA2 when the pairing is nondegenerate; for a
+    degenerate pairing it can fail while every frame entry passes, and
+    then the sampled tuples are evaluated.
+    """
     rng = _random.Random(seed)
     report = CheckReport(title, seed)
     p, n = ca.base_dim, ca.rank
@@ -116,43 +127,63 @@ def check_courant_axioms(ca: DegenerateCourant, seed: int = 0,
     sym = ca.pairing.add(ca.pairing.transpose().scale(-1))
     report.add("G_symmetric", sym.is_zero())
 
-    secs = ca.frames() + [random_section(rng, p, n), random_section(rng, p, n)]
-    funcs = [Polynomial.variable(p, m) for m in range(p)] + \
-        [random_polynomial(rng, p)]
+    frames = ca.frames()
+    coords = [Polynomial.variable(p, m) for m in range(p)]
+    secs = frames + report.sample([random_section(rng, p, n),
+                                   random_section(rng, p, n)])
+    funcs = coords + report.sample([random_polynomial(rng, p)])
 
-    for names, (e1, e2, e3) in sweep(("e", secs, 3, product)):
-        res = section_sub(
+    def ca1(e1, e2, e3):
+        return section_sub(
             bracket(e1, bracket(e2, e3)),
             section_add(bracket(bracket(e1, e2), e3),
                         bracket(e2, bracket(e1, e3))))
-        report.add_residual_section("CA1", res, witness(names))
-        res = field_apply(rho_field(e1), pair(e2, e3)) \
+
+    def ca2(e1, e2, e3):
+        return field_apply(rho_field(e1), pair(e2, e3)) \
             - pair(bracket(e1, e2), e3) \
             - pair(e2, bracket(e1, e3))
-        report.add_residual_poly("CA2", res, witness(names))
 
-    for names, (e1, e2) in sweep(("e", secs, 2,
-                                  combinations_with_replacement)):
-        res = section_sub(section_add(bracket(e1, e2), bracket(e2, e1)),
-                          dee(pair(e1, e2)))
-        report.add_residual_section("CA3", res, witness(names))
+    def ca3(e1, e2):
+        return section_sub(section_add(bracket(e1, e2), bracket(e2, e1)),
+                           dee(pair(e1, e2)))
+
+    def ca4(e1, e2):
+        return section_sub(rho_field(bracket(e1, e2)),
+                           field_bracket(rho_field(e1), rho_field(e2)))
+
+    def ca5(e1, f, e2):
+        return section_sub(
+            bracket(e1, section_smul(f, e2)),
+            section_add(section_smul(f, bracket(e1, e2)),
+                        section_smul(field_apply(rho_field(e1), f), e2)))
+
+    def d_compat(f, e):
+        return pair(dee(f), e) - field_apply(rho_field(e), f)
+
+    def ca1_tensorial():
+        """The pairing is zero or K(e_i, x_m) = 0 for every frame and
+        coordinate."""
+        return ca.pairing.is_zero() or all(
+            bracket(e, dee(x)) == dee(ca.rho[m, i])
+            for i, e in enumerate(frames) for m, x in enumerate(coords))
+
+    for names, es in sweep(("e", secs, 3, product)):
+        report.check("CA1", names, ca1, *es)
+        report.check("CA2", names, ca2, *es)
+
+    for names, es in sweep(("e", secs, 2, combinations_with_replacement)):
+        report.check("CA3", names, ca3, *es)
     for (n1, n2), (e1, e2) in sweep(("e", secs, 2, product)):
-        res = section_sub(rho_field(bracket(e1, e2)),
-                          field_bracket(rho_field(e1), rho_field(e2)))
-        report.add_residual_section("CA4", res, witness((n1, n2)))
+        report.check("CA4", (n1, n2), ca4, e1, e2)
         for (nf,), (f,) in sweep(("f", funcs)):
-            res = section_sub(
-                bracket(e1, section_smul(f, e2)),
-                section_add(section_smul(f, bracket(e1, e2)),
-                            section_smul(field_apply(rho_field(e1), f), e2)))
-            report.add_residual_section("CA5", res, witness((n1, nf, n2)))
+            report.check("CA5", (n1, nf, n2), ca5, e1, f, e2)
 
-    for names, (f, e) in sweep(("f", funcs), ("e", secs)):
-        res = pair(dee(f), e) - field_apply(rho_field(e), f)
-        report.add_residual_poly("D_compat", res, witness(names))
+    for names, args in sweep(("f", funcs), ("e", secs)):
+        report.check("D_compat", names, d_compat, *args)
     report.add("rho_D_zero", ca.rho.matmul(ca.dmat).is_zero(),
                witness="rho composed with D")
-    return report
+    return report.settle(ca1_tensorial)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +203,7 @@ def quadratic_lie_algebra(base: BaseSpace, comps, pairing: PolyMatrix
 def standard_courant(p: int) -> DegenerateCourant:
     """TM + T*M over R^p with the Dorfman bracket; frames are the
     coordinate fields followed by the coordinate differentials."""
-    base = BaseSpace(p, [f"x{m + 1}" for m in range(p)])
+    base = BaseSpace(p)
     n = 2 * p
     zero = Polynomial.zero(p)
     one = Polynomial.const(p, 1)
@@ -430,22 +461,27 @@ def core_courant(pair: LAPairData) -> DegenerateCourant:
     dmat = D.bundle.anchor.transpose()
 
     nQstar = S.nablaQstar()
-    comps = []
-    for i in range(n):
-        tau_i = unit_section(p, n, i)
-        row = []
-        for j in range(n):
-            tau_j = unit_section(p, n, j)
-            val = section_sub(
-                D.delta.apply(S.partial_q.apply(tau_i), tau_j),
-                nQstar.apply(D.partial_b.apply(tau_j), tau_i))
-            row.append(val)
-        comps.append(row)
+    taus = [unit_section(p, n, i) for i in range(n)]
+    comps = [[section_sub(D.delta.apply(S.partial_q.apply(tau_i), tau_j),
+                          nQstar.apply(D.partial_b.apply(tau_j), tau_i))
+              for tau_j in taus] for tau_i in taus]
     return DegenerateCourant(D.bundle.base, n, rho, pairing, comps, dmat)
 
 
 def check_core_courant(pair: LAPairData, seed: int = 0,
                        title: str = "core Courant algebroid") -> CheckReport:
+    """The Courant axioms of the core (``check_courant_axioms``), then
+    partial_B as a bracket morphism and [[D f, tau]] = 0, on frames, the
+    coordinate functions and seeded random sections and functions.
+
+    Settles (see ``report``), with a side condition.  exact_central is
+    tensorial in tau once rho_D_zero holds, and a derivation in f once
+    D_compat holds, so the coordinates x_m suffice.  partialB_bracket is
+    tensorial in its second slot once partialB_anchor holds, and in its
+    first once also <tau1, tau2> partial_B D f = 0: the side condition
+    partial_B D = 0, which holds when the Dorfman half satisfies
+    anchor_chain.
+    """
     rng = _random.Random(seed)
     ca = core_courant(pair)
     report = CheckReport(title, seed)
@@ -453,27 +489,29 @@ def check_core_courant(pair: LAPairData, seed: int = 0,
 
     S, D = pair.selfdual, pair.dorfman
     p, n = ca.base_dim, ca.rank
-    taus = ca.frames() + [random_section(rng, p, n)]
+    taus = ca.frames() + report.sample([random_section(rng, p, n)])
     algB = S.algebroid
     dee, partial_b = memo(ca.dee), memo(D.partial_b.apply)
     bracket = memo(partial(ca.bracket, dee))
 
-    for names, (t1, t2) in sweep(("tau", taus, 2, product)):
-        res = section_sub(partial_b(bracket(t1, t2)),
-                          algB.bracket.apply(partial_b(t1), partial_b(t2)))
-        report.add_residual_section("partialB_bracket", res, witness(names))
+    def partialB_bracket(t1, t2):
+        return section_sub(partial_b(bracket(t1, t2)),
+                           algB.bracket.apply(partial_b(t1), partial_b(t2)))
+
+    def exact_central(f, tau):
+        return bracket(dee(f), tau)
+
+    for names, args in sweep(("tau", taus, 2, product)):
+        report.check("partialB_bracket", names, partialB_bracket, *args)
     res = algB.bundle.anchor.matmul(D.partial_b).add(ca.rho.scale(-1))
     report.add("partialB_anchor", res.is_zero(),
                witness="rho_B partial_B = rho_{Q*}")
 
     funcs = [Polynomial.variable(p, m) for m in range(p)] + \
-        [random_polynomial(rng, p)]
-    for fname, (f,) in sweep(("f", funcs)):
-        exact = D.bundle.anchor_pullback_d(f)
-        for names, (tau,) in sweep(("tau", taus)):
-            report.add_residual_section("exact_central", bracket(exact, tau),
-                                        witness(fname + names))
-    return report
+        report.sample([random_polynomial(rng, p)])
+    for names, args in sweep(("f", funcs), ("tau", taus)):
+        report.check("exact_central", names, exact_central, *args)
+    return report.settle(lambda: D.partial_b.matmul(ca.dmat).is_zero())
 
 
 def tangent_double_pair(ca: DegenerateCourant, gamma) -> LAPairData:
@@ -583,13 +621,13 @@ def check_dirac(dorfman: Dorfman2Rep, selfdual, data: DiracData,
     bp_secs = _sections_of(data.bprime_incl, rng, p)
 
     def in_bprime(label, sec, witness):
-        report.add_residual_section(label, bp_rows.apply(sec), witness=witness)
+        report.add_residual(label, bp_rows.apply(sec), witness=witness)
 
     def in_u(label, sec, witness):
-        report.add_residual_section(label, ann.apply(sec), witness=witness)
+        report.add_residual(label, ann.apply(sec), witness=witness)
 
     def in_u_ann(label, sec, witness):
-        report.add_residual_section(label, ut_rows.apply(sec), witness=witness)
+        report.add_residual(label, ut_rows.apply(sec), witness=witness)
 
     if mode in ("vb_dirac", "la_dirac"):
         prefix = "vb:" if mode == "la_dirac" else ""

@@ -59,6 +59,9 @@ def rational(value) -> Fraction:
 
     Raises ValueError for a string that is not a finite rational (a zero
     denominator included) and TypeError for any other type, bool included.
+    A string of ASCII digits with an optional leading "-", the common
+    stored coefficient, is read by ``int``, which agrees with
+    ``Fraction(str)`` on exactly those strings and skips its regex.
     """
     if isinstance(value, Fraction):
         return value
@@ -67,6 +70,9 @@ def rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isascii() and digits.isdigit():
+            return Fraction(int(value))
         try:
             return Fraction(value)
         except ZeroDivisionError:

@@ -70,6 +70,12 @@ class SelfDual2Rep:
 
 def check_selfdual2rep(rep: SelfDual2Rep, seed: int = 0,
                        title: str = "self-dual 2-representation") -> CheckReport:
+    """Symmetry of partial_q and antisymmetry of R_B on frame components,
+    then the 2-representation checks of ``as_two_rep``.
+
+    Its sampled entries all come from ``check_two_rep``, which settles
+    them by its own argument; it assumes no label checked here.
+    """
     report = CheckReport(title, seed)
     rq = rep.rank_q
 
@@ -271,7 +277,7 @@ def check_graded_jacobi(rep: SelfDual2Rep, seed: int = 0,
             res = res + flip
         else:
             res = res - flip
-        report.add_residual_poly("skew", res, witness(names))
+        report.add_residual("skew", res, witness(names))
 
     for names, ((_, g1, d1), (_, g2, d2), (_, g3, _)) in sweep(
             (labels, gens, 3, combinations_with_replacement)):
@@ -282,7 +288,7 @@ def check_graded_jacobi(rep: SelfDual2Rep, seed: int = 0,
             res = res - nested
         else:
             res = res + nested
-        report.add_residual_poly("jacobi", res, witness(names))
+        report.add_residual("jacobi", res, witness(names))
 
     agreement = check_selfdual2rep(rep, seed).passed == report.passed
     report.add("selfdual_agreement", agreement,

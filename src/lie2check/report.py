@@ -1,5 +1,19 @@
 """Check reports: labelled pass/fail entries with witnesses and residuals,
-and ``sweep``, which enumerates the witness tuples a checker evaluates."""
+and ``sweep``, which enumerates the witness tuples a checker evaluates.
+
+Settling.  Besides frames, a checker evaluates its identities on
+sections and functions drawn from a seeded ``random.Random``.  A checker
+that settles marks those draws with ``CheckReport.sample`` and records
+each witness tuple with ``CheckReport.check``.  A tuple that holds a
+sampled item is deferred: it gets a passing placeholder at its position.
+Before returning, the checker calls ``CheckReport.settle``.  If every
+entry recorded so far passed, and the checker's side condition (if it
+has one) holds, its docstring's completeness argument proves every
+deferred residual zero, and the placeholders stand.  Otherwise every
+deferred tuple is evaluated in place.  The draws themselves are made
+either way, so the report is the same as if every tuple had been
+evaluated in its loop.
+"""
 
 from __future__ import annotations
 
@@ -36,6 +50,21 @@ def witness(names) -> str:
     return f"({', '.join(names)})"
 
 
+def residual_entry(label: str, residual, witness: str = "") -> "CheckEntry":
+    """The entry for one residual, passing iff it is zero: a section (a
+    list of Polynomials) fails at its first nonzero component; anything
+    else (a Polynomial or a GradedFunction) renders whole."""
+    if isinstance(residual, list):
+        for i, f in enumerate(residual):
+            if not f.is_zero():
+                return CheckEntry(label, False, witness,
+                                  f"component {i + 1}: {f.render()}")
+        return CheckEntry(label, True, witness)
+    if residual.is_zero():
+        return CheckEntry(label, True, witness)
+    return CheckEntry(label, False, witness, residual.render())
+
+
 @dataclass
 class CheckEntry:
     label: str
@@ -59,6 +88,12 @@ class CheckReport:
     title: str
     seed: int = 0
     entries: list = field(default_factory=list)
+    # id -> item for the sampled draws (holding them keeps the ids
+    # valid), and (index, residual, args) per deferred entry
+    _sampled: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
+    _deferred: list = field(default_factory=list, init=False, repr=False,
+                            compare=False)
 
     @property
     def passed(self) -> bool:
@@ -67,23 +102,52 @@ class CheckReport:
     def add(self, label: str, passed: bool, witness: str = "", residual: str = ""):
         self.entries.append(CheckEntry(label, passed, witness, residual))
 
-    def add_residual_section(self, label: str, residual, witness: str = ""):
-        """Record one residual section (list of Polynomials); passes iff zero."""
-        nonzero = [(i, f) for i, f in enumerate(residual) if not f.is_zero()]
-        if not nonzero:
-            self.add(label, True, witness)
-        else:
-            i, f = nonzero[0]
-            self.add(label, False, witness,
-                     f"component {i + 1}: {f.render()}")
+    def add_residual(self, label: str, residual, witness: str = ""):
+        """Record one residual; see ``residual_entry``."""
+        self.entries.append(residual_entry(label, residual, witness))
 
-    def add_residual_poly(self, label: str, residual, witness: str = ""):
-        """Record one residual with ``is_zero()`` and ``render()`` (a
-        Polynomial or a GradedFunction); passes iff zero."""
-        if residual.is_zero():
-            self.add(label, True, witness)
-        else:
-            self.add(label, False, witness, residual.render())
+    def sample(self, items):
+        """Mark drawn sections or functions as sampled; returns ``items``."""
+        for item in items:
+            self._sampled[id(item)] = item
+        return items
+
+    def check(self, label: str, names, residual, *args):
+        """Record the residual ``residual(*args)`` at the witness of
+        ``names``.  If an argument is sampled, the call is deferred to
+        ``settle`` behind a passing placeholder."""
+        sampled = self._sampled
+        for arg in args:
+            if id(arg) in sampled:
+                self._deferred.append((len(self.entries), residual, args))
+                self.entries.append(CheckEntry(label, True, witness(names)))
+                return
+        self.entries.append(residual_entry(label, residual(*args),
+                                           witness(names)))
+
+    def settle(self, side_condition=None):
+        """Finish the deferred entries and return the report.
+
+        When ``proves`` holds, the placeholders stand; otherwise every
+        deferred residual is evaluated in recording order and replaces
+        its placeholder."""
+        deferred, self._deferred = self._deferred, []
+        self._sampled = {}
+        if deferred and not self.proves(side_condition):
+            self.evaluate(deferred)
+        return self
+
+    def proves(self, side_condition=None) -> bool:
+        """Every entry so far passed and ``side_condition()``, if given,
+        holds: the premises of the checker's completeness argument."""
+        return self.passed and (side_condition is None or side_condition())
+
+    def evaluate(self, deferred):
+        """Replace each deferred entry's placeholder by its evaluation."""
+        for index, residual, args in deferred:
+            placeholder = self.entries[index]
+            self.entries[index] = residual_entry(
+                placeholder.label, residual(*args), placeholder.witness)
 
     def merge(self, other: "CheckReport", prefix: str = ""):
         for e in other.entries:

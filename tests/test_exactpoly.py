@@ -79,6 +79,36 @@ def test_rational_parsing():
         rational(True)
 
 
+def _parsed(parse, text):
+    """("ok", value) or ("error",) for parse(text)."""
+    try:
+        return "ok", parse(text)
+    except (ValueError, ZeroDivisionError):
+        return ("error",)
+
+
+# Strings near the integer fast path of ``rational``: underscores,
+# spaces, signs, non-ASCII digits, exponents, zeros, a zero denominator
+# and more digits than ``int`` reads by default.
+NEAR_INTEGERS = ["1_0", " 1 ", "+1", "١", "1e3", "-0", "00", "1/0",
+                 "", "-", "--1", "-+1", "²", "0010", "-00", "7",
+                 "-12", "1 0", "1.0", "1" * 5000, "-" + "9" * 5000]
+
+
+def test_integer_fast_path_agrees_with_fraction_near_integers():
+    # the fast path and Fraction(str) accept and reject the same strings
+    # and give equal values, on the running interpreter
+    for text in NEAR_INTEGERS:
+        assert _parsed(rational, text) == _parsed(Fraction, text), text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.from_regex(r"\A-?[0-9]{1,30}\Z"),
+                 st.text(alphabet="-+0123456789_ ./e١²", max_size=8)))
+def test_integer_fast_path_agrees_with_fraction(text):
+    assert _parsed(rational, text) == _parsed(Fraction, text)
+
+
 @pytest.mark.parametrize("other", [1.5, "x", None, [1]])
 def test_product_with_a_non_rational_is_type_error(other):
     f = Polynomial.const(1, 1)

@@ -31,6 +31,7 @@ from lie2check.courant import (DegenerateCourant, _nabla_vec,
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
 from lie2check.lie2 import Dorfman2Rep
 from lie2check.poisson import SelfDual2Rep
+from lie2check.report import CheckReport
 
 from helpers import canonical_keys
 
@@ -487,6 +488,8 @@ def test_the_courant_check_takes_each_dee_once(monkeypatch):
         return real_dee(self, f)
 
     monkeypatch.setattr(DegenerateCourant, "dee", recording_dee)
+    # evaluate the sampled tuples too, which a passing check settles
+    monkeypatch.setattr(CheckReport, "proves", lambda self, *_: False)
     assert check_courant_axioms(standard_courant(2)).passed
     assert len(args) > len(standard_courant(2).frames())
     assert len(args) == len(set(args))
