@@ -20,8 +20,9 @@ evaluated in one place too, ``curvature_matrix``.
 
 Checkers wrap the operators they apply with ``memo``.  Where one
 operator is built from another (D inside the Courant bracket, the
-connections inside ``hom_derivative``), it takes that operator as a
-callable, so the checker passes its memoized one.
+connections inside ``hom_derivative``, the connection and bracket inside
+``form_cartan_differential``), it takes that operator as a callable, so
+the checker passes its memoized one.
 """
 
 from __future__ import annotations
@@ -106,10 +107,6 @@ def section_pair(u, v) -> Polynomial:
     if not u:
         raise ValueError("cannot pair empty sections without a base dimension")
     return dot(u, v, u[0].base_dim)
-
-
-def section_is_zero(u) -> bool:
-    return all(a.is_zero() for a in u)
 
 
 def field_bracket(x, y):
@@ -418,23 +415,24 @@ def _alternating_coeff(args, key, base_dim):
     return mat.determinant()
 
 
-def form_cartan_differential(form: VectorValuedForm, conn: LinearConnection,
-                             bracket: DullBracket, args):
+def form_cartan_differential(form: VectorValuedForm, conn, bracket, args):
     """Koszul differential of a module-valued form, on section arguments.
 
     (d omega)(a_1..a_{k+1}) = sum_i (-1)^{i+1} nabla_{a_i} omega(.. a_i ..)
       + sum_{i<j} (-1)^{i+j} omega([a_i,a_j], .. a_i .. a_j ..).
+    conn and bracket are callables: the apply of a connection on the
+    value module and of a dull bracket (or their memos).
     """
     p = form.bundle.base_dim
     k = len(args)
     out = zero_section(p, form.value_rank)
     for i in range(k):
         rest = args[:i] + args[i + 1:]
-        term = conn.apply(args[i], form.eval_sections(rest))
+        term = conn(args[i], form.eval_sections(rest))
         out = section_add(out, term) if i % 2 == 0 else section_sub(out, term)
     for i in range(k):
         for j in range(i + 1, k):
-            rest = [bracket.apply(args[i], args[j])] + \
+            rest = [bracket(args[i], args[j])] + \
                 [args[m] for m in range(k) if m not in (i, j)]
             term = form.eval_sections(rest)
             # 1-based sign (-1)^{(i+1)+(j+1)} = (-1)^{i+j}

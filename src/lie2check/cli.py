@@ -270,8 +270,10 @@ def _expect_kind(kind, wanted, recipe):
 
 
 def cmd_construct(args):
-    _, kind, obj, _ = _read_document(args.path)
     recipe = args.recipe
+    if args.second is not None and recipe not in ("manin-pair", "induced-la"):
+        raise CliError(f"recipe {recipe!r} takes a single input file")
+    _, kind, obj, _ = _read_document(args.path)
     try:
         if recipe == "dorfman-from-split":
             _expect_kind(kind, "splitlie2", recipe)

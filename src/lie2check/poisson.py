@@ -269,26 +269,23 @@ def check_graded_jacobi(rep: SelfDual2Rep, seed: int = 0,
     gens = ps.generators()
     labels = [name for name, _, _ in gens]
 
-    for names, ((_, g1, d1), (_, g2, d2)) in sweep(
-            (labels, gens, 2, combinations_with_replacement)):
+    def skew(gen1, gen2):
+        (_, g1, d1), (_, g2, d2) = gen1, gen2
         res = ps.bracket(g1, g2)
         flip = ps.bracket(g2, g1)
-        if (d1 * d2) % 2 == 0:
-            res = res + flip
-        else:
-            res = res - flip
-        report.add_residual("skew", res, witness(names))
+        return res + flip if (d1 * d2) % 2 == 0 else res - flip
 
-    for names, ((_, g1, d1), (_, g2, d2), (_, g3, _)) in sweep(
-            (labels, gens, 3, combinations_with_replacement)):
+    def jacobi(gen1, gen2, gen3):
+        (_, g1, d1), (_, g2, d2), (_, g3, _) = gen1, gen2, gen3
         res = ps.bracket(g1, ps.bracket(g2, g3)) \
             - ps.bracket(ps.bracket(g1, g2), g3)
         nested = ps.bracket(g2, ps.bracket(g1, g3))
-        if (d1 * d2) % 2 == 0:
-            res = res - nested
-        else:
-            res = res + nested
-        report.add_residual("jacobi", res, witness(names))
+        return res - nested if (d1 * d2) % 2 == 0 else res + nested
+
+    for names, args in sweep((labels, gens, 2, combinations_with_replacement)):
+        report.check("skew", names, skew, *args)
+    for names, args in sweep((labels, gens, 3, combinations_with_replacement)):
+        report.check("jacobi", names, jacobi, *args)
 
     agreement = check_selfdual2rep(rep, seed).passed == report.passed
     report.add("selfdual_agreement", agreement,

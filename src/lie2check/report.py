@@ -1,10 +1,15 @@
 """Check reports: labelled pass/fail entries with witnesses and residuals,
 and ``sweep``, which enumerates the witness tuples a checker evaluates.
 
+Every checker records each witness tuple with one call,
+``CheckReport.check(label, names, residual, *args)``, and a condition on
+stored components, or an identity that holds by construction, with
+``CheckReport.add``.
+
 Settling.  Besides frames, a checker evaluates its identities on
 sections and functions drawn from a seeded ``random.Random``.  A checker
-that settles marks those draws with ``CheckReport.sample`` and records
-each witness tuple with ``CheckReport.check``.  A tuple that holds a
+that settles marks those draws with ``CheckReport.sample``; one that
+does not has every ``check`` evaluated at once.  A tuple that holds a
 sampled item is deferred: it gets a passing placeholder at its position.
 Before returning, the checker calls ``CheckReport.settle``.  If every
 entry recorded so far passed, and the checker's side condition (if it
@@ -101,10 +106,6 @@ class CheckReport:
 
     def add(self, label: str, passed: bool, witness: str = "", residual: str = ""):
         self.entries.append(CheckEntry(label, passed, witness, residual))
-
-    def add_residual(self, label: str, residual, witness: str = ""):
-        """Record one residual; see ``residual_entry``."""
-        self.entries.append(residual_entry(label, residual, witness))
 
     def sample(self, items):
         """Mark drawn sections or functions as sampled; returns ``items``."""

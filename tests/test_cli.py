@@ -8,7 +8,7 @@ from lie2check import serialize
 from lie2check.bundle import (
     AnchoredBundle, BaseSpace, DullBracket, LieAlgebroidData,
 )
-from lie2check.cli import main
+from lie2check.cli import RECIPES, main
 from lie2check.courant import DiracData
 from lie2check.examples import EXAMPLES, build_example
 from lie2check.exactpoly import EXP_BOUND, Polynomial, PolyMatrix
@@ -338,6 +338,32 @@ def test_decompose_rank_a_out_of_range_is_exit_2(tmp_path, capsys, rank_a):
                  "--rank-a", rank_a]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# a structure file each single-input recipe accepts, and its options
+_ONE_FILE_RECIPES = {
+    "dorfman-from-split": ["so3_string"],
+    "split-from-dorfman": ["so3_lie2"],
+    "bicrossproduct": ["axb_matched"],
+    "decompose": ["so3_string", "--rank-a", "0"],
+    "core-courant": ["so3_poisson_pair"],
+    "adjoint": ["so3_quadratic"],
+    "standard": ["tm_r2_algebroid"],
+    "semidirect": ["tm_r1_identity_2rep"],
+    "change-splitting": ["so3_lie2"],
+    "dualize-2rep": ["tm_r1_identity_2rep"],
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(
+    set(RECIPES) - {"manin-pair", "induced-la"}))
+def test_construct_second_path_is_exit_2(tmp_path, capsys, recipe):
+    example, *options = _ONE_FILE_RECIPES[recipe]
+    path = _emit(tmp_path, example)
+    capsys.readouterr()
+    assert main(["construct", recipe, str(path), str(path), *options]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: recipe {recipe!r} takes a single input file\n", err
 
 
 def test_mode_mismatch_is_exit_2(tmp_path):

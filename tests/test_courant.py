@@ -2,16 +2,19 @@
 structures and Manin pairs."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lie2check import serialize
 from lie2check.cli import main
 from lie2check.exactpoly import Polynomial, PolyMatrix
-from lie2check.bundle import unit_section
+from lie2check.bundle import (
+    BaseSpace, field_apply, section_add, section_smul, unit_section,
+)
 from lie2check.lie2 import check_dorfman2rep, check_homological
 from lie2check.poisson import check_selfdual2rep
 from lie2check.matched import check_la_matched_pair
 from lie2check.courant import (
-    DiracData, adjoint_dorfman2rep, check_core_courant,
+    DegenerateCourant, DiracData, adjoint_dorfman2rep, check_core_courant,
     check_courant_axioms, check_dirac, check_manin_pair, core_courant,
     induced_lie_algebroid_on_U, manin_pair, standard_courant,
     tangent_double_pair,
@@ -22,6 +25,8 @@ from lie2check.examples import (
     so3_e3_dirac, so3_lie2, so3_poisson_pair, so3_quadratic,
     standard_courant_r1, tangent_double_pair_r1,
 )
+
+from helpers import Draw
 
 
 def _zero_gamma(p, rank):
@@ -39,6 +44,35 @@ def test_courant_axioms_on_sound_examples():
 def test_bad_pairing_fails_exactly_ca2():
     rep = check_courant_axioms(broken_so3_bad_pairing(), seed=3)
     assert set(rep.failing_labels()) == {"CA2"}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_bracket_is_leibniz_in_both_slots_by_construction(data):
+    """Why ``check_courant_axioms`` records CA5 without evaluating it.
+
+    For any frame data (a pairing that need not be symmetric, rho D that
+    need not vanish), the bracket obeys
+        CA5:   [[e1, f e2]] = f [[e1, e2]] + rho(e1)(f) e2,
+        first: [[f e1, e2]] = f [[e1, e2]] - rho(e2)(f) e1 + <e1, e2> Df.
+    """
+    p = data.draw(st.integers(min_value=1, max_value=2))
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    d = Draw(data.draw, p)
+    ca = DegenerateCourant(BaseSpace(p), n, d.matrix(p, n), d.matrix(n, n),
+                           d.comps(n, n, n), d.matrix(n, p))
+    e1, e2, f = d.section(n), d.section(n), d.poly()
+
+    def bracket(u, v):
+        return ca.bracket(ca.dee, u, v)
+
+    base = section_smul(f, bracket(e1, e2))
+    assert bracket(e1, section_smul(f, e2)) == section_add(
+        base, section_smul(field_apply(ca.rho_field(e1), f), e2))
+    first = section_add(base, section_smul(ca.pair(e1, e2), ca.dee(f)))
+    first = section_add(first, section_smul(
+        -field_apply(ca.rho_field(e2), f), e1))
+    assert bracket(section_smul(f, e1), e2) == first
 
 
 def test_standard_courant_bracket_oracle():

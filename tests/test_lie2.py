@@ -1,16 +1,23 @@
 """Split Lie 2-algebroids, Dorfman 2-representations and the
 homological vector field."""
 
+from itertools import combinations
+
+from hypothesis import given, settings, strategies as st
+
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
 from lie2check.lie2 import (
-    GradedFunction, build_homological_field, change_splitting,
-    check_dorfman2rep, check_homological, check_lie2_morphism,
-    dorfman_from_split, graded_commutator, split_from_dorfman,
+    GradedDerivation, GradedFunction, build_homological_field,
+    change_splitting, check_dorfman2rep, check_homological,
+    check_lie2_morphism, dorfman_from_split, graded_commutator,
+    split_from_dorfman,
 )
 from lie2check.examples import (
     broken_r4_nonclosed, broken_so3_bad_jacobi, broken_so3_string_l1,
     so3_lie2, so3_string, tm_r1_lie1,
 )
+
+from helpers import Draw
 
 
 def test_so3_string_passes_all_axioms():
@@ -121,3 +128,34 @@ def test_non_morphism_detected():
     rep = check_lie2_morphism(split1, split2, mu_q, mu_b, mu12, seed=3)
     assert not rep.passed
     assert "bracket" in rep.failing_labels()
+
+
+def _graded_function(d, rq, rb, parity):
+    """A few random terms whose tau count has the given parity (None:
+    any), each with at most one b factor."""
+    keys = [(taus, bs) for k in range(rq + 1)
+            if parity is None or k % 2 == parity
+            for taus in combinations(range(rq), k)
+            for bs in [()] + [(r,) for r in range(rb)]]
+    chosen = d.draw(st.lists(st.sampled_from(keys), max_size=3))
+    return GradedFunction(d.p, rq, rb, {key: d.poly() for key in chosen})
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_odd_derivation_squares_to_half_its_commutator(data):
+    """Why ``check_homological`` records its random function without
+    evaluating it: for an odd derivation D, D^2 = [D, D] / 2 is again a
+    derivation, so [Q, Q] = 0 on generators gives Q^2 = 0 everywhere."""
+    p = data.draw(st.integers(min_value=1, max_value=2))
+    rq = data.draw(st.integers(min_value=1, max_value=3))
+    rb = data.draw(st.integers(min_value=0, max_value=2))
+    d = Draw(data.draw, p)
+    field = GradedDerivation(
+        p, rq, rb, 1,
+        [_graded_function(d, rq, rb, 1) for _ in range(p)],
+        [_graded_function(d, rq, rb, 0) for _ in range(rq)],
+        [_graded_function(d, rq, rb, 1) for _ in range(rb)])
+    f = _graded_function(d, rq, rb, None)
+    assert field.apply(field.apply(f)).scale(2) == \
+        graded_commutator(field, field).apply(f)

@@ -22,18 +22,18 @@ from hypothesis import given, settings, strategies as st
 
 from lie2check.bundle import (
     AnchoredBundle, BaseSpace, DorfmanConnection, DullBracket,
-    LieAlgebroidData, LinearConnection, TwoRepData, covariant_apply,
-    field_apply, field_bracket, section_pair, section_sub, zero_section,
+    LieAlgebroidData, LinearConnection, TwoRepData, connection_curvature,
+    covariant_apply, field_apply, field_bracket, section_pair, section_sub,
+    zero_section,
 )
-from lie2check.courant import (DegenerateCourant, _nabla_vec,
-                               check_courant_axioms, curv_nabla,
+from lie2check.courant import (DegenerateCourant, check_courant_axioms,
                                standard_courant)
-from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
+from lie2check.exactpoly import Polynomial, PolyMatrix
 from lie2check.lie2 import Dorfman2Rep
 from lie2check.poisson import SelfDual2Rep
 from lie2check.report import CheckReport
 
-from helpers import canonical_keys
+from helpers import Draw
 
 
 # ---------------------------------------------------------------------------
@@ -227,38 +227,6 @@ def ref_dual(comps, rows, r):
 # random data
 
 
-class Draw:
-    """Random polynomials over R^p; ``zeros`` in three are zero."""
-
-    def __init__(self, draw, p, zeros=1):
-        self.draw, self.p, self.zeros = draw, p, zeros
-
-    def poly(self):
-        if self.draw(st.integers(0, 2)) > 2 - self.zeros:
-            return Polynomial.zero(self.p)
-        exps = st.tuples(*[st.integers(0, 2)] * self.p)
-        coeffs = st.sampled_from([-3, -2, -1, 1, 2, 3])
-        return Polynomial(self.p, self.draw(
-            st.dictionaries(exps, coeffs, min_size=1, max_size=3)))
-
-    def section(self, n):
-        return [self.poly() for _ in range(n)]
-
-    def matrix(self, rows, cols):
-        return PolyMatrix(self.p, rows, cols,
-                          [self.section(cols) for _ in range(rows)])
-
-    def comps(self, d1, d2, d3):
-        return [[self.section(d3) for _ in range(d2)] for _ in range(d1)]
-
-    def two_form(self, rank, n_in, n_out):
-        tensor = PolyTensor(self.p, [(rank, 2, True), (n_in, 1, False),
-                                     (n_out, 1, False)])
-        for key in canonical_keys(tensor):
-            tensor.set(key, self.poly())
-        return tensor
-
-
 ranks = st.integers(min_value=0, max_value=3)
 
 
@@ -309,8 +277,12 @@ def test_courant_bracket_and_tm_connection_match_reference(data):
 
     assert ca.dee(f) == ref_dee(ca, f)
     assert ca.bracket(ca.dee, e1, e2) == ref_courant_bracket(ca, e1, e2)
-    assert _nabla_vec(gamma, x, e1) == ref_nabla_vec(ca, gamma, x, e1)
-    assert curv_nabla(gamma, x, y, e2) == ref_curv_nabla(ca, gamma, x, y, e2)
+    # the TM-connection of ``adjoint_dorfman2rep`` and ``tangent_double_pair``
+    tm = AnchoredBundle(BaseSpace(p), p, PolyMatrix.identity(p, p))
+    nabla = LinearConnection(tm, n, gamma).apply
+    assert nabla(x, e1) == ref_nabla_vec(ca, gamma, x, e1)
+    assert connection_curvature(nabla, field_bracket, x, y, e2) == \
+        ref_curv_nabla(ca, gamma, x, y, e2)
 
 
 @given(st.data())
