@@ -281,6 +281,17 @@ class Dorfman2Rep:
         """R(q1, q2) as a Hom(B, Q*) polynomial matrix (tensorial)."""
         return curvature_matrix(self.curv, q1, q2)
 
+    def curv_alternation_failures(self):
+        """Witnesses (q_i, q_j, b_r, q_k) of the frame components where
+        R(q_i, q_j)^* q_k is not alternating in its last two Q-slots;
+        empty iff axiom (D5) holds."""
+        rq = self.rank_q
+        return [witness(names) for names, (i, j, r, k) in sweep(
+            ("q", range(rq), 2, combinations), ("b", range(self.rank_b)),
+            ("q", range(rq)))
+            if not (self.curv.get(i, j, r, k)
+                    + self.curv.get(i, k, r, j)).is_zero()]
+
     def omega_form(self) -> VectorValuedForm:
         """omega_R(q1,q2,q3) = R(q1,q2)^* q3 as a B*-valued 3-form.
 
@@ -457,9 +468,7 @@ def check_dorfman2rep(rep: Dorfman2Rep, seed: int = 0,
             report.check("D4_delta", pair + names, d4_delta, q1, q2, tau)
 
     # (D5) R^* q3 is alternating in its three Q-slots
-    failing = [witness(names) for names, (i, j, r, k) in sweep(
-        ("q", range(rq), 2, combinations), ("b", range(rb)), ("q", range(rq)))
-        if not (rep.curv.get(i, j, r, k) + rep.curv.get(i, k, r, j)).is_zero()]
+    failing = rep.curv_alternation_failures()
     report.add("D5", not failing,
                witness=failing[-1] if failing else "frame components")
 

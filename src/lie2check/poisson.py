@@ -67,6 +67,24 @@ class SelfDual2Rep:
         """R_B(b1, b2) as a Hom(Q, Q*) polynomial matrix (tensorial)."""
         return curvature_matrix(self.curvB, b1, b2)
 
+    def partial_symmetry_failures(self):
+        """Witnesses (tau_i, tau_j), i < j, of the frame components where
+        partial_q differs from its transpose; empty iff partial_q is
+        symmetric."""
+        return [witness(names) for names, (i, j) in sweep(
+            ("tau", range(self.rank_q), 2, combinations))
+            if not (self.partial_q[i, j] - self.partial_q[j, i]).is_zero()]
+
+    def curv_antisymmetry_failures(self):
+        """Witnesses (b_i, b_j, q_s, q_t) of the frame components where
+        R_B(b_i, b_j) has a symmetric part; empty iff every value of R_B
+        is antisymmetric."""
+        return [witness(names) for names, (i, j, s, t) in sweep(
+            ("b", range(self.rank_b), 2, combinations),
+            ("q", range(self.rank_q), 2, combinations_with_replacement))
+            if not (self.curvB.get(i, j, s, t)
+                    + self.curvB.get(i, j, t, s)).is_zero()]
+
 
 def check_selfdual2rep(rep: SelfDual2Rep, seed: int = 0,
                        title: str = "self-dual 2-representation") -> CheckReport:
@@ -77,20 +95,11 @@ def check_selfdual2rep(rep: SelfDual2Rep, seed: int = 0,
     them by its own argument; it assumes no label checked here.
     """
     report = CheckReport(title, seed)
-    rq = rep.rank_q
-
-    failing = [witness(names) for names, (i, j) in sweep(
-        ("tau", range(rq), 2, combinations))
-        if not (rep.partial_q[i, j] - rep.partial_q[j, i]).is_zero()]
-    report.add("partial_symmetric", not failing,
-               witness=failing[-1] if failing else "frame components")
-
-    failing = [witness(names) for names, (i, j, s, t) in sweep(
-        ("b", range(rep.rank_b), 2, combinations),
-        ("q", range(rq), 2, combinations_with_replacement))
-        if not (rep.curvB.get(i, j, s, t) + rep.curvB.get(i, j, t, s)).is_zero()]
-    report.add("curv_antisymmetric", not failing,
-               witness=failing[-1] if failing else "frame components")
+    for label, failing in (
+            ("partial_symmetric", rep.partial_symmetry_failures()),
+            ("curv_antisymmetric", rep.curv_antisymmetry_failures())):
+        report.add(label, not failing,
+                   witness=failing[-1] if failing else "frame components")
 
     report.merge(check_two_rep(rep.as_two_rep(), seed))
     return report

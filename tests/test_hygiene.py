@@ -166,3 +166,46 @@ def test_no_literal_tensor_layouts(module):
                                       .splitlines(), 1)
              if ", 2, True)" in line or ", 3, True)" in line]
     assert not found, "literal tensor layouts:\n" + "\n".join(found)
+
+
+# A deferred placeholder reads as a pass until ``CheckReport.settle``
+# proves or evaluates it, so a checker that marks draws with ``.sample(``
+# must also call ``.settle(``.  The scan takes each function defined at
+# module level or in a module-level class, with its nested defs.
+def _unsettled_samplers(source, filename="<source>"):
+    tree = ast.parse(source, filename)
+    funcs = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            funcs += node.body
+        else:
+            funcs.append(node)
+    found = []
+    for func in funcs:
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        called = {n.func.attr for n in ast.walk(func)
+                  if isinstance(n, ast.Call)
+                  and isinstance(n.func, ast.Attribute)}
+        if "sample" in called and "settle" not in called:
+            found.append((func.lineno, func.name))
+    return found
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("def check(r):\n    def draw():\n        return r.sample([1])\n"
+     "    return draw()\n", True),
+    ("def check(r):\n    def draw():\n        return r.sample([1])\n"
+     "    draw()\n    return r.settle()\n", False),
+    ("class C:\n    def check(self, r):\n        r.sample([1])\n", True),
+])
+def test_the_settle_scan_sees_nested_samplers(source, flagged):
+    assert bool(_unsettled_samplers(source)) == flagged
+
+
+def test_every_sampling_checker_settles():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, name in _unsettled_samplers(
+                 path.read_text(encoding="utf-8"), str(path))]
+    assert not found, "sampled draws never settled:\n" + "\n".join(found)

@@ -16,15 +16,17 @@ from lie2check.bundle import BaseSpace
 from lie2check.cli import CHECK_MODES, CliError, _run_check
 from lie2check.courant import (DegenerateCourant, check_courant_axioms,
                                standard_courant, tangent_double_pair)
-from lie2check.examples import EXAMPLES, build_example
+from lie2check.examples import EXAMPLES, build_example, tangent_double_pair_r1
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
+from lie2check.matched import check_la_matched_pair
 from lie2check.report import CheckReport
 
 SEEDS = (0, 5)
 MODES = [m for m in CHECK_MODES if m != "auto" and not m.startswith("dirac-")]
 # the modes whose checker, or a checker it nests, settles
 SETTLING = ("lie-algebroid", "two-rep", "dorfman", "selfdual",
-            "graded-jacobi", "matched-2reps", "courant", "core-courant")
+            "graded-jacobi", "matched-2reps", "courant", "core-courant",
+            "la-pair", "q-poisson")
 
 
 def _check(check, monkeypatch, full=False):
@@ -193,3 +195,32 @@ def test_a_degenerate_pairing_needs_the_side_condition(monkeypatch):
     monkeypatch.setattr(CheckReport, "proves",
                         lambda self, side_condition=None: self.passed)
     assert check_courant_axioms(ca).passed
+
+
+# ---------------------------------------------------------------------------
+# the side condition of check_la_matched_pair
+
+
+def test_an_asymmetric_partial_needs_the_side_condition(monkeypatch):
+    # partial_q of the self-dual half made asymmetric: every frame entry
+    # passes and both brackets are skew, but M1 and almost_C are not
+    # tensorial, and they fail on the sampled sections q3 and tau3
+    pair = tangent_double_pair_r1()
+    S = pair.selfdual
+    S.partial_q[1, 0] = S.partial_q[1, 0] + Polynomial.const(1, 1)
+    assert S.algebroid.bracket.is_skew()
+    assert pair.dorfman.dual_bracket().is_skew()
+
+    settled, _, ran = _check(lambda: check_la_matched_pair(pair),
+                             monkeypatch)
+    full = _check(lambda: check_la_matched_pair(pair), monkeypatch,
+                  full=True)[0]
+    assert settled == full and ran > 0
+    failing = [c for c in settled["checks"] if not c["passed"]]
+    assert failing and {c["label"] for c in failing} == {"M1", "almost_C"}
+    assert all("q3" in c["witness"] or "tau3" in c["witness"]
+               for c in failing)
+    # without the side condition the frame entries alone would settle
+    monkeypatch.setattr(CheckReport, "proves",
+                        lambda self, side_condition=None: self.passed)
+    assert check_la_matched_pair(pair).passed
