@@ -1,4 +1,11 @@
-"""Command-line interface: check, construct and example subcommands."""
+"""Command-line interface: check, construct and example subcommands.
+
+A JSON report is exactly ``json.dumps(report, sort_keys=True, indent=2)``
+plus a newline, with every non-ASCII character escaped.  Without
+``--format``, the format comes from ``LIE2CHECK_FORMAT`` (``text`` or
+``json``, default ``text``), read on every call of ``main``; the parser
+itself is built once, at import.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode
 
 from . import __version__
 from .exactpoly import Polynomial
@@ -106,31 +114,40 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _report_document(report, mode, digest, seed):
+def _report_json(report, mode, digest, seed):
+    """The JSON report: exactly ``json.dumps(doc, sort_keys=True,
+    indent=2)`` plus a newline, for the document of keys ``checks``,
+    ``format``, ``input_digest``, ``mode``, ``passed``, ``seed`` and
+    ``tool_version``, each check holding ``label``, ``passed``, ``ref``
+    (the report title), ``residual`` and ``witness``.  The fixed shape is
+    laid out here and every string goes through the C encoder that
+    ``json.dumps`` uses.  A ``passed`` that is not a bool, or a string
+    field that is not a str, raises TypeError."""
+    ref = _encode(report.title)
     checks = []
     for e in report.entries:
-        checks.append({
-            "label": e.label,
-            "ref": report.title,
-            "passed": e.passed,
-            "witness": e.witness,
-            "residual": e.residual,
-        })
-    return {
-        "format": serialize.FORMAT_VERSION,
-        "tool_version": __version__,
-        "mode": mode,
-        "input_digest": digest,
-        "seed": seed,
-        "checks": checks,
-        "passed": report.passed,
-    }
+        if type(e.passed) is not bool:
+            raise TypeError(f"check {e.label!r}: passed must be a bool, "
+                            f"got {type(e.passed).__name__}")
+        checks.append(
+            f'    {{\n      "label": {_encode(e.label)},\n'
+            f'      "passed": {"true" if e.passed else "false"},\n'
+            f'      "ref": {ref},\n'
+            f'      "residual": {_encode(e.residual)},\n'
+            f'      "witness": {_encode(e.witness)}\n    }}')
+    checks = "[\n" + ",\n".join(checks) + "\n  ]" if checks else "[]"
+    return (f'{{\n  "checks": {checks},\n'
+            f'  "format": {int.__repr__(serialize.FORMAT_VERSION)},\n'
+            f'  "input_digest": {_encode(digest)},\n'
+            f'  "mode": {_encode(mode)},\n'
+            f'  "passed": {"true" if report.passed else "false"},\n'
+            f'  "seed": {int.__repr__(seed)},\n'
+            f'  "tool_version": {_encode(__version__)}\n}}\n')
 
 
 def _write_report(report, mode, digest, seed, fmt, out_path):
     if fmt == "json":
-        text = json.dumps(_report_document(report, mode, digest, seed),
-                          sort_keys=True, indent=2) + "\n"
+        text = _report_json(report, mode, digest, seed)
     else:
         text = report.render_text() + "\n"
     _emit(text, out_path)
@@ -362,8 +379,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--format", choices=("text", "json"),
-                       default=_default_format())
+        p.add_argument("--format", choices=("text", "json"))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
 
@@ -397,9 +413,12 @@ def build_parser():
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    args.format = args.format or _default_format()
     try:
         return args.func(args)
     except CliError as exc:

@@ -494,8 +494,13 @@ class PolyTensor:
                              f"{type(data).__name__}")
         out = cls(base_dim, groups)
         for item in data:
+            if not isinstance(item, dict):
+                raise ValueError("tensor entry must be an object with idx "
+                                 f"and val, got {type(item).__name__}")
             if set(item) != {"idx", "val"}:
                 raise ValueError("tensor entry must have exactly idx and val")
+            if not isinstance(item["idx"], list):
+                raise ValueError("tensor idx must be a list of integers")
             idx = tuple(item["idx"])
             if not all(type(i) is int for i in idx):
                 raise ValueError(

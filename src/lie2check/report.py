@@ -77,14 +77,6 @@ class CheckEntry:
     witness: str = ""
     residual: str = ""
 
-    def to_dict(self):
-        return {
-            "label": self.label,
-            "passed": self.passed,
-            "witness": self.witness,
-            "residual": self.residual,
-        }
-
 
 @dataclass
 class CheckReport:
@@ -157,14 +149,6 @@ class CheckReport:
 
     def failing_labels(self):
         return [e.label for e in self.entries if not e.passed]
-
-    def to_dict(self):
-        return {
-            "title": self.title,
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [e.to_dict() for e in self.entries],
-        }
 
     def render_text(self) -> str:
         lines = [f"{self.title}  [seed {self.seed}]"]

@@ -4,7 +4,10 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
+from lie2check import __version__
+from lie2check.courant import standard_courant, tangent_double_pair
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
+from lie2check.serialize import FORMAT_VERSION
 
 
 def canonical_keys(tensor):
@@ -55,3 +58,49 @@ class Draw:
         for key in canonical_keys(tensor):
             tensor.set(key, self.poly())
         return tensor
+
+
+def entry_dict(entry):
+    """A check entry as a plain dict."""
+    return {
+        "label": entry.label,
+        "passed": entry.passed,
+        "witness": entry.witness,
+        "residual": entry.residual,
+    }
+
+
+def report_dict(report):
+    """A ``CheckReport`` as a plain dict, for comparing and hashing."""
+    return {
+        "title": report.title,
+        "seed": report.seed,
+        "passed": report.passed,
+        "checks": [entry_dict(e) for e in report.entries],
+    }
+
+
+def report_document(report, mode, digest, seed):
+    """The document a JSON report of ``lie2check check`` holds: the
+    writer's output is ``json.dumps`` of it with sorted keys and indent 2,
+    plus a newline."""
+    return {
+        "format": FORMAT_VERSION,
+        "tool_version": __version__,
+        "mode": mode,
+        "input_digest": digest,
+        "seed": seed,
+        "checks": [{"ref": report.title, **entry_dict(e)}
+                   for e in report.entries],
+        "passed": report.passed,
+    }
+
+
+def curved_tangent_double():
+    """Tangent double of standard_courant(2) with the metric connection
+    that acts on TM by [[0, x2], [0, 0]] along x1 and on T*M by minus the
+    transpose; its curvB is nonzero."""
+    z, x2 = Polynomial.zero(2), Polynomial.variable(2, 1)
+    g0 = [[z, x2, z, z], [z, z, z, z], [z, z, z, z], [z, z, -x2, z]]
+    g1 = [[z] * 4 for _ in range(4)]
+    return tangent_double_pair(standard_courant(2), [g0, g1])

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lie2check import serialize
+from lie2check import __version__, cli, serialize
 from lie2check.bundle import (
     AnchoredBundle, BaseSpace, DullBracket, LieAlgebroidData,
 )
@@ -157,6 +157,27 @@ def test_malformed_tensor_index_is_exit_2(tmp_path, capsys, value):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("tensor, message", [
+    ([1, 2], "tensor entry must be an object with idx and val, got int"),
+    ([{"idx": 5, "val": []}], "tensor idx must be a list of integers"),
+])
+def test_malformed_tensor_entry_is_exit_2(tmp_path, capsys, tensor, message):
+    path = _emit(tmp_path, "euclidean_curved_r2")
+    doc = json.loads(path.read_text())
+    doc["curvB"] = tensor
+    path.write_text(json.dumps(doc))
+    side = tmp_path / "phi.json"
+    side.write_text(json.dumps(tensor))
+    for argv in (["check", str(path)],
+                 ["construct", "change-splitting",
+                  str(_emit(tmp_path, "so3_lie2")), "--phi", str(side)]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.endswith(f": {message}\n"), err
+
+
 def test_json_reports_are_byte_identical(tmp_path):
     path = _emit(tmp_path, "so3_symplectic_pair")
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -199,6 +220,54 @@ def test_format_env_default(tmp_path, monkeypatch):
     assert main(["check", str(path), "--out", str(out)]) == 0
     with pytest.raises(json.JSONDecodeError):
         json.loads(out.read_text())
+
+
+def _outcome(argv, capsys):
+    """Exit code, standard output and standard error of one ``main``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    """``main`` parses with one parser built at import: a run of calls in
+    one process gives what a parser built for each call gives, and the
+    format default is read from the environment on every call."""
+    path = str(_emit(tmp_path, "so3_lie2"))
+    calls = [
+        (["--version"], None),
+        (["check", path, "--bogus"], None),
+        (["check", path, "--format", "text"], "json"),
+        (["check", path], "json"),
+        (["check", path], None),
+        (["--help"], None),
+        (["check", "--help"], None),
+    ]
+
+    def run(argv, env):
+        if env is None:
+            monkeypatch.delenv("LIE2CHECK_FORMAT", raising=False)
+        else:
+            monkeypatch.setenv("LIE2CHECK_FORMAT", env)
+        return _outcome(argv, capsys)
+
+    capsys.readouterr()
+    shared = [run(*call) for call in calls]
+    fresh = []
+    for call in calls:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append(run(*call))
+    assert shared == fresh
+    (version, bogus, text, as_json, default, _, _) = shared
+    assert version == (0, f"lie2check {__version__}\n", "")
+    assert bogus[0] == 2 and "--bogus" in bogus[2]
+    assert text[0] == 0 and text[1].endswith("result: PASS\n")
+    assert as_json[0] == 0 and json.loads(as_json[1])["passed"] is True
+    assert default == text
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0, 0, 0]
 
 
 def test_construct_core_courant_equals_quadratic(tmp_path):

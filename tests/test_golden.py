@@ -20,6 +20,8 @@ from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
 from lie2check.lie2 import change_splitting, check_lie2_morphism, \
     split_from_dorfman
 
+from helpers import report_dict
+
 SEEDS = (0, 5)
 
 GOLDEN = {
@@ -47,7 +49,7 @@ def _sha(text):
 
 
 def _report_sha(report):
-    return _sha(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+    return _sha(json.dumps(report_dict(report), sort_keys=True, indent=2))
 
 
 def _dirac(tmp_path, mode, dirac, seed):

@@ -14,12 +14,13 @@ import pytest
 from lie2check import serialize
 from lie2check.bundle import BaseSpace
 from lie2check.cli import CHECK_MODES, CliError, _run_check
-from lie2check.courant import (DegenerateCourant, check_courant_axioms,
-                               standard_courant, tangent_double_pair)
+from lie2check.courant import DegenerateCourant, check_courant_axioms
 from lie2check.examples import EXAMPLES, build_example, tangent_double_pair_r1
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
 from lie2check.matched import check_la_matched_pair
 from lie2check.report import CheckReport
+
+from helpers import curved_tangent_double, report_dict
 
 SEEDS = (0, 5)
 MODES = [m for m in CHECK_MODES if m != "auto" and not m.startswith("dirac-")]
@@ -49,7 +50,7 @@ def _check(check, monkeypatch, full=False):
         if full:
             m.setattr(CheckReport, "proves", lambda self, *_: False)
         report = check()
-    return report.to_dict(), sum(sampled), sum(ran)
+    return report_dict(report), sum(sampled), sum(ran)
 
 
 def _compare(kind, obj, modes, seeds, monkeypatch):
@@ -102,11 +103,8 @@ def test_a_frame_failure_evaluates_the_sampled_tuples(name, mode,
 
 
 def test_the_curved_tangent_double_settles(monkeypatch):
-    z, x2 = Polynomial.zero(2), Polynomial.variable(2, 1)
-    g0 = [[z, x2, z, z], [z, z, z, z], [z, z, z, z], [z, z, -x2, z]]
-    g1 = [[z] * 4 for _ in range(4)]
-    pair = tangent_double_pair(standard_courant(2), [g0, g1])
-    ran = _compare("lapair", pair, MODES, SEEDS, monkeypatch)
+    ran = _compare("lapair", curved_tangent_double(), MODES, SEEDS,
+                   monkeypatch)
     assert sorted({mode for mode, _ in ran}) == sorted(
         ["la-pair", "q-poisson", "core-courant", "selfdual",
          "graded-jacobi", "symplectic", "dorfman", "homological"])
