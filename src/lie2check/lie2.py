@@ -3,7 +3,12 @@ vector field on the associated graded manifold.
 
 Graded coordinates: base coordinates x_1..x_p (degree 0), odd fiber
 coordinates tau_1..tau_rq (degree 1, anticommuting), even coordinates
-b_1..b_rb (degree 2, commuting).
+b_1..b_rb (degree 2, commuting); ``generators`` names them in that order.
+
+``GradedDerivation.apply`` is the one graded Leibniz rule of the package:
+it extends a derivation from its generator images and serves Q, [Q, Q]
+and the Hamiltonian derivations {g, .} of the degree -2 Poisson bracket
+(``poisson.PoissonStructure``).
 """
 
 from __future__ import annotations
@@ -206,16 +211,16 @@ class GradedDerivation:
                 out = out + (term.scale(sign) if sign == -1 else term)
         return out
 
-    def generator_images(self):
-        base = self.base_dim
-        items = []
-        for i in range(base):
-            items.append((f"x{i + 1}", self.x_img[i]))
-        for i in range(self.rank_q):
-            items.append((f"tau{i + 1}", self.tau_img[i]))
-        for i in range(self.rank_b):
-            items.append((f"b{i + 1}", self.b_img[i]))
-        return items
+    def images(self):
+        """The images of the generators, in ``generators`` order."""
+        return self.x_img + self.tau_img + self.b_img
+
+
+def generators(base_dim, rank_q, rank_b):
+    """(name, degree) of each generator: x1.. (0), tau1.. (1), b1.. (2)."""
+    return [(f"{name}{i + 1}", degree) for name, degree, count in
+            (("x", 0, base_dim), ("tau", 1, rank_q), ("b", 2, rank_b))
+            for i in range(count)]
 
 
 def graded_commutator(phi: GradedDerivation, psi: GradedDerivation) -> GradedDerivation:
@@ -540,10 +545,11 @@ def build_homological_field(rep: Dorfman2Rep) -> GradedDerivation:
     return GradedDerivation(p, rq, rb, 1, x_img, tau_img, b_img)
 
 
+# keyed by generator degree: x, tau, b
 _HOMOLOGICAL_XREF = {
-    "x": "anchor_chain or anchor_bracket",
-    "tau": "D1 or the Jacobiator identity (D4_delta)",
-    "b": "D3, D4_nabla, or D6",
+    0: "anchor_chain or anchor_bracket",
+    1: "D1 or the Jacobiator identity (D4_delta)",
+    2: "D3, D4_nabla, or D6",
 }
 
 
@@ -559,22 +565,16 @@ def check_homological(rep: Dorfman2Rep, seed: int = 0,
     report = CheckReport(title, seed)
     field = build_homological_field(rep)
     half_sq = graded_commutator(field, field)
-    p, rq, rb = field.base_dim, field.rank_q, field.rank_b
-
-    def record(kind, name, gfval):
+    for (name, degree), gfval in zip(
+            generators(field.base_dim, field.rank_q, field.rank_b),
+            half_sq.images()):
         label = f"Q_squared[{name}]"
         if gfval.is_zero():
             report.add(label, True)
         else:
-            report.add(label, False, witness=f"violates {_HOMOLOGICAL_XREF[kind]}",
+            report.add(label, False,
+                       witness=f"violates {_HOMOLOGICAL_XREF[degree]}",
                        residual=gfval.render())
-
-    for i in range(p):
-        record("x", f"x{i + 1}", half_sq.x_img[i])
-    for i in range(rq):
-        record("tau", f"tau{i + 1}", half_sq.tau_img[i])
-    for i in range(rb):
-        record("b", f"b{i + 1}", half_sq.b_img[i])
 
     if report.passed:
         report.add("Q_squared[random degree-3 function]", True)

@@ -640,17 +640,16 @@ def check_q_preserves_poisson(pair: LAPairData, seed: int = 0,
     report = CheckReport(title, seed)
     ps = PoissonStructure(pair.selfdual)
     field = build_homological_field(pair.dorfman)
-    gens = ps.generators()
-    labels = [name for name, _, _ in gens]
+    table, deg, q_img = ps.table, ps.degrees, field.images()
 
-    def derivation(gen1, gen2):
-        (_, g1, d1), (_, g2, _) = gen1, gen2
-        res = field.apply(ps.bracket(g1, g2))
-        res = res - ps.bracket(field.apply(g1), g2)
-        cross = ps.bracket(g1, field.apply(g2))
-        return res + cross if d1 % 2 == 1 else res - cross
+    def derivation(a, b):
+        res = field.apply(table[a][b])
+        res = res - ps.with_generator(q_img[a], deg[a] + 1, b)
+        cross = ps.left[a].apply(q_img[b])
+        return res + cross if deg[a] % 2 == 1 else res - cross
 
-    for names, args in sweep((labels, gens, 2, combinations_with_replacement)):
+    for names, args in sweep((ps.names, range(len(deg)), 2,
+                              combinations_with_replacement)):
         report.check("derivation", names, derivation, *args)
 
     agreement = check_la_matched_pair(pair, seed).passed == report.passed

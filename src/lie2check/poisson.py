@@ -4,6 +4,11 @@ A self-dual 2-representation of a Lie algebroid B acts on a symmetric
 complex partial_q : Q* -> Q; its graded Poisson manifold carries degree-1
 coordinates tau (the Q* frame functions) and degree-2 coordinates b (the
 B frame functions).
+
+The bracket is a biderivation fixed by its values on the generators, so
+{g, .} is a derivation of degree |g| - 2.  ``PoissonStructure`` keeps the
+generator table and evaluates every bracket through the one graded
+Leibniz rule, ``lie2.GradedDerivation.apply``.
 """
 
 from __future__ import annotations
@@ -11,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-from .exactpoly import Polynomial, PolyMatrix, PolyTensor
+from .exactpoly import PolyMatrix, PolyTensor
 from .report import CheckReport, sweep, witness
 from .bundle import (
     LieAlgebroidData, LinearConnection, TwoRepData, check_two_rep,
     curvature_matrix, unit_section,
 )
-from .lie2 import GradedFunction
+from .lie2 import GradedDerivation, GradedFunction, generators
 
 
 @dataclass
@@ -110,190 +115,101 @@ def check_selfdual2rep(rep: SelfDual2Rep, seed: int = 0,
 
 
 class PoissonStructure:
-    """Degree -2 Poisson bracket generated by a self-dual 2-representation."""
+    """Degree -2 Poisson bracket generated by a self-dual 2-representation.
+
+    The bracket is the biderivation fixed by its generator table:
+    ``table[a][c]`` = {g_a, g_c} over the generators x, then tau, then b
+    (the order of ``lie2.generators``).  {g_a, v} = ``left[a].apply(v)``,
+    where ``left[a]`` is the derivation of degree d_a - 2 whose images are
+    row a.  {u, g_c} = ``with_generator(u, |u|, c)``, which applies the
+    derivation ``right[c]`` of degree d_c - 2 whose images are
+    (-1)^{d_h d_c} {g_h, g_c}.  The table is not assumed skew, so a broken
+    structure keeps its own {u, g} and {g, u}.
+    """
 
     def __init__(self, rep: SelfDual2Rep):
-        self.rep = rep
-        self.p = rep.base_dim
-        self.rq = rep.rank_q
-        self.rb = rep.rank_b
-        self._gamma_star = rep.nablaQstar().gamma
-        self._anchor = rep.algebroid.bundle.anchor
-        self._table = self._generator_table()
+        self.p, self.rq, self.rb = rep.base_dim, rep.rank_q, rep.rank_b
+        gens = generators(self.p, self.rq, self.rb)
+        self.names = [name for name, _ in gens]
+        self.degrees = [degree for _, degree in gens]
+        self.table = self._generator_table(rep)
+        self.left = [self._derivation(d - 2, row)
+                     for d, row in zip(self.degrees, self.table)]
+        self.right = [self._derivation(dc - 2, [
+            -row[c] if dh * dc % 2 else row[c]
+            for dh, row in zip(self.degrees, self.table)])
+            for c, dc in enumerate(self.degrees)]
 
     def _gf(self, terms):
         return GradedFunction(self.p, self.rq, self.rb, terms)
 
-    def _zero(self):
-        return GradedFunction.zero(self.p, self.rq, self.rb)
+    def _derivation(self, degree, images) -> GradedDerivation:
+        """The derivation with the given images of x, tau, b in order."""
+        p, rq = self.p, self.rq
+        return GradedDerivation(p, rq, self.rb, degree, images[:p],
+                                images[p:p + rq], images[p + rq:])
 
-    def _from_poly(self, poly):
-        return GradedFunction.from_poly(self.rq, self.rb, poly)
-
-    def _wedge_function(self, hom: PolyMatrix) -> GradedFunction:
-        """Quadratic function of an antisymmetric Hom(Q, Q*) value.
-
-        hom[t][s] is the tau_t-component of the image of the s-th frame;
-        the associated function is sum_{s<t} hom[t][s] tau_s tau_t.
-        """
-        out = self._zero()
-        for s in range(self.rq):
-            for t in range(s + 1, self.rq):
-                coeff = hom.data[t][s]
-                if not coeff.is_zero():
-                    out = out + self._gf({((s, t), ()): coeff})
-        return out
-
-    def _generator_table(self):
-        table = {}
-        one = Polynomial.const(self.p, 1)
-        for i in range(self.rq):
-            for j in range(self.rq):
-                table[("tau", i), ("tau", j)] = \
-                    self._from_poly(self.rep.partial_q[j, i])
-        for l in range(self.rb):
-            for j in range(self.rq):
-                value = self._gf({((k,), ()): self._gamma_star[l][j][k]
-                                  for k in range(self.rq)})
-                table[("b", l), ("tau", j)] = value
-                table[("tau", j), ("b", l)] = -value
-        frames_b = [unit_section(self.p, self.rb, l) for l in range(self.rb)]
-        for l in range(self.rb):
-            for m in range(self.rb):
-                bracket = self.rep.algebroid.bracket.apply(frames_b[l], frames_b[m])
-                value = self._gf({((), (r,)): bracket[r] for r in range(self.rb)})
-                value = value - self._wedge_function(
-                    self.rep.curv_matrix(frames_b[l], frames_b[m]))
-                table[("b", l), ("b", m)] = value
+    def _generator_table(self, rep: SelfDual2Rep):
+        p, rq, rb = self.p, self.rq, self.rb
+        tau, b = range(p, p + rq), range(p + rq, p + rq + rb)
+        table = [[self._gf({}) for _ in self.degrees] for _ in self.degrees]
+        anchor, gamma_star = rep.algebroid.bundle.anchor, rep.nablaQstar().gamma
+        frames_b = [unit_section(p, rb, l) for l in range(rb)]
+        for l in range(rb):
+            for i in range(p):
+                # {b_l, x_i} = rho_B(b_l)(x_i)
+                table[b[l]][i] = self._gf({((), ()): anchor[i, l]})
+            for j in range(rq):
+                table[b[l]][tau[j]] = self._gf(
+                    {((k,), ()): gamma_star[l][j][k] for k in range(rq)})
+            for m in range(rb):
+                # [b_l, b_m] minus the wedge function of R_B(b_l, b_m):
+                # hom[t][s], the tau_t-component of the image of the s-th
+                # frame, is the coefficient of tau_s tau_t for s < t
+                bracket = rep.algebroid.bracket.apply(frames_b[l], frames_b[m])
+                hom = rep.curv_matrix(frames_b[l], frames_b[m]).data
+                value = {((), (r,)): bracket[r] for r in range(rb)}
+                value.update({((s, t), ()): -hom[t][s]
+                              for s, t in combinations(range(rq), 2)})
+                table[b[l]][b[m]] = self._gf(value)
+            for h in range(p + rq):
+                # {x_i, b_l} and {tau_j, b_l}
+                table[h][b[l]] = -table[b[l]][h]
+        for i in range(rq):
+            for j in range(rq):
+                table[tau[i]][tau[j]] = \
+                    self._gf({((), ()): rep.partial_q[j, i]})
         return table
 
-    def _base_bracket(self, a, b) -> GradedFunction:
-        """Bracket of two single factors; polynomials enter via partials."""
-        kind_a, val_a = a
-        kind_b, val_b = b
-        if kind_a == "poly" and kind_b == "poly":
-            return self._zero()
-        if kind_a == "poly":
-            # {f, g} = sum_i d_i f {x_i, g}
-            out = self._zero()
-            for i in range(self.p):
-                df = val_a.diff(i)
-                if df.is_zero():
-                    continue
-                out = out + self._base_bracket(("x", i), b) * df
-            return out
-        if kind_b == "poly":
-            out = self._zero()
-            for i in range(self.p):
-                dg = val_b.diff(i)
-                if dg.is_zero():
-                    continue
-                out = out + self._base_bracket(a, ("x", i)) * dg
-            return out
-        if kind_a == "x" or kind_b == "x":
-            if kind_a == "x" and kind_b == "b":
-                # {x_i, b_l} = -rho_B(b_l)(x_i)
-                return self._from_poly(-self._anchor[val_a, val_b])
-            if kind_a == "b" and kind_b == "x":
-                return self._from_poly(self._anchor[val_b, val_a])
-            return self._zero()
-        return self._table[(kind_a, val_a), (kind_b, val_b)]
-
-    @staticmethod
-    def _factors(key, poly):
-        taus, bs = key
-        out = []
-        if not poly.is_constant() or poly.constant_value() != 1:
-            out.append(("poly", poly))
-        out.extend(("tau", i) for i in taus)
-        out.extend(("b", i) for i in bs)
-        return out
-
-    @staticmethod
-    def _degree(factor):
-        return {"poly": 0, "x": 0, "tau": 1, "b": 2}[factor[0]]
-
-    def _factor_gf(self, factor) -> GradedFunction:
-        kind, val = factor
-        if kind == "poly":
-            return self._from_poly(val)
-        if kind == "x":
-            return self._from_poly(Polynomial.variable(self.p, val))
-        if kind == "tau":
-            return GradedFunction.tau(self.p, self.rq, self.rb, val)
-        return GradedFunction.bgen(self.p, self.rq, self.rb, val)
-
-    def _factors_gf(self, factors) -> GradedFunction:
-        out = GradedFunction.from_poly(self.rq, self.rb,
-                                       Polynomial.const(self.p, 1))
-        for f in factors:
-            out = out * self._factor_gf(f)
-        return out
-
-    def _bracket_factors(self, left, right) -> GradedFunction:
-        if not left or not right:
-            return self._zero()
-        if len(left) > 1:
-            # {a w, v} = a {w, v} + (-1)^{|w||v|} {a, v} w
-            a, rest = left[0], left[1:]
-            deg_w = sum(self._degree(f) for f in rest)
-            deg_v = sum(self._degree(f) for f in right)
-            term1 = self._factor_gf(a) * self._bracket_factors(rest, right)
-            term2 = self._bracket_factors([a], right) * self._factors_gf(rest)
-            if (deg_w * deg_v) % 2 == 1:
-                term2 = -term2
-            return term1 + term2
-        if len(right) > 1:
-            # {a, c w'} = {a, c} w' + (-1)^{|a||c|} c {a, w'}
-            c, rest = right[0], right[1:]
-            deg_a = self._degree(left[0])
-            deg_c = self._degree(c)
-            term1 = self._bracket_factors(left, [c]) * self._factors_gf(rest)
-            term2 = self._factor_gf(c) * self._bracket_factors(left, rest)
-            if (deg_a * deg_c) % 2 == 1:
-                term2 = -term2
-            return term1 + term2
-        return self._base_bracket(left[0], right[0])
-
-    def bracket(self, u: GradedFunction, v: GradedFunction) -> GradedFunction:
-        out = self._zero()
-        for key1, poly1 in u.terms.items():
-            for key2, poly2 in v.terms.items():
-                out = out + self._bracket_factors(self._factors(key1, poly1),
-                                                  self._factors(key2, poly2))
-        return out
-
-    def generators(self):
-        gens = [(f"x{i + 1}", self._factor_gf(("x", i)), 0) for i in range(self.p)]
-        gens += [(f"tau{i + 1}", self._factor_gf(("tau", i)), 1)
-                 for i in range(self.rq)]
-        gens += [(f"b{i + 1}", self._factor_gf(("b", i)), 2) for i in range(self.rb)]
-        return gens
+    def with_generator(self, u: GradedFunction, degree: int, c: int
+                       ) -> GradedFunction:
+        """{u, g_c} for u homogeneous of the given degree."""
+        value = self.right[c].apply(u)
+        return -value if degree * self.degrees[c] % 2 else value
 
 
 def check_graded_jacobi(rep: SelfDual2Rep, seed: int = 0,
                         title: str = "graded Jacobi identity") -> CheckReport:
     report = CheckReport(title, seed)
     ps = PoissonStructure(rep)
-    gens = ps.generators()
-    labels = [name for name, _, _ in gens]
+    table, deg = ps.table, ps.degrees
+    gens = range(len(deg))
 
-    def skew(gen1, gen2):
-        (_, g1, d1), (_, g2, d2) = gen1, gen2
-        res = ps.bracket(g1, g2)
-        flip = ps.bracket(g2, g1)
-        return res + flip if (d1 * d2) % 2 == 0 else res - flip
+    def skew(a, b):
+        res, flip = table[a][b], table[b][a]
+        return res + flip if (deg[a] * deg[b]) % 2 == 0 else res - flip
 
-    def jacobi(gen1, gen2, gen3):
-        (_, g1, d1), (_, g2, d2), (_, g3, _) = gen1, gen2, gen3
-        res = ps.bracket(g1, ps.bracket(g2, g3)) \
-            - ps.bracket(ps.bracket(g1, g2), g3)
-        nested = ps.bracket(g2, ps.bracket(g1, g3))
-        return res - nested if (d1 * d2) % 2 == 0 else res + nested
+    def jacobi(a, b, c):
+        res = ps.left[a].apply(table[b][c]) \
+            - ps.with_generator(table[a][b], deg[a] + deg[b] - 2, c)
+        nested = ps.left[b].apply(table[a][c])
+        return res - nested if (deg[a] * deg[b]) % 2 == 0 else res + nested
 
-    for names, args in sweep((labels, gens, 2, combinations_with_replacement)):
+    for names, args in sweep((ps.names, gens, 2,
+                              combinations_with_replacement)):
         report.check("skew", names, skew, *args)
-    for names, args in sweep((labels, gens, 3, combinations_with_replacement)):
+    for names, args in sweep((ps.names, gens, 3,
+                              combinations_with_replacement)):
         report.check("jacobi", names, jacobi, *args)
 
     agreement = check_selfdual2rep(rep, seed).passed == report.passed

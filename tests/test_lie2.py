@@ -43,7 +43,7 @@ def test_de_rham_field_oracle():
     assert field.tau_img[0].is_zero()
     assert not field.b_img
     half_sq = graded_commutator(field, field)
-    assert all(g.is_zero() for _, g in half_sq.generator_images())
+    assert all(g.is_zero() for g in half_sq.images())
 
 
 def test_so3_string_field_is_chevalley_eilenberg_plus_b_term():

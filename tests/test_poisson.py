@@ -1,18 +1,23 @@
 """Self-dual 2-representations and the degree -2 Poisson bracket."""
 
 from lie2check.exactpoly import Polynomial, PolyMatrix
-from lie2check.lie2 import GradedFunction
+from lie2check.lie2 import GradedFunction, build_homological_field
 from lie2check.poisson import (
     PoissonStructure, check_graded_jacobi, check_selfdual2rep,
     is_symplectic,
 )
 from lie2check.examples import (
     broken_selfdual_nonsym, broken_selfdual_zero_r, euclidean_curved_r2,
-    euclidean_selfdual_r1, so3_selfdual,
+    euclidean_selfdual_r1, so3_poisson_pair, so3_selfdual,
+    so3_symplectic_pair, tangent_double_pair_r1,
 )
+
+from helpers import curved_tangent_double
 
 SOUND = (euclidean_selfdual_r1, euclidean_curved_r2, so3_selfdual)
 BROKEN = (broken_selfdual_nonsym, broken_selfdual_zero_r)
+SOUND_PAIRS = (so3_symplectic_pair, so3_poisson_pair, tangent_double_pair_r1,
+               curved_tangent_double)
 
 
 def test_sound_selfdual_reps_pass():
@@ -29,19 +34,47 @@ def test_broken_selfdual_reps_fail():
 
 
 def test_euclidean_bracket_of_momenta_is_the_pairing():
-    # {beta(e_1), beta(e_2)} = <e_1, e_2> for the Euclidean structure
-    rep = euclidean_selfdual_r1()
-    ps = PoissonStructure(rep)
-    b1 = GradedFunction(1, 2, 1, {((), (0,)): Polynomial.const(1, 1)})
-    # beta(e_i) corresponds to the degree-2 image of tau_i under partial_q;
-    # with partial_q = id the pairing of frames is delta_ij
-    tau = [GradedFunction(1, 2, 1, {((i,), ()): Polynomial.const(1, 1)})
-           for i in range(2)]
-    out = ps.bracket(tau[0], tau[0])
-    assert out == GradedFunction.from_poly(2, 1, Polynomial.const(1, 1))
-    out = ps.bracket(tau[0], tau[1])
-    assert out.is_zero()
-    assert ps.bracket(b1, b1).is_zero()
+    # {tau_i, tau_j} = <e_i, e_j> for the Euclidean structure: with
+    # partial_q = id the pairing of frames is delta_ij
+    ps = PoissonStructure(euclidean_selfdual_r1())
+    _, tau1, tau2, b1 = range(4)  # x1, tau1, tau2, b1
+    one = GradedFunction.from_poly(2, 1, Polynomial.const(1, 1))
+    tau = [GradedFunction.tau(1, 2, 1, i) for i in range(2)]
+    assert ps.table[tau1][tau1] == one
+    assert ps.left[tau1].apply(tau[0]) == one
+    assert ps.with_generator(tau[0], 1, tau1) == one
+    assert ps.table[tau1][tau2].is_zero()
+    assert ps.left[tau1].apply(tau[1]).is_zero()
+    assert ps.table[b1][b1].is_zero()
+    assert ps.left[b1].apply(GradedFunction.bgen(1, 2, 1, 0)).is_zero()
+
+
+def test_right_bracket_is_the_left_one_under_graded_skew_symmetry():
+    """On a sound structure {u, g_c} = -(-1)^{|u| d_c} {g_c, u}: the
+    ``right`` derivation with its sign agrees with ``left``, for u not a
+    generator: u = {g_a, g_b} and u = Q g_a."""
+    cases = []
+    for build in SOUND:
+        ps = PoissonStructure(build())
+        deg = ps.degrees
+        cases.append((ps, [(ps.table[a][b], deg[a] + deg[b] - 2)
+                           for a in range(len(deg)) for b in range(len(deg))]))
+    for build in SOUND_PAIRS:
+        pair = build()
+        ps = PoissonStructure(pair.selfdual)
+        field = build_homological_field(pair.dorfman)
+        cases.append((ps, [(img, d + 1) for img, d in
+                           zip(field.images(), ps.degrees)]))
+    odd_nonzero = 0
+    for ps, functions in cases:
+        for u, degree in functions:
+            for c, dc in enumerate(ps.degrees):
+                value = ps.left[c].apply(u)
+                odd = degree * dc % 2 == 1
+                assert ps.with_generator(u, degree, c) == \
+                    (value if odd else -value)
+                odd_nonzero += odd and not value.is_zero()
+    assert odd_nonzero  # the sign (-1)^{|u| d_c} is exercised
 
 
 def test_graded_jacobi_on_sound_examples():
