@@ -6,7 +6,8 @@ their frame components and extended to arbitrary polynomial sections by
 the Leibniz rules, so an operator applies to frames and to any
 polynomial section alike.  The checkers record each identity on frames
 and on seeded random sections; those that settle (see ``report``)
-evaluate the random sections only when a frame entry fails.
+evaluate the random sections only for the labels that the frame entries
+do not prove.
 
 The Leibniz extension is made in one place, ``covariant_apply``.  An
 operator D with frame values D_{e_i} f_j = sum_k comps[i][j][k] f_k,
@@ -468,8 +469,10 @@ def check_lie_algebroid(alg: LieAlgebroidData, seed: int = 0,
     its frame values in both slots, so the anchor_compat residual
     rho[u, v] - [rho u, rho v] is tensorial, and alternating once skew
     holds.  With it zero, the Jacobiator of a skew bracket is tensorial
-    and alternating.  So skew and the frame tuples, taken increasing,
-    prove every sampled tuple.
+    and alternating.  So the frame tuples, taken increasing, and these
+    premises prove a label's sampled tuples:
+        anchor_compat <- skew
+        jacobi        <- skew, anchor_compat
     """
     rng = _random.Random(seed)
     report = CheckReport(title, seed)
@@ -493,7 +496,8 @@ def check_lie_algebroid(alg: LieAlgebroidData, seed: int = 0,
         report.check("anchor_compat", names, anchor_compat, *secs)
     for names, secs in sweep((labels, sections, 3, combinations)):
         report.check("jacobi", names, jacobiator, bracket, *secs)
-    return report.settle()
+    return report.settle({"anchor_compat": ("skew",),
+                          "jacobi": ("skew", "anchor_compat")})
 
 
 @dataclass
@@ -548,8 +552,11 @@ def check_two_rep(rep: TwoRepData, seed: int = 0,
     curvatures are tensorial in the A-slots, in the module slot once
     algebroid:anchor_compat holds, and alternating once algebroid:skew
     holds; the Koszul differential of the alternating R is tensorial and
-    alternating once skew holds.  So those labels and the frame tuples,
-    the A-slots taken increasing, prove every sampled tuple.
+    alternating once skew holds.  So the frame tuples, the A-slots taken
+    increasing, and these premises prove a label's sampled tuples:
+        chain_map            <- (none)
+        curv_on_C, curv_on_B <- algebroid:anchor_compat, algebroid:skew
+        dR_zero              <- algebroid:skew
     """
     rng = _random.Random(seed)
     report = CheckReport(title, seed)
@@ -591,7 +598,10 @@ def check_two_rep(rep: TwoRepData, seed: int = 0,
             report.check("curv_on_B", pair + names, curv_on_B, a1, a2, b)
     for names, args in sweep(("a", a_secs, 3, combinations)):
         report.check("dR_zero", names, dR_zero, *args)
-    return report.settle()
+    curving = ("algebroid:anchor_compat", "algebroid:skew")
+    return report.settle({"chain_map": (), "curv_on_C": curving,
+                          "curv_on_B": curving,
+                          "dR_zero": ("algebroid:skew",)})
 
 
 def _flatten_matrix(mat: PolyMatrix):

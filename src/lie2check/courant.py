@@ -104,20 +104,27 @@ def check_courant_axioms(ca: DegenerateCourant, seed: int = 0,
     """Axioms CA1-CA5, D-compatibility and rho D = 0 on frames, the
     coordinate functions and seeded random sections and functions.
 
-    Settles (see ``report``), with a side condition.  The bracket obeys
-    both Leibniz rules by construction and D is a derivation, so CA5
-    holds identically: each CA5 tuple is recorded as passed without
-    evaluation (``tests/test_courant.py`` states the lemma).  CA4 is
-    tensorial once rho_D_zero holds; CA3 once G_symmetric holds (it is
-    then symmetric); D_compat is tensorial in e and a derivation in f, so
-    the coordinates x_m suffice; CA2 is tensorial once G_symmetric and
-    D_compat hold.  With all of those, multiplying one slot of CA1 by f
-    multiplies it by f up to terms <e, e'> K(e'', f), where
-    K(e, f) = [[e, Df]] - D(rho(e) f) is tensorial in e and a derivation
-    in f.  So the side condition asks that the pairing be zero or K
-    vanish on frames and coordinates.  K = 0 follows from CA2 when the
-    pairing is nondegenerate; for a degenerate pairing it can fail while
-    every frame entry passes, and then the sampled tuples are evaluated.
+    Settles (see ``report``).  The bracket obeys both Leibniz rules by
+    construction and D is a derivation, so CA5 holds identically: each
+    CA5 tuple is recorded as passed without evaluation
+    (``tests/test_courant.py`` states the lemma).  CA4 is tensorial once
+    rho_D_zero holds; CA3 once G_symmetric holds (it is then symmetric);
+    D_compat is tensorial in e and a derivation in f, so the coordinates
+    x_m suffice; CA2 is tensorial once G_symmetric and D_compat hold.
+    With all of those, multiplying one slot of CA1 by f multiplies it by
+    f up to terms <e, e'> K(e'', f), where K(e, f) = [[e, Df]] -
+    D(rho(e) f) is tensorial in e and a derivation in f.  So CA1 also
+    needs the pairing to be zero or K to vanish on frames and
+    coordinates (K on frames).  K = 0 follows from CA2 when the pairing
+    is nondegenerate; for a degenerate pairing it can fail while every
+    frame entry passes, and then CA1's sampled tuples are evaluated.  So
+    the frame tuples and coordinates and these premises prove a label's
+    sampled tuples:
+        D_compat <- (none)
+        CA2      <- G_symmetric, D_compat
+        CA3      <- G_symmetric
+        CA4      <- rho_D_zero
+        CA1      <- every label above, rho_D_zero, K on frames
     """
     rng = _random.Random(seed)
     report = CheckReport(title, seed)
@@ -156,9 +163,7 @@ def check_courant_axioms(ca: DegenerateCourant, seed: int = 0,
     def d_compat(f, e):
         return pair(dee(f), e) - field_apply(rho_field(e), f)
 
-    def ca1_tensorial():
-        """The pairing is zero or K(e_i, x_m) = 0 for every frame and
-        coordinate."""
+    def k_on_frames():
         return ca.pairing.is_zero() or all(
             bracket(e, dee(x)) == dee(ca.rho[m, i])
             for i, e in enumerate(frames) for m, x in enumerate(coords))
@@ -178,7 +183,10 @@ def check_courant_axioms(ca: DegenerateCourant, seed: int = 0,
         report.check("D_compat", names, d_compat, *args)
     report.add("rho_D_zero", ca.rho.matmul(ca.dmat).is_zero(),
                witness="rho composed with D")
-    return report.settle(ca1_tensorial)
+    premises = {"D_compat": (), "CA2": ("G_symmetric", "D_compat"),
+                "CA3": ("G_symmetric",), "CA4": ("rho_D_zero",)}
+    premises["CA1"] = (*premises, "G_symmetric", "rho_D_zero", k_on_frames)
+    return report.settle(premises)
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +208,13 @@ def standard_courant(p: int) -> DegenerateCourant:
     coordinate fields followed by the coordinate differentials."""
     base = BaseSpace(p)
     n = 2 * p
-    zero = Polynomial.zero(p)
     one = Polynomial.const(p, 1)
-    rho = PolyMatrix(p, p, n)
+    rho, pairing, dmat = PolyMatrix(p, p, n), PolyMatrix(p, n, n), \
+        PolyMatrix(p, n, p)
     for m in range(p):
-        rho[m, m] = one
-    pairing = PolyMatrix(p, n, n)
-    for m in range(p):
-        pairing[m, p + m] = one
-        pairing[p + m, m] = one
-    comps = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    dmat = PolyMatrix(p, n, p)
-    for m in range(p):
-        dmat[p + m, m] = one
+        rho[m, m] = pairing[m, p + m] = pairing[p + m, m] = \
+            dmat[p + m, m] = one
+    comps = [[zero_section(p, n) for _ in range(n)] for _ in range(n)]
     return DegenerateCourant(base, n, rho, pairing, comps, dmat)
 
 
@@ -371,10 +373,9 @@ def semidirect_dorfman2rep(rep) -> Dorfman2Rep:
     rb, rc = rep.rank_b, rep.rank_c
     rq = ra + rc
 
-    anchor = PolyMatrix(p, p, rq)
-    for m in range(p):
-        for i in range(ra):
-            anchor[m, i] = algA.bundle.anchor[m, i]
+    zero = Polynomial.zero(p)
+    anchor = PolyMatrix(p, p, rq, [row + [zero] * rc
+                                   for row in algA.bundle.anchor.data])
     bundle = AnchoredBundle(algA.bundle.base, rq, anchor)
 
     partial_b = PolyMatrix(p, rb, rq)
@@ -382,7 +383,6 @@ def semidirect_dorfman2rep(rep) -> Dorfman2Rep:
         for m in range(rc):
             partial_b[r, ra + m] = rep.partial[r, m]
 
-    zero = Polynomial.zero(p)
     comps = [[[zero for _ in range(rq)] for _ in range(rq)] for _ in range(rq)]
     gammaAC = rep.connC.gamma
     for i in range(ra):
@@ -453,13 +453,15 @@ def check_core_courant(pair: LAPairData, seed: int = 0,
     partial_B as a bracket morphism and [[D f, tau]] = 0, on frames, the
     coordinate functions and seeded random sections and functions.
 
-    Settles (see ``report``), with a side condition.  exact_central is
-    tensorial in tau once rho_D_zero holds, and a derivation in f once
-    D_compat holds, so the coordinates x_m suffice.  partialB_bracket is
-    tensorial in its second slot once partialB_anchor holds, and in its
-    first once also <tau1, tau2> partial_B D f = 0: the side condition
-    partial_B D = 0, which holds when the Dorfman half satisfies
-    anchor_chain.
+    Settles (see ``report``).  exact_central is tensorial in tau once
+    rho_D_zero holds, and a derivation in f once D_compat holds, so the
+    coordinates x_m suffice.  partialB_bracket is tensorial in its second
+    slot once partialB_anchor holds, and in its first once also
+    <tau1, tau2> partial_B D f = 0, that is partial_B D = 0, which holds
+    when the Dorfman half satisfies anchor_chain.  So the frame tuples
+    and coordinates and these premises prove a label's sampled tuples:
+        exact_central    <- rho_D_zero, D_compat
+        partialB_bracket <- partialB_anchor, partial_B D = 0
     """
     rng = _random.Random(seed)
     ca = core_courant(pair)
@@ -490,7 +492,10 @@ def check_core_courant(pair: LAPairData, seed: int = 0,
         report.sample([random_polynomial(rng, p)])
     for names, args in sweep(("f", funcs), ("tau", taus)):
         report.check("exact_central", names, exact_central, *args)
-    return report.settle(lambda: D.partial_b.matmul(ca.dmat).is_zero())
+    return report.settle({
+        "exact_central": ("rho_D_zero", "D_compat"),
+        "partialB_bracket": ("partialB_anchor",
+                             D.partial_b.matmul(ca.dmat).is_zero)})
 
 
 def tangent_double_pair(ca: DegenerateCourant, gamma) -> LAPairData:

@@ -360,6 +360,9 @@ class Polynomial:
                              f"{type(data).__name__}")
         terms = {}
         for item in data:
+            if not isinstance(item, dict):
+                raise ValueError("polynomial term must be an object with "
+                                 f"coeff and exps, got {type(item).__name__}")
             if set(item) != {"coeff", "exps"}:
                 raise ValueError("polynomial term must have exactly coeff and exps")
             if not isinstance(item["exps"], list):

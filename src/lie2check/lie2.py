@@ -398,8 +398,12 @@ def check_dorfman2rep(rep: Dorfman2Rep, seed: int = 0,
     holds; D1 and D3 are tensorial once anchor_chain holds (D3 is
     symmetric); the curvatures in D4 are tensorial once anchor_bracket
     and D2 hold, and alternating once D2 holds; the Koszul differential
-    in D6 is tensorial and alternating once D2 holds.  So those labels
-    and the frame tuples prove every sampled tuple.
+    in D6 is tensorial and alternating once D2 holds.  So the frame
+    tuples and these premises prove a label's sampled tuples:
+        anchor_bracket     <- D2
+        D1, D3             <- anchor_chain
+        D4_nabla, D4_delta <- anchor_bracket, D2
+        D6                 <- D2
     """
     rng = _random.Random(seed)
     report = CheckReport(title, seed)
@@ -485,7 +489,11 @@ def check_dorfman2rep(rep: Dorfman2Rep, seed: int = 0,
         report.check("D6", ("random sections",), d6, *draw(rq, 4))
     if rq < 4:
         report.add("D6", True, witness="vacuous: rank below 4")
-    return report.settle()
+    curving = ("anchor_bracket", "D2")
+    return report.settle({"anchor_bracket": ("D2",),
+                          "D1": ("anchor_chain",), "D3": ("anchor_chain",),
+                          "D4_nabla": curving, "D4_delta": curving,
+                          "D6": ("D2",)})
 
 
 # ---------------------------------------------------------------------------

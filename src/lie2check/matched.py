@@ -123,8 +123,14 @@ def check_matched_two_reps(pair: MatchedPair2Reps, seed: int = 0,
     anchor_mixed holds and the bracket of A (of B) is skew, which makes
     them alternating; condition 7 is tensorial and, with both brackets
     skew, alternating in each pair.  Skewness is 2rep_A:algebroid:skew
-    and 2rep_B:algebroid:skew.  So those labels and the frame tuples,
-    pairs taken increasing, prove every sampled tuple.
+    and 2rep_B:algebroid:skew.  So the frame tuples, pairs taken
+    increasing, and these premises prove a label's sampled tuples:
+        anchor_mixed  <- (none)
+        condition_1-3 <- anchor_chain
+        condition_4   <- anchor_mixed
+        condition_5   <- anchor_mixed, 2rep_A:algebroid:skew
+        condition_6   <- anchor_mixed, 2rep_B:algebroid:skew
+        condition_7   <- 2rep_A:algebroid:skew, 2rep_B:algebroid:skew
     """
     rng = _random.Random(seed)
     report = CheckReport(title, seed)
@@ -215,7 +221,14 @@ def check_matched_two_reps(pair: MatchedPair2Reps, seed: int = 0,
                witness="rho_A partial_A = rho_B partial_B")
     for names, args in sweep(("a", a_secs), ("b", b_secs)):
         report.check("anchor_mixed", names, anchor_mixed, *args)
-    return report.settle()
+    chained = ("anchor_chain",)
+    skew_a, skew_b = "2rep_A:algebroid:skew", "2rep_B:algebroid:skew"
+    return report.settle({
+        "anchor_mixed": (), "condition_1": chained, "condition_2": chained,
+        "condition_3": chained, "condition_4": ("anchor_mixed",),
+        "condition_5": ("anchor_mixed", skew_a),
+        "condition_6": ("anchor_mixed", skew_b),
+        "condition_7": (skew_a, skew_b)})
 
 
 # ---------------------------------------------------------------------------
@@ -423,26 +436,34 @@ def check_la_matched_pair(pair: LAPairData, seed: int = 0,
     """Conditions (M1)-(M5), their equivalent forms and the anchor
     identities on frames and seeded random sections.
 
-    Settles (see ``report``), with a side condition: the shape conditions
-    of the two halves that this report does not check, namely skew of
-    the self-dual half (B's bracket is skew), D2 and D5 of the Dorfman
-    half (Q's bracket is skew, R^* q3 is alternating), and
-    partial_symmetric and curv_antisymmetric of the self-dual half.  The
-    brackets, connections and Delta are Leibniz extensions, and
-    partial_Q, partial_B and the curvatures are tensors.  Then
-    anchor_mixed is tensorial; M2 is tensorial once anchor_chain holds,
-    and M1 and almost_C once also partial_Q is symmetric (almost_C is
-    then symmetric); LC10 is tensorial once anchor_mixed holds; M3 is
-    tensorial once anchor_mixed holds and alternating once B's bracket
-    is skew; M4 is tensorial once anchor_mixed holds and alternating
-    once Q's bracket is skew and R_B antisymmetric; M5 and M5_expanded
-    are tensorial once R_B is antisymmetric, and alternating in the
-    B-pair once B's bracket is skew and in the Q-slots once Q's bracket
-    is skew (M5 also needs D5).  So those labels, the side condition and
-    the frame tuples, pairs and triples taken increasing, prove every
-    sampled tuple.  M5_agreement compares the settled verdicts.  Without
-    partial_symmetric, M1 and almost_C can fail on sampled tuples while
-    every frame entry passes and both brackets are skew
+    Settles (see ``report``).  The brackets, connections and Delta are
+    Leibniz extensions, and partial_Q, partial_B and the curvatures are
+    tensors.  Then anchor_mixed is tensorial; M2 is tensorial once
+    anchor_chain holds, and M1 and almost_C once also partial_Q is
+    symmetric (almost_C is then symmetric); LC10 is tensorial once
+    anchor_mixed holds; M3 is tensorial once anchor_mixed holds and
+    alternating once B's bracket is skew; M4 is tensorial once
+    anchor_mixed holds and alternating once Q's bracket is skew and R_B
+    antisymmetric; M5 and M5_expanded are tensorial once R_B is
+    antisymmetric, and alternating in the B-pair once B's bracket is skew
+    and in the Q-slots once Q's bracket is skew (M5 also needs D5).  The
+    shape conditions of the two halves are not checked in this report, so
+    they are predicates: skew of the self-dual half (B skew), D2 and D5
+    of the Dorfman half (Q skew, D5), and partial_symmetric and
+    curv_antisymmetric of the self-dual half (partial_Q symmetric, R_B
+    antisymmetric).  So the frame tuples, pairs and triples taken
+    increasing, and these premises prove a label's sampled tuples:
+        anchor_mixed <- (none)
+        M2           <- anchor_chain
+        M1, almost_C <- anchor_chain, partial_Q symmetric
+        LC10         <- anchor_mixed
+        M3           <- anchor_mixed, B skew
+        M4           <- anchor_mixed, Q skew, R_B antisymmetric
+        M5           <- R_B antisymmetric, B skew, Q skew, D5
+        M5_expanded  <- R_B antisymmetric, B skew, Q skew
+    M5_agreement compares the settled verdicts.  Without partial_Q
+    symmetric, M1 and almost_C can fail on sampled tuples while every
+    frame entry passes and both brackets are skew
     (``tests/test_settle.py``).
     """
     rng = _random.Random(seed)
@@ -619,16 +640,27 @@ def check_la_matched_pair(pair: LAPairData, seed: int = 0,
     for names, args in sweep(("q", q_secs), ("b", b_secs)):
         report.check("anchor_mixed", names, anchor_mixed, *args)
 
-    def halves_shaped():
-        return (S.algebroid.bracket.is_skew() and bracket_q.is_skew()
-                and not S.partial_symmetry_failures()
-                and not S.curv_antisymmetry_failures()
-                and not D.curv_alternation_failures())
+    def symmetric():
+        return not S.partial_symmetry_failures()
+
+    def antisymmetric():
+        return not S.curv_antisymmetry_failures()
+
+    def d5():
+        return not D.curv_alternation_failures()
 
     def holds(label):
         return all(e.passed for e in report.entries if e.label == label)
 
-    report.settle(halves_shaped)
+    b_skew, q_skew = S.algebroid.bracket.is_skew, bracket_q.is_skew
+    alternating = (antisymmetric, b_skew, q_skew)
+    shaped = ("anchor_chain", symmetric)
+    report.settle({
+        "anchor_mixed": (), "M2": ("anchor_chain",), "M1": shaped,
+        "almost_C": shaped, "LC10": ("anchor_mixed",),
+        "M3": ("anchor_mixed", b_skew),
+        "M4": ("anchor_mixed", q_skew, antisymmetric),
+        "M5": alternating + (d5,), "M5_expanded": alternating})
     # the two verdicts are final only once the deferred tuples settle
     report.entries[agreement].passed = holds("M5") == holds("M5_expanded")
     return report

@@ -11,11 +11,13 @@ sections and functions drawn from a seeded ``random.Random``.  A checker
 that settles marks those draws with ``CheckReport.sample``; one that
 does not has every ``check`` evaluated at once.  A tuple that holds a
 sampled item is deferred: it gets a passing placeholder at its position.
-Before returning, the checker calls ``CheckReport.settle``.  If every
-entry recorded so far passed, and the checker's side condition (if it
-has one) holds, its docstring's completeness argument proves every
-deferred residual zero, and the placeholders stand.  Otherwise every
-deferred tuple is evaluated in place.  The draws themselves are made
+Before returning, the checker calls ``CheckReport.settle`` with its
+premise table, which maps each label it defers to what its docstring's
+completeness argument needs: other labels, and zero-argument shape
+predicates.  A label is proven when every entry recorded under it passed
+and every premise holds; the argument then proves its deferred residuals
+zero, and their placeholders stand.  Only the deferred tuples of the
+other labels are evaluated, in place.  The draws themselves are made
 either way, so the report is the same as if every tuple had been
 evaluated in its loop.
 """
@@ -91,6 +93,11 @@ class CheckReport:
                            compare=False)
     _deferred: list = field(default_factory=list, init=False, repr=False,
                             compare=False)
+    # during ``settle``: its premise table and the verdicts taken so far
+    _premises: dict = field(default=None, init=False, repr=False,
+                            compare=False)
+    _verdicts: dict = field(default=None, init=False, repr=False,
+                            compare=False)
 
     @property
     def passed(self) -> bool:
@@ -118,22 +125,47 @@ class CheckReport:
         self.entries.append(residual_entry(label, residual(*args),
                                            witness(names)))
 
-    def settle(self, side_condition=None):
+    def settle(self, premises):
         """Finish the deferred entries and return the report.
 
-        When ``proves`` holds, the placeholders stand; otherwise every
-        deferred residual is evaluated in recording order and replaces
-        its placeholder."""
+        ``premises`` maps each deferred label to the labels and shape
+        predicates its completeness argument needs.  Each deferred
+        residual whose label ``proves`` does not prove is evaluated, in
+        recording order, and replaces its placeholder; the others keep
+        their passing placeholders."""
         deferred, self._deferred = self._deferred, []
         self._sampled = {}
-        if deferred and not self.proves(side_condition):
-            self.evaluate(deferred)
+        if deferred:
+            entries = self.entries
+            # a failing entry disproves its label; a deferred label with
+            # no stated argument, and a premise that names no recorded
+            # label, are never proven
+            recorded = {e.label for e in entries}
+            named = {p for ps in premises.values() for p in ps
+                     if isinstance(p, str)}
+            waiting = {entries[i].label for i, _, _ in deferred}
+            unproven = ({e.label for e in entries if not e.passed}
+                        | (waiting - premises.keys()) | (named - recorded))
+            self._verdicts = dict.fromkeys(unproven, False)
+            self._premises = premises
+            self.evaluate([d for d in deferred
+                           if not self.proves(entries[d[0]].label)])
+            self._verdicts = self._premises = None
         return self
 
-    def proves(self, side_condition=None) -> bool:
-        """Every entry so far passed and ``side_condition()``, if given,
-        holds: the premises of the checker's completeness argument."""
-        return self.passed and (side_condition is None or side_condition())
+    def proves(self, premise) -> bool:
+        """Whether the frames prove ``premise`` during ``settle``: a
+        predicate holds when it returns true, and a label is proven when
+        every entry recorded under it passed and each of its premises is
+        proven.  A recorded label outside the table records frame
+        entries only, so its entries decide it.  Each verdict is taken
+        once."""
+        verdicts = self._verdicts
+        if premise not in verdicts:
+            verdicts[premise] = False   # a circular argument proves nothing
+            verdicts[premise] = premise() if callable(premise) else all(
+                self.proves(p) for p in self._premises.get(premise, ()))
+        return verdicts[premise]
 
     def evaluate(self, deferred):
         """Replace each deferred entry's placeholder by its evaluation."""

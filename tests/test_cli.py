@@ -145,6 +145,21 @@ def test_malformed_field_is_exit_2(tmp_path, capsys, example, field, value):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("term, got", [(["coeff", "exps"], "list"),
+                                       (7, "int")])
+def test_non_object_polynomial_term_is_exit_2(tmp_path, capsys, term, got):
+    path = _emit(tmp_path, "so3_lie2")
+    doc = json.loads(path.read_text())
+    doc["delta"][0][1][2] = [term]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.endswith(": dorfman2rep.delta: polynomial term must be an "
+                        f"object with coeff and exps, got {got}\n"), err
+
+
 @pytest.mark.parametrize("value", [1.5, True, "1", None, -1])
 def test_malformed_tensor_index_is_exit_2(tmp_path, capsys, value):
     path = _emit(tmp_path, "euclidean_curved_r2")

@@ -1,13 +1,16 @@
 """Settled reports equal fully evaluated ones.
 
 A checker that settles (see ``lie2check.report``) defers every witness
-tuple that holds a seeded random section or function, and records the
-deferred entries as passed when its frame entries pass.  Each case here
-runs a check twice: as shipped, and with ``CheckReport.proves`` patched
-to return False.  That sends every ``settle`` to its fallback, which
-evaluates each deferred tuple with the same code, so the second report
-is the one every tuple gives.  The two JSON reports must be equal.
+tuple that holds a seeded random section or function, and records a
+label's deferred entries as passed when its frame entries and the
+premises in its checker's table prove it.  Each case here runs a check
+twice: as shipped, and with ``CheckReport.proves`` patched to return
+False.  That proves no label, so every deferred tuple is evaluated with
+the same code, and the second report is the one every tuple gives.  The
+two JSON reports must be equal.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -30,26 +33,38 @@ SETTLING = ("lie-algebroid", "two-rep", "dorfman", "selfdual",
             "la-pair", "q-poisson")
 
 
-def _check(check, monkeypatch, full=False):
+def _check(check, monkeypatch, full=False, labels=None):
     """The report dict of ``check()``, the number of items its checkers
-    sampled and the number of deferred tuples its settles evaluated."""
-    sampled, ran = [], []
-    sample, evaluate = CheckReport.sample, CheckReport.evaluate
+    sampled and the number of deferred tuples its settles evaluated;
+    ``labels``, a Counter, counts the evaluated tuples by label.  The
+    full run must evaluate every tuple it deferred."""
+    sampled, deferred, ran = [], [], []
+    labels = Counter() if labels is None else labels
+    sample, settle = CheckReport.sample, CheckReport.settle
+    evaluate = CheckReport.evaluate
 
     def counting_sample(self, items):
         sampled.append(len(items))
         return sample(self, items)
 
-    def counting_evaluate(self, deferred):
-        ran.append(len(deferred))
-        evaluate(self, deferred)
+    def counting_settle(self, premises):
+        deferred.append(len(self._deferred))
+        return settle(self, premises)
+
+    def counting_evaluate(self, pending):
+        ran.append(len(pending))
+        labels.update(self.entries[index].label for index, _, _ in pending)
+        evaluate(self, pending)
 
     with monkeypatch.context() as m:
         m.setattr(CheckReport, "sample", counting_sample)
+        m.setattr(CheckReport, "settle", counting_settle)
         m.setattr(CheckReport, "evaluate", counting_evaluate)
         if full:
             m.setattr(CheckReport, "proves", lambda self, *_: False)
         report = check()
+    if full:
+        assert sum(ran) == sum(deferred)
     return report_dict(report), sum(sampled), sum(ran)
 
 
@@ -100,6 +115,69 @@ def test_a_frame_failure_evaluates_the_sampled_tuples(name, mode,
     # frame failure is anchor_mixed
     ran = _compare(*_decoded(name), [mode], (0,), monkeypatch)
     assert ran[mode, 0] > 0
+
+
+def _mode_checks(name, modes=MODES, seed=0):
+    """(mode, check) for each mode that accepts the example."""
+    kind, obj = _decoded(name)
+    for mode in modes:
+        def check(mode=mode):
+            return _run_check(mode, kind, obj, None, seed)[1]
+        try:
+            check()
+        except CliError:
+            continue
+        yield mode, check
+
+
+@pytest.mark.parametrize("name", ["broken_so3_pair_dq",
+                                  "broken_r4_nonclosed"])
+def test_a_failing_report_evaluates_only_unproven_labels(name,
+                                                         monkeypatch):
+    # each fails a few labels; the labels whose frame entries pass and
+    # whose premises hold keep their placeholders
+    settled = full = 0
+    for mode, check in _mode_checks(name):
+        report, _, ran = _check(check, monkeypatch)
+        every, _, ran_all = _check(check, monkeypatch, full=True)
+        assert report == every, mode
+        settled, full = settled + ran, full + ran_all
+    assert settled < full, (settled, full)
+
+
+def test_a_failing_premise_evaluates_its_labels(monkeypatch):
+    # condition_5 fails only on sampled tuples; its premise anchor_mixed
+    # fails on frames, so its tuples are evaluated
+    (_, check), = _mode_checks("broken_axb_cond5", ["matched-2reps"])
+    labels = Counter()
+    report = _check(check, monkeypatch, labels=labels)[0]
+    failing = {c["label"] for c in report["checks"] if not c["passed"]}
+    assert labels["condition_5"] > 0
+    assert {"condition_5", "anchor_mixed"} <= failing
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in EXAMPLES if not n.endswith("_dirac")))
+def test_every_premise_table_covers_its_labels(name, monkeypatch):
+    # a misspelt key or premise would switch settling off, without any
+    # failure, for its label or for every label that needs the premise;
+    # both must fail here
+    faults = []
+    settle = CheckReport.settle
+
+    def checked_settle(self, premises):
+        recorded = {e.label for e in self.entries}
+        deferred = {self.entries[i].label for i, _, _ in self._deferred}
+        named = {p for ps in premises.values() for p in ps
+                 if isinstance(p, str)}
+        faults.extend((self.title, label) for label in sorted(
+            (deferred - set(premises)) | (named - recorded)))
+        return settle(self, premises)
+
+    monkeypatch.setattr(CheckReport, "settle", checked_settle)
+    modes = [mode for mode, _ in _mode_checks(name, SETTLING)]
+    assert modes, "no settling mode accepts the example"
+    assert not faults, faults
 
 
 def test_the_curved_tangent_double_settles(monkeypatch):
