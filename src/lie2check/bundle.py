@@ -629,17 +629,12 @@ def _two_rep_dR(rep: TwoRepData, curv, bracket, connB, connC,
 
 def dualize_two_rep(rep: TwoRepData) -> TwoRepData:
     """Dual 2-term representation on partial^T : B* -> C*."""
-    p = rep.algebroid.bundle.base_dim
-    ra = rep.algebroid.bundle.rank
-    curv = TwoRepData.curv_tensor(p, ra, rep.rank_c, rep.rank_b)
-    for i in range(ra):
-        for j in range(i + 1, ra):
-            for m in range(rep.rank_c):
-                for r in range(rep.rank_b):
-                    entry = rep.curv.get(i, j, r, m)
-                    if not entry.is_zero():
-                        # new R(a_i, a_j): C* -> B*, minus the transpose
-                        curv.set((i, j, m, r), -entry)
+    bundle = rep.algebroid.bundle
+    # new R(a_i, a_j): C* -> B*, minus the transpose
+    curv = TwoRepData.curv_tensor(
+        bundle.base_dim, bundle.rank, rep.rank_c, rep.rank_b).fill(
+        lambda i, j, m: [-rep.curv.get(i, j, r, m)
+                         for r in range(rep.rank_b)])
     return TwoRepData(
         algebroid=rep.algebroid,
         rank_b=rep.rank_c,

@@ -294,26 +294,20 @@ def _adjoint_and_inverse(ca: DegenerateCourant, gamma):
         return section_add(field_bracket(ca.rho_field(e), x),
                            ca.rho_field(nabla(x, e)))
 
-    curv = Dorfman2Rep.curv_tensor(p, n, p)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e1, e2 = frames[i], frames[j]
-            for m in range(p):
-                x = coord_fields[m]
-                val = section_neg(nabla(x, bracket_delta(e1, e2)))
-                val = section_add(val, bracket_delta(nabla(x, e1), e2))
-                val = section_add(val, bracket_delta(e1, nabla(x, e2)))
-                val = section_add(val, nabla(nabla_bas_field(e2, x), e1))
-                val = section_sub(val, nabla(nabla_bas_field(e1, x), e2))
-                alpha = [ca.pair(connection_curvature(
-                    nabla, field_bracket, x, coord_fields[mp], e1), e2)
-                    for mp in range(p)]
-                val = section_sub(val,
-                                  ginv.apply(ca.rho.transpose().apply(alpha)))
-                img = lower(val)
-                for k in range(n):
-                    if not img[k].is_zero():
-                        curv.set((i, j, m, k), img[k])
+    def curv_row(i, j, m):
+        e1, e2, x = frames[i], frames[j], coord_fields[m]
+        val = section_neg(nabla(x, bracket_delta(e1, e2)))
+        val = section_add(val, bracket_delta(nabla(x, e1), e2))
+        val = section_add(val, bracket_delta(e1, nabla(x, e2)))
+        val = section_add(val, nabla(nabla_bas_field(e2, x), e1))
+        val = section_sub(val, nabla(nabla_bas_field(e1, x), e2))
+        alpha = [ca.pair(connection_curvature(
+            nabla, field_bracket, x, coord_fields[mp], e1), e2)
+            for mp in range(p)]
+        return lower(section_sub(
+            val, ginv.apply(ca.rho.transpose().apply(alpha))))
+
+    curv = Dorfman2Rep.curv_tensor(p, n, p).fill(curv_row)
     return Dorfman2Rep(bundle, p, partial_b, delta, nabla_bas, curv), ginv
 
 
@@ -350,17 +344,11 @@ def standard_dorfman2rep(dull: DullBracket) -> Dorfman2Rep:
               for j in range(rank_e)] for i in range(rq)]
     nabla = LinearConnection(bundle, rank_e, gamma)
 
-    curv = Dorfman2Rep.curv_tensor(p, rq, rank_e)
     frames = bundle.frames()
-    for i in range(rq):
-        for j in range(i + 1, rq):
-            for r in range(rank_e):
-                tau = unit_section(p, rq, p + r)
-                val = connection_curvature(delta.apply, dull.apply,
-                                           frames[i], frames[j], tau)
-                for k in range(rq):
-                    if not val[k].is_zero():
-                        curv.set((i, j, r, k), val[k])
+    curv = Dorfman2Rep.curv_tensor(p, rq, rank_e).fill(
+        lambda i, j, r: connection_curvature(
+            delta.apply, dull.apply, frames[i], frames[j],
+            unit_section(p, rq, p + r)))
     return Dorfman2Rep(bundle, rank_e, partial_b, delta, nabla, curv)
 
 
@@ -405,21 +393,19 @@ def semidirect_dorfman2rep(rep) -> Dorfman2Rep:
                     for j in range(rb)]
     nabla = LinearConnection(bundle, rb, gamma)
 
-    curv = Dorfman2Rep.curv_tensor(p, rq, rb)
-    for i in range(ra):
-        for j in range(i + 1, ra):
-            for r in range(rb):
-                for m in range(rc):
-                    entry = rep.curv.get(i, j, r, m)
-                    if not entry.is_zero():
-                        curv.set((i, j, r, ra + m), entry)
-    for i in range(ra):
-        for n_ in range(rc):
-            for r in range(rb):
-                for j in range(ra):
-                    entry = rep.curv.get(i, j, r, n_)
-                    if not entry.is_zero():
-                        curv.set((i, ra + n_, r, j), entry)
+    def curv_row(i, j, r):
+        """R(q_i, q_j) b_r on the frames of Q* = A* + C: on a_i, a_j it
+        is R_A(a_i, a_j) b_r in C; on a_i and the C*-frame c_n, its
+        a_k-component is the c_n-component of R_A(a_i, a_k) b_r."""
+        if j < ra:
+            return [zero] * ra + [rep.curv.get(i, j, r, m)
+                                  for m in range(rc)]
+        if i < ra:
+            return [rep.curv.get(i, k, r, j - ra)
+                    for k in range(ra)] + [zero] * rc
+        return [zero] * rq
+
+    curv = Dorfman2Rep.curv_tensor(p, rq, rb).fill(curv_row)
     return Dorfman2Rep(bundle, rb, partial_b, delta, nabla, curv)
 
 
@@ -515,18 +501,11 @@ def tangent_double_pair(ca: DegenerateCourant, gamma) -> LAPairData:
 
     coord_fields = [unit_section(p, p, m) for m in range(p)]
 
-    curvB = SelfDual2Rep.curv_tensor(p, p, n)
     frames = ca.frames()
-    for l in range(p):
-        for m in range(l + 1, p):
-            for s in range(n):
-                val = connection_curvature(nablaQ.apply, field_bracket,
-                                           coord_fields[l], coord_fields[m],
-                                           frames[s])
-                img = ca.pairing.apply(val)
-                for t in range(n):
-                    if not img[t].is_zero():
-                        curvB.set((l, m, s, t), img[t])
+    curvB = SelfDual2Rep.curv_tensor(p, p, n).fill(
+        lambda l, m, s: ca.pairing.apply(connection_curvature(
+            nablaQ.apply, field_bracket, coord_fields[l], coord_fields[m],
+            frames[s])))
     selfdual = SelfDual2Rep(algB, n, ginv, nablaQ, curvB)
     return LAPairData(selfdual, dorfman)
 
@@ -852,31 +831,23 @@ def selfdual_change_splitting(rep: SelfDual2Rep, phi: PolyTensor,
     def phi_apply(l, sec):
         return phi_mats[l].apply(sec)
 
-    curv2 = SelfDual2Rep.curv_tensor(p, rb, rq)
-    for l in range(rb):
-        for m in range(l + 1, rb):
-            b1, b2 = frames_b[l], frames_b[m]
-            base_mat = rep.curv_matrix(b1, b2)
-            bracket_b = rep.algebroid.bracket.apply(b1, b2)
-            for s in range(rq):
-                q = unit_section(p, rq, s)
-                val = base_mat.apply(q)
-                # covariant differential of Phi
-                val = section_add(val, nQstar.apply(b1, phi_apply(m, q)))
-                val = section_sub(val, phi_apply(m, nQ.apply(b1, q)))
-                val = section_sub(val, nQstar.apply(b2, phi_apply(l, q)))
-                val = section_add(val, phi_apply(l, nQ.apply(b2, q)))
-                for r in range(rb):
-                    if not bracket_b[r].is_zero():
-                        val = section_sub(
-                            val, section_smul(bracket_b[r],
-                                              phi_apply(r, q)))
-                # quadratic correction
-                val = section_add(val, phi_mats[l].apply(
-                    rep.partial_q.apply(phi_apply(m, q))))
-                val = section_sub(val, phi_mats[m].apply(
-                    rep.partial_q.apply(phi_apply(l, q))))
-                for t in range(rq):
-                    if not val[t].is_zero():
-                        curv2.add_to((l, m, s, t), val[t])
+    def curv_row(l, m, s):
+        b1, b2 = frames_b[l], frames_b[m]
+        q = unit_section(p, rq, s)
+        val = [rep.curvB.get(l, m, s, t) for t in range(rq)]
+        # covariant differential of Phi
+        val = section_add(val, nQstar.apply(b1, phi_apply(m, q)))
+        val = section_sub(val, phi_apply(m, nQ.apply(b1, q)))
+        val = section_sub(val, nQstar.apply(b2, phi_apply(l, q)))
+        val = section_add(val, phi_apply(l, nQ.apply(b2, q)))
+        for r, coeff in enumerate(rep.algebroid.bracket.comps[l][m]):
+            if not coeff.is_zero():
+                val = section_sub(val, section_smul(coeff, phi_apply(r, q)))
+        # quadratic correction
+        val = section_add(val, phi_mats[l].apply(
+            rep.partial_q.apply(phi_apply(m, q))))
+        return section_sub(val, phi_mats[m].apply(
+            rep.partial_q.apply(phi_apply(l, q))))
+
+    curv2 = SelfDual2Rep.curv_tensor(p, rb, rq).fill(curv_row)
     return SelfDual2Rep(rep.algebroid, rq, rep.partial_q, nablaQ2, curv2)

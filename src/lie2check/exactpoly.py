@@ -36,6 +36,10 @@ input bound leaves products a 2**15-fold margin below the guard.
 ``monomials()`` unpacks the keys to tuples; renders and JSON sort the
 unpacked tuples.
 
+Tensors: ``PolyTensor.fill`` is the one way to build a tensor from a
+layout.  It walks the canonical keys, so the constructions never decide
+themselves which index tuples an antisymmetric block stores.
+
 Linear algebra: ``PolyMatrix.charpoly`` (Berkowitz) gives the
 determinant and, by Cayley-Hamilton, the inverse, with ring operations
 only.  Rank, null space and left inverse of constant matrices rest on
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import combinations, product
 from operator import or_
 
 FIELD_BITS = 32
@@ -419,7 +424,8 @@ class PolyTensor:
     ``groups`` is a sequence of (dim, arity, antisym) triples; the full
     index tuple concatenates one block per group.  Antisymmetric blocks
     are stored only on strictly increasing tuples; permuted reads return
-    the signed entry and repeated indices read zero.
+    the signed entry and repeated indices read zero.  ``fill`` is the one
+    way to build a tensor from a layout; ``from_json`` reads a stored one.
     """
 
     __slots__ = ("base_dim", "groups", "entries")
@@ -469,8 +475,32 @@ class PolyTensor:
         else:
             self.entries[key] = value if sign == 1 else -value
 
-    def add_to(self, idx, value: Polynomial):
-        self.set(idx, self.get(*idx) + value)
+    def fill(self, values) -> "PolyTensor":
+        """Set every entry from the row function ``values``; returns self.
+
+        For each canonical key of all index groups but the last, in order
+        (strictly increasing tuples in an antisymmetric block, every tuple
+        elsewhere), ``values(*key)`` is the row of entries along the last
+        group, of arity 1; its nonzero entries become the tensor's.  A row
+        of the wrong length raises ValueError.
+        """
+        *head, (dim, arity, _) = self.groups
+        if arity != 1:
+            raise ValueError("the last filled index group has arity 1")
+        entries = {}
+        for blocks in product(*(combinations(range(d), a) if s
+                                else product(range(d), repeat=a)
+                                for d, a, s in head)):
+            key = sum(blocks, ())
+            row = values(*key)
+            if len(row) != dim:
+                raise ValueError(f"row {list(key)} has {len(row)} entries, "
+                                 f"expected {dim}")
+            for n, value in enumerate(row):
+                if value.terms:
+                    entries[key + (n,)] = value
+        self.entries = entries
+        return self
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -304,14 +304,8 @@ class Dorfman2Rep:
         (D5) asserts and is checked separately.
         """
         form = VectorValuedForm.empty(self.bundle, 3, self.rank_b)
-        rq = self.rank_q
-        for i in range(rq):
-            for j in range(i + 1, rq):
-                for k in range(j + 1, rq):
-                    for r in range(self.rank_b):
-                        entry = self.curv.get(i, j, r, k)
-                        if not entry.is_zero():
-                            form.tensor.set((i, j, k, r), entry)
+        form.tensor.fill(lambda i, j, k: [self.curv.get(i, j, r, k)
+                                          for r in range(self.rank_b)])
         return form
 
 
@@ -344,14 +338,8 @@ def dorfman_from_split(split: SplitLie2Data) -> Dorfman2Rep:
     p = split.bundle.base_dim
     rq, rb = split.rank_q, split.rank_b
     partial_b = split.l1.transpose().scale(-1)
-    curv = Dorfman2Rep.curv_tensor(p, rq, rb)
-    for i in range(rq):
-        for j in range(i + 1, rq):
-            for k in range(rq):
-                for r in range(rb):
-                    entry = split.l3.get(i, j, k, r)
-                    if not entry.is_zero():
-                        curv.set((i, j, r, k), entry)
+    curv = Dorfman2Rep.curv_tensor(p, rq, rb).fill(
+        lambda i, j, r: [split.l3.get(i, j, k, r) for k in range(rq)])
     return Dorfman2Rep(
         bundle=split.bundle,
         rank_b=rb,
@@ -363,23 +351,13 @@ def dorfman_from_split(split: SplitLie2Data) -> Dorfman2Rep:
 
 
 def split_from_dorfman(rep: Dorfman2Rep) -> SplitLie2Data:
-    p = rep.bundle.base_dim
-    rq, rb = rep.rank_q, rep.rank_b
-    l3 = SplitLie2Data.l3_tensor(p, rq, rb)
-    for i in range(rq):
-        for j in range(i + 1, rq):
-            for k in range(j + 1, rq):
-                for r in range(rb):
-                    entry = rep.curv.get(i, j, r, k)
-                    if not entry.is_zero():
-                        l3.set((i, j, k, r), entry)
     return SplitLie2Data(
         bundle=rep.bundle,
-        rank_b=rb,
+        rank_b=rep.rank_b,
         l1=rep.partial_b.transpose().scale(-1),
         bracket=rep.dual_bracket(),
         nablaB=rep.nablaB,
-        l3=l3,
+        l3=rep.omega_form().tensor,
     )
 
 
@@ -617,15 +595,11 @@ def change_splitting(rep: Dorfman2Rep, phi: PolyTensor) -> Dorfman2Rep:
     old_bracket = rep.dual_bracket().apply
     nabla2_dual = new_nabla.dual().apply
     frames = rep.bundle.frames()
-    new_curv = Dorfman2Rep.curv_tensor(p, rq, rb)
-    for i in range(rq):
-        for j in range(i + 1, rq):
-            for k in range(rq):
-                args = [frames[i], frames[j], frames[k]]
-                shift = form_cartan_differential(phi_form, nabla2_dual,
-                                                 old_bracket, args)
-                for r in range(rb):
-                    new_curv.set((i, j, r, k), rep.curv.get(i, j, r, k) + shift[r])
+    shift = memo(lambda i, j, k: form_cartan_differential(
+        phi_form, nabla2_dual, old_bracket, [frames[i], frames[j], frames[k]]))
+    new_curv = Dorfman2Rep.curv_tensor(p, rq, rb).fill(
+        lambda i, j, r: [rep.curv.get(i, j, r, k) + shift(i, j, k)[r]
+                         for k in range(rq)])
 
     return Dorfman2Rep(
         bundle=rep.bundle,

@@ -286,31 +286,25 @@ def bicrossproduct(pair: MatchedPair2Reps) -> SplitLie2Data:
     nabla = LinearConnection(Q, rc, pair.nablaAC.dual().gamma +
                              pair.nablaBC.dual().gamma)
 
-    # l3 from both curvature tensors, values in C
-    l3 = SplitLie2Data.l3_tensor(p, rq, rc)
-
     def part_a(idx):
         return frames_a[idx] if idx < ra else zero_section(p, ra)
 
     def part_b(idx):
         return frames_b[idx - ra] if idx >= ra else zero_section(p, rb)
 
-    for i in range(rq):
-        for j in range(i + 1, rq):
-            for k in range(j + 1, rq):
-                a1, a2, a3 = part_a(i), part_a(j), part_a(k)
-                b1, b2, b3 = part_b(i), part_b(j), part_b(k)
-                val = pair.curvAB_matrix(a1, a2).apply(b3)
-                val = section_add(val, pair.curvAB_matrix(a2, a3).apply(b1))
-                val = section_add(val, pair.curvAB_matrix(a3, a1).apply(b2))
-                val = section_sub(val, pair.curvBA_matrix(b1, b2).apply(a3))
-                val = section_sub(val, pair.curvBA_matrix(b2, b3).apply(a1))
-                val = section_sub(val, pair.curvBA_matrix(b3, b1).apply(a2))
-                for m in range(rc):
-                    if not val[m].is_zero():
-                        l3.set((i, j, k, m), val[m])
+    def l3_row(i, j, k):
+        """l3(q_i, q_j, q_k) from both curvature tensors, values in C."""
+        a1, a2, a3 = part_a(i), part_a(j), part_a(k)
+        b1, b2, b3 = part_b(i), part_b(j), part_b(k)
+        val = pair.curvAB_matrix(a1, a2).apply(b3)
+        val = section_add(val, pair.curvAB_matrix(a2, a3).apply(b1))
+        val = section_add(val, pair.curvAB_matrix(a3, a1).apply(b2))
+        val = section_sub(val, pair.curvBA_matrix(b1, b2).apply(a3))
+        val = section_sub(val, pair.curvBA_matrix(b2, b3).apply(a1))
+        return section_sub(val, pair.curvBA_matrix(b3, b1).apply(a2))
 
-    return SplitLie2Data(Q, rc, l1, bracket, nabla, l3)
+    return SplitLie2Data(Q, rc, l1, bracket, nabla,
+                         SplitLie2Data.l3_tensor(p, rq, rc).fill(l3_row))
 
 
 def decompose_bicrossproduct(split: SplitLie2Data, rank_a: int
@@ -336,14 +330,11 @@ def decompose_bicrossproduct(split: SplitLie2Data, rank_a: int
                 if not comps[i][j][k].is_zero():
                     raise ValueError(
                         "pure B-frame brackets do not close in B")
-    for key in combinations(range(ra), 3):
-        for m in range(rc):
-            if not split.l3.get(*key, m).is_zero():
-                raise ValueError("l3 does not vanish on pure A-frame triples")
-    for key in combinations(range(ra, rq), 3):
-        for m in range(rc):
-            if not split.l3.get(*key, m).is_zero():
-                raise ValueError("l3 does not vanish on pure B-frame triples")
+    # stored keys (i, j, k, m) are canonical (i < j < k) and nonzero
+    if any(k < ra for _, _, k, _ in split.l3.entries):
+        raise ValueError("l3 does not vanish on pure A-frame triples")
+    if any(i >= ra for i, _, _, _ in split.l3.entries):
+        raise ValueError("l3 does not vanish on pure B-frame triples")
 
     base = split.bundle.base
     anchorA = PolyMatrix(p, p, ra)
@@ -383,22 +374,11 @@ def decompose_bicrossproduct(split: SplitLie2Data, rank_a: int
     nablaAC = LinearConnection(bundleA, rc, gammaC[:ra])
     nablaBC = LinearConnection(bundleB, rc, gammaC[ra:])
 
-    curvAB = MatchedPair2Reps.curv_tensor(p, ra, rb, rc)
-    for i in range(ra):
-        for j in range(i + 1, ra):
-            for r in range(rb):
-                for m in range(rc):
-                    entry = split.l3.get(i, j, ra + r, m)
-                    if not entry.is_zero():
-                        curvAB.set((i, j, r, m), entry)
-    curvBA = MatchedPair2Reps.curv_tensor(p, rb, ra, rc)
-    for i in range(rb):
-        for j in range(i + 1, rb):
-            for r in range(ra):
-                for m in range(rc):
-                    entry = -split.l3.get(ra + i, ra + j, r, m)
-                    if not entry.is_zero():
-                        curvBA.set((i, j, r, m), entry)
+    curvAB = MatchedPair2Reps.curv_tensor(p, ra, rb, rc).fill(
+        lambda i, j, r: [split.l3.get(i, j, ra + r, m) for m in range(rc)])
+    curvBA = MatchedPair2Reps.curv_tensor(p, rb, ra, rc).fill(
+        lambda i, j, r: [-split.l3.get(ra + i, ra + j, r, m)
+                         for m in range(rc)])
 
     return MatchedPair2Reps(algA, algB, rc, partialA, partialB,
                             nablaAB, nablaAC, nablaBA, nablaBC,

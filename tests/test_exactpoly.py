@@ -11,6 +11,8 @@ from lie2check.exactpoly import (
     format_rational, rank, rational,
 )
 
+from helpers import canonical_keys
+
 BASE = 2
 
 coeffs = st.builds(Fraction,
@@ -373,6 +375,58 @@ def test_tensor_json_round_trip():
     t.set((0, 2, 1), Polynomial.variable(1, 0))
     back = PolyTensor.from_json(1, groups, t.to_json())
     assert back == t
+
+
+def test_fill_walks_canonical_keys_in_order():
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    t = PolyTensor(1, [(3, 2, True), (2, 1, False), (3, 2, True),
+                       (2, 1, False)])
+    seen = []
+
+    def row(*key):
+        seen.append(key)
+        return [Polynomial.const(1, len(seen)), Polynomial.zero(1)]
+
+    assert t.fill(row) is t
+    assert seen == [(i, j, r, k, l) for i, j in pairs for r in range(2)
+                    for k, l in pairs]
+    assert list(t.entries) == [key + (0,) for key in seen]
+
+
+def test_fill_stores_no_zero_entry():
+    x, z = Polynomial.variable(1, 0), Polynomial.zero(1)
+    t = PolyTensor(1, [(3, 2, True), (3, 1, False)]).fill(
+        lambda i, j: [z, x, z] if (i, j) == (0, 2) else [z, z, z])
+    assert t.entries == {(0, 2, 1): x}
+    assert t.get(2, 0, 1) == -x
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_fill_rejects_a_row_of_the_wrong_length(length):
+    t = PolyTensor(1, [(3, 2, True), (2, 1, False)])
+    with pytest.raises(ValueError, match="expected 2"):
+        t.fill(lambda i, j: [Polynomial.const(1, 1)] * length)
+
+
+layouts = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.booleans()),
+    min_size=0, max_size=3)
+
+
+@given(layouts, st.integers(1, 3), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_fill_equals_set_on_every_canonical_key(head, last, seed):
+    groups = head + [(last, 1, False)]
+
+    def value(key):
+        return Polynomial.const(1, hash((seed,) + key) % 5 - 2)
+
+    filled = PolyTensor(1, groups).fill(
+        lambda *key: [value(key + (n,)) for n in range(last)])
+    reference = PolyTensor(1, groups)
+    for key in canonical_keys(reference):
+        reference.set(key, value(key))
+    assert filled == reference
 
 
 # -- differential test against the dict-of-Fraction kernel ---------------

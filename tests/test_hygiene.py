@@ -209,3 +209,24 @@ def test_every_sampling_checker_settles():
              for line, name in _unsettled_samplers(
                  path.read_text(encoding="utf-8"), str(path))]
     assert not found, "sampled draws never settled:\n" + "\n".join(found)
+
+
+# Constructed tensors are built by ``PolyTensor.fill``, which owns the
+# choice of stored index tuples; a ``.set((...), ...)`` call with an index
+# tuple is a hand-written index loop.  Only the fixed corpus examples set
+# single entries.
+def _index_tuple_sets(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "set" and node.args
+                  and isinstance(node.args[0], ast.Tuple))
+
+
+def test_constructed_tensors_are_filled():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name != "examples.py"
+             for line in _index_tuple_sets(path)]
+    assert not found, "tensor entries set by hand:\n" + "\n".join(found)
