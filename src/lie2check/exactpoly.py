@@ -526,6 +526,7 @@ class PolyTensor:
             raise ValueError("tensor must be a list of entries, got "
                              f"{type(data).__name__}")
         out = cls(base_dim, groups)
+        seen = set()
         for item in data:
             if not isinstance(item, dict):
                 raise ValueError("tensor entry must be an object with idx "
@@ -538,6 +539,10 @@ class PolyTensor:
             if not all(type(i) is int for i in idx):
                 raise ValueError(
                     f"tensor indices must be integers: {item['idx']!r}")
+            sign, key = out._canonical(idx)
+            if sign and key in seen:
+                raise ValueError("duplicate canonical tensor index")
+            seen.add(key)
             out.set(idx, Polynomial.from_json(base_dim, item["val"]))
         return out
 

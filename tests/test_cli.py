@@ -172,20 +172,35 @@ def test_malformed_tensor_index_is_exit_2(tmp_path, capsys, value):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def _entry(idx, coeff):
+    return {"idx": idx, "val": [{"coeff": coeff, "exps": [0]}]}
+
+
 @pytest.mark.parametrize("tensor, message", [
     ([1, 2], "tensor entry must be an object with idx and val, got int"),
     ([{"idx": 5, "val": []}], "tensor idx must be a list of integers"),
+    # the same canonical key twice: permuted, and repeated with a new value
+    ([_entry([0, 1, 0, 1], "1"), _entry([1, 0, 0, 1], "-1")],
+     "duplicate canonical tensor index"),
+    ([_entry([0, 1, 0, 1], "1"), _entry([0, 1, 0, 1], "2")],
+     "duplicate canonical tensor index"),
 ])
 def test_malformed_tensor_entry_is_exit_2(tmp_path, capsys, tensor, message):
-    path = _emit(tmp_path, "euclidean_curved_r2")
-    doc = json.loads(path.read_text())
-    doc["curvB"] = tensor
+    """``tensor`` replaces the curv (i, j, r, k) of semidirect_flat, and
+    without k it is a --phi (i, j, r) file for the same structure."""
+    source = _emit(tmp_path, "semidirect_flat")
+    doc = json.loads(source.read_text())
+    doc["curv"] = tensor
+    path = tmp_path / "curv.json"
     path.write_text(json.dumps(doc))
     side = tmp_path / "phi.json"
-    side.write_text(json.dumps(tensor))
+    side.write_text(json.dumps([
+        dict(item, idx=item["idx"][:3])
+        if isinstance(item, dict) and isinstance(item["idx"], list) else item
+        for item in tensor]))
     for argv in (["check", str(path)],
-                 ["construct", "change-splitting",
-                  str(_emit(tmp_path, "so3_lie2")), "--phi", str(side)]):
+                 ["construct", "change-splitting", str(source), "--phi",
+                  str(side)]):
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
