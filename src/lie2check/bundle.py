@@ -188,13 +188,6 @@ def random_section(rng, base_dim: int, rank: int, max_degree: int = 2):
 @dataclass
 class BaseSpace:
     dim: int
-    names: tuple = ()
-
-    def __post_init__(self):
-        if not self.names:
-            self.names = tuple(f"x{i + 1}" for i in range(self.dim))
-        if len(self.names) != self.dim:
-            raise ValueError("coordinate name count mismatch")
 
 
 class AnchoredBundle:
@@ -204,11 +197,9 @@ class AnchoredBundle:
     components of the anchor image of the i-th frame section.
     """
 
-    def __init__(self, base: BaseSpace, rank: int, anchor: PolyMatrix = None):
+    def __init__(self, base: BaseSpace, rank: int, anchor: PolyMatrix):
         self.base = base
         self.rank = rank
-        if anchor is None:
-            anchor = PolyMatrix(base.dim, base.dim, rank)
         if (anchor.rows, anchor.cols) != (base.dim, rank):
             raise ValueError("anchor shape mismatch")
         self.anchor = anchor
@@ -249,13 +240,9 @@ class LinearConnection:
     the j-th module frame along the i-th Q-frame.
     """
 
-    def __init__(self, bundle: AnchoredBundle, module_rank: int, gamma=None):
+    def __init__(self, bundle: AnchoredBundle, module_rank: int, gamma):
         self.bundle = bundle
         self.module_rank = module_rank
-        p = bundle.base_dim
-        if gamma is None:
-            gamma = [[[Polynomial.zero(p) for _ in range(module_rank)]
-                      for _ in range(module_rank)] for _ in range(bundle.rank)]
         self.gamma = gamma
 
     def apply(self, q, s):
@@ -275,13 +262,8 @@ class DorfmanConnection:
     along the i-th frame.
     """
 
-    def __init__(self, bundle: AnchoredBundle, comps=None):
+    def __init__(self, bundle: AnchoredBundle, comps):
         self.bundle = bundle
-        p = bundle.base_dim
-        r = bundle.rank
-        if comps is None:
-            comps = [[[Polynomial.zero(p) for _ in range(r)] for _ in range(r)]
-                     for _ in range(r)]
         self.comps = comps
 
     def apply(self, q, tau):
@@ -312,13 +294,8 @@ class DullBracket:
     comps[i][j][k] is the k-th component of the bracket of frames i, j.
     """
 
-    def __init__(self, bundle: AnchoredBundle, comps=None):
+    def __init__(self, bundle: AnchoredBundle, comps):
         self.bundle = bundle
-        p = bundle.base_dim
-        r = bundle.rank
-        if comps is None:
-            comps = [[[Polynomial.zero(p) for _ in range(r)] for _ in range(r)]
-                     for _ in range(r)]
         self.comps = comps
 
     def apply(self, q1, q2):
