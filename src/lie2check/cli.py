@@ -117,12 +117,12 @@ def _emit(text, out_path):
 def _report_json(report, mode, digest, seed):
     """The JSON report: exactly ``json.dumps(doc, sort_keys=True,
     indent=2)`` plus a newline, for the document of keys ``checks``,
-    ``format``, ``input_digest``, ``mode``, ``passed``, ``seed`` and
-    ``tool_version``, each check holding ``label``, ``passed``, ``ref``
-    (the report title), ``residual`` and ``witness``.  The fixed shape is
-    laid out here and every string goes through the C encoder that
-    ``json.dumps`` uses.  A ``passed`` that is not a bool, or a string
-    field that is not a str, raises TypeError."""
+    ``format`` (``serialize.REPORT_FORMAT``), ``input_digest``, ``mode``,
+    ``passed``, ``seed`` and ``tool_version``, each check holding
+    ``label``, ``passed``, ``ref`` (the report title), ``residual`` and
+    ``witness``.  The fixed shape is laid out here and every string goes
+    through the C encoder that ``json.dumps`` uses.  A ``passed`` that is
+    not a bool, or a string field that is not a str, raises TypeError."""
     ref = _encode(report.title)
     checks = []
     for e in report.entries:
@@ -137,7 +137,7 @@ def _report_json(report, mode, digest, seed):
             f'      "witness": {_encode(e.witness)}\n    }}')
     checks = "[\n" + ",\n".join(checks) + "\n  ]" if checks else "[]"
     return (f'{{\n  "checks": {checks},\n'
-            f'  "format": {int.__repr__(serialize.FORMAT_VERSION)},\n'
+            f'  "format": {int.__repr__(serialize.REPORT_FORMAT)},\n'
             f'  "input_digest": {_encode(digest)},\n'
             f'  "mode": {_encode(mode)},\n'
             f'  "passed": {"true" if report.passed else "false"},\n'

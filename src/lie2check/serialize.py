@@ -30,6 +30,9 @@ from .matched import LAPairData, MatchedPair2Reps
 from .courant import DegenerateCourant, DiracData
 
 FORMAT_VERSION = 1
+# The "format" of a JSON check report; it changes when reports do, not
+# with the structure files above.
+REPORT_FORMAT = 1
 
 META_FIELDS = ("name", "expect_fail")
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from lie2check import __version__
 from lie2check.courant import standard_courant, tangent_double_pair
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
-from lie2check.serialize import FORMAT_VERSION
+from lie2check.serialize import REPORT_FORMAT
 
 
 def canonical_keys(tensor):
@@ -85,7 +85,7 @@ def report_document(report, mode, digest, seed):
     writer's output is ``json.dumps`` of it with sorted keys and indent 2,
     plus a newline."""
     return {
-        "format": FORMAT_VERSION,
+        "format": REPORT_FORMAT,
         "tool_version": __version__,
         "mode": mode,
         "input_digest": digest,

@@ -79,3 +79,14 @@ def test_checker_reports_hold_the_types_the_writer_needs():
                 (name, mode, e)
         assert _report_json(report, mode, "digest", 3) == \
             _dumps(report, mode, "digest", 3), (name, mode)
+
+
+def test_report_format_is_not_the_structure_format(monkeypatch):
+    monkeypatch.setattr(serialize, "REPORT_FORMAT", 7)
+    report = CheckReport("t", entries=[CheckEntry("a", True)])
+    assert json.loads(_report_json(report, "auto", "", 0))["format"] == 7
+    doc = serialize.encode_structure(build_example("tm_r1_lie1")[0])
+    assert doc["format"] == serialize.FORMAT_VERSION == 1
+    assert serialize.decode_structure(doc)[0] == "splitlie2"
+    with pytest.raises(serialize.SchemaError, match="unsupported format: 7"):
+        serialize.decode_structure(dict(doc, format=7))
