@@ -486,7 +486,7 @@ class PolyTensor:
         """
         *head, (dim, arity, _) = self.groups
         if arity != 1:
-            raise ValueError("the last filled index group has arity 1")
+            raise ValueError("fill needs a last index group of arity 1")
         entries = {}
         for blocks in product(*(combinations(range(d), a) if s
                                 else product(range(d), repeat=a)

@@ -408,6 +408,11 @@ def test_fill_rejects_a_row_of_the_wrong_length(length):
         t.fill(lambda i, j: [Polynomial.const(1, 1)] * length)
 
 
+def test_fill_needs_a_last_group_of_arity_1():
+    with pytest.raises(ValueError, match="arity 1"):
+        PolyTensor(1, [(3, 2, True)]).fill(lambda: [])
+
+
 layouts = st.lists(
     st.tuples(st.integers(1, 3), st.integers(1, 3), st.booleans()),
     min_size=0, max_size=3)
