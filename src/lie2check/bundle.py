@@ -433,12 +433,11 @@ class LieAlgebroidData:
             raise ValueError("the bracket is defined on a different bundle")
 
 
-def _random_sections(rng, base_dim, rank, count=3, max_degree=2):
-    return [random_section(rng, base_dim, rank, max_degree) for _ in range(count)]
+def _random_sections(rng, base_dim, rank, count=3):
+    return [random_section(rng, base_dim, rank) for _ in range(count)]
 
 
-def check_lie_algebroid(alg: LieAlgebroidData, seed: int = 0,
-                        title: str = "lie algebroid") -> CheckReport:
+def check_lie_algebroid(alg: LieAlgebroidData, seed: int = 0) -> CheckReport:
     """Skewness on frame components, anchor compatibility and the Jacobi
     identity on frames and seeded random sections.
 
@@ -452,7 +451,7 @@ def check_lie_algebroid(alg: LieAlgebroidData, seed: int = 0,
         jacobi        <- skew, anchor_compat
     """
     rng = _random.Random(seed)
-    report = CheckReport(title, seed)
+    report = CheckReport("lie algebroid", seed)
     bundle = alg.bundle
     p = bundle.base_dim
     frames = bundle.frames()
@@ -519,8 +518,7 @@ class TwoRepData:
         return out
 
 
-def check_two_rep(rep: TwoRepData, seed: int = 0,
-                  title: str = "2-term representation") -> CheckReport:
+def check_two_rep(rep: TwoRepData, seed: int = 0) -> CheckReport:
     """The algebroid's checks, then the chain map, both curvature
     identities and d_nabla R = 0 on frames and seeded random sections.
 
@@ -536,7 +534,7 @@ def check_two_rep(rep: TwoRepData, seed: int = 0,
         dR_zero              <- algebroid:skew
     """
     rng = _random.Random(seed)
-    report = CheckReport(title, seed)
+    report = CheckReport("2-term representation", seed)
     report.merge(check_lie_algebroid(rep.algebroid, seed), prefix="algebroid:")
 
     bundle = rep.algebroid.bundle

@@ -1,10 +1,19 @@
 """Command-line interface: check, construct and example subcommands.
 
+Each check mode is one row of ``MODES`` and each construct recipe one
+row of ``RECIPES``: the file kinds it reads, the structure it takes from
+each (``_DORFMAN``, for one, reads a splitlie2 file through
+``dorfman_from_split`` and an lapair file through its Dorfman half), the
+function it runs and, for a recipe, the options it reads.  ``_inputs``
+checks the files against a row and names the mode or recipe in each
+error; a recipe given an option it does not read is an input error.
+
 A JSON report is exactly ``json.dumps(report, sort_keys=True, indent=2)``
 plus a newline, with every non-ASCII character escaped.  Without
-``--format``, the format comes from ``LIE2CHECK_FORMAT`` (``text`` or
-``json``, default ``text``), read on every call of ``main``; the parser
-itself is built once, at import.
+``check --format``, the format comes from ``LIE2CHECK_FORMAT`` (``text``
+or ``json``, default ``text``), read on every call of ``main``; the
+parser itself is built once, at import.  Only ``check`` takes ``--seed``
+and ``--format``.
 """
 
 from __future__ import annotations
@@ -15,6 +24,8 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _encode
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .exactpoly import Polynomial
@@ -26,7 +37,7 @@ from .lie2 import (
 from .poisson import check_graded_jacobi, check_selfdual2rep, is_symplectic
 from .matched import (
     bicrossproduct, check_la_matched_pair, check_matched_two_reps,
-    check_q_preserves_poisson, decompose_bicrossproduct,
+    check_q_preserves_poisson, decompose_bicrossproduct, LAPairData,
 )
 from .courant import (
     check_core_courant, check_courant_axioms, check_dirac,
@@ -42,31 +53,6 @@ EXIT_FAIL = 1
 EXIT_ERROR = 2
 
 FORMAT_ENV = "LIE2CHECK_FORMAT"
-
-_AUTO_MODE = {
-    "liealgebroid": "lie-algebroid",
-    "tworep": "two-rep",
-    "dorfman2rep": "dorfman",
-    "splitlie2": "dorfman",
-    "selfdual2rep": "selfdual",
-    "matched2reps": "matched-2reps",
-    "lapair": "la-pair",
-    "courant": "courant",
-}
-
-CHECK_MODES = (
-    "auto", "lie-algebroid", "two-rep", "dorfman", "homological",
-    "selfdual", "graded-jacobi", "symplectic", "matched-2reps", "la-pair",
-    "q-poisson", "courant", "core-courant", "dirac-vb", "dirac-la-sub",
-    "dirac-la",
-)
-
-RECIPES = (
-    "dorfman-from-split", "split-from-dorfman", "bicrossproduct",
-    "decompose", "core-courant", "adjoint", "standard", "semidirect",
-    "change-splitting", "manin-pair", "dualize-2rep", "induced-la",
-)
-
 
 class CliError(Exception):
     """Input problem: bad file, schema violation, unusable arguments."""
@@ -88,10 +74,10 @@ def _read_json(path):
 def _read_document(path):
     raw, doc = _read_json(path)
     try:
-        kind, obj, meta = serialize.decode_structure(doc)
+        kind, obj, _ = serialize.decode_structure(doc)
     except SchemaError as exc:
         raise CliError(f"{path}: {exc}") from exc
-    return raw, kind, obj, meta
+    return raw, kind, obj
 
 
 def _digest(chunks):
@@ -153,106 +139,72 @@ def _write_report(report, mode, digest, seed, fmt, out_path):
     _emit(text, out_path)
 
 
-def _as_dorfman(kind, obj):
-    if kind == "dorfman2rep":
-        return obj
-    if kind == "splitlie2":
-        return dorfman_from_split(obj)
-    if kind == "lapair":
-        return obj.dorfman
-    raise CliError(f"mode requires a Lie 2-algebroid file, got kind {kind!r}")
+def _same(obj):
+    return obj
 
 
-def _check_dirac_fits(dorf, data):
-    """A dirac file that does not fit the structure is an input error."""
-    try:
-        data.check_fits(dorf)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+# The structure a file of each kind gives to a Dorfman-reading row, to a
+# self-dual-reading row, and, as (Dorfman half, self-dual half or None),
+# to a row that also reads a dirac file.
+_DORFMAN = {"dorfman2rep": _same, "splitlie2": dorfman_from_split,
+            "lapair": attrgetter("dorfman")}
+_SELFDUAL = {"selfdual2rep": _same, "lapair": attrgetter("selfdual")}
+_HALVES = {"dorfman2rep": lambda rep: (rep, None),
+           "splitlie2": lambda split: (dorfman_from_split(split), None),
+           "lapair": attrgetter("dorfman", "selfdual")}
+_LAPAIR_HALVES = {"lapair": _HALVES["lapair"]}
 
 
-def _run_check(mode, kind, obj, second, seed):
-    if mode == "auto":
-        if kind == "dirac":
-            raise CliError(
-                "dirac files need --mode dirac-vb/dirac-la-sub/dirac-la "
-                "with the structure file first")
-        mode = _AUTO_MODE[kind]
-    if mode.startswith("dirac-"):
-        if second is None:
-            raise CliError("dirac modes need a second path: the dirac file")
-        skind, sobj = second
-        if skind != "dirac":
-            raise CliError(f"second file must have kind dirac, got {skind!r}")
-        submode = {"dirac-vb": "vb_dirac", "dirac-la-sub": "la_subalgebroid",
-                   "dirac-la": "la_dirac"}[mode]
-        if submode == "vb_dirac":
-            dorf = _as_dorfman(kind, obj)
-            selfdual = obj.selfdual if kind == "lapair" else None
-        else:
-            if kind != "lapair":
-                raise CliError("Lie-algebroid dirac modes need a lapair file")
-            dorf, selfdual = obj.dorfman, obj.selfdual
-        _check_dirac_fits(dorf, sobj)
-        return mode, check_dirac(dorf, selfdual, sobj, submode, seed=seed)
-    if second is not None:
-        raise CliError(f"mode {mode!r} takes a single input file")
-    if mode == "lie-algebroid":
-        if kind != "liealgebroid":
-            raise CliError(f"mode {mode!r} needs a liealgebroid file")
-        return mode, check_lie_algebroid(obj, seed=seed)
-    if mode == "two-rep":
-        if kind != "tworep":
-            raise CliError(f"mode {mode!r} needs a tworep file")
-        return mode, check_two_rep(obj, seed=seed)
-    if mode == "dorfman":
-        return mode, check_dorfman2rep(_as_dorfman(kind, obj), seed=seed)
-    if mode == "homological":
-        return mode, check_homological(_as_dorfman(kind, obj), seed=seed)
-    if mode in ("selfdual", "graded-jacobi", "symplectic"):
-        if kind == "lapair":
-            obj = obj.selfdual
-        elif kind != "selfdual2rep":
-            raise CliError(f"mode {mode!r} needs a selfdual2rep file")
-        checker = {"selfdual": check_selfdual2rep,
-                   "graded-jacobi": check_graded_jacobi}.get(mode)
-        if checker is not None:
-            return mode, checker(obj, seed=seed)
-        return mode, is_symplectic(obj)
-    if mode == "matched-2reps":
-        if kind != "matched2reps":
-            raise CliError(f"mode {mode!r} needs a matched2reps file")
-        return mode, check_matched_two_reps(obj, seed=seed)
-    if mode in ("la-pair", "q-poisson", "core-courant"):
-        if kind != "lapair":
-            raise CliError(f"mode {mode!r} needs a lapair file")
-        checker = {"la-pair": check_la_matched_pair,
-                   "q-poisson": check_q_preserves_poisson,
-                   "core-courant": check_core_courant}[mode]
-        return mode, checker(obj, seed=seed)
-    if mode == "courant":
-        if kind != "courant":
-            raise CliError(f"mode {mode!r} needs a courant file")
-        return mode, check_courant_axioms(obj, seed=seed)
-    raise CliError(f"unknown mode {mode!r}")
+class Row(NamedTuple):
+    """One check mode or construct recipe.  ``views`` maps each file kind
+    it reads to the structure it takes from such a file.  ``run`` takes
+    that structure or, when ``dirac`` is set, its two halves and then the
+    dirac file, which must fit the Dorfman half; after them, the seed (a
+    mode) or the value of each option in ``options`` (a recipe).
+    ``auto`` lists the kinds that a mode checks when --mode is auto."""
+
+    views: dict
+    run: Callable
+    auto: tuple = ()
+    options: tuple = ()
+    dirac: bool = False
 
 
-def cmd_check(args):
-    raw, kind, obj, _ = _read_document(args.path)
-    chunks = [raw]
-    second = None
-    if args.second is not None:
-        raw2, kind2, obj2, _ = _read_document(args.second)
-        chunks.append(raw2)
-        second = (kind2, obj2)
-    mode, report = _run_check(args.mode, kind, obj, second, args.seed)
-    report.seed = args.seed
-    _write_report(report, mode, _digest(chunks), args.seed, args.format,
-                  args.out)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+def _dirac(submode):
+    return lambda dorfman, selfdual, dirac, seed: check_dirac(
+        dorfman, selfdual, dirac, submode, seed)
 
 
-def _load_side_file(path, what, column, base_dim, *dims):
+MODES = {
+    "lie-algebroid": Row({"liealgebroid": _same}, check_lie_algebroid,
+                         auto=("liealgebroid",)),
+    "two-rep": Row({"tworep": _same}, check_two_rep, auto=("tworep",)),
+    "dorfman": Row(_DORFMAN, check_dorfman2rep,
+                   auto=("dorfman2rep", "splitlie2")),
+    "homological": Row(_DORFMAN, check_homological),
+    "selfdual": Row(_SELFDUAL, check_selfdual2rep, auto=("selfdual2rep",)),
+    "graded-jacobi": Row(_SELFDUAL, check_graded_jacobi),
+    "symplectic": Row(_SELFDUAL, lambda rep, seed: is_symplectic(rep)),
+    "matched-2reps": Row({"matched2reps": _same}, check_matched_two_reps,
+                         auto=("matched2reps",)),
+    "la-pair": Row({"lapair": _same}, check_la_matched_pair,
+                   auto=("lapair",)),
+    "q-poisson": Row({"lapair": _same}, check_q_preserves_poisson),
+    "courant": Row({"courant": _same}, check_courant_axioms,
+                   auto=("courant",)),
+    "core-courant": Row({"lapair": _same}, check_core_courant),
+    "dirac-vb": Row(_HALVES, _dirac("vb_dirac"), dirac=True),
+    "dirac-la-sub": Row(_LAPAIR_HALVES, _dirac("la_subalgebroid"),
+                        dirac=True),
+    "dirac-la": Row(_LAPAIR_HALVES, _dirac("la_dirac"), dirac=True),
+}
+
+CHECK_MODES = ("auto", *MODES)
+
+_AUTO_MODE = {kind: mode for mode, row in MODES.items() for kind in row.auto}
+
+
+def _side_file(path, what, column, base_dim, *dims):
     """Decode a --connection or --phi file through a schema column type."""
     try:
         return serialize.decoding(f"{what} file {path}", column.decode,
@@ -261,89 +213,134 @@ def _load_side_file(path, what, column, base_dim, *dims):
         raise CliError(str(exc)) from exc
 
 
-def _load_connection(path, base_dim, rank):
-    """Load a TM-connection: JSON list (one rank x rank matrix per base
-    coordinate) of polynomial entries.  None means the flat connection."""
-    if path is None:
-        z = Polynomial.zero(base_dim)
-        return [[[z for _ in range(rank)] for _ in range(rank)]
-                for _ in range(base_dim)]
-    return _load_side_file(path, "connection", serialize.Components(),
-                           base_dim, base_dim, rank, rank)
+def _decompose(split, rank_a):
+    if rank_a is None:
+        raise CliError("--rank-a is required: the rank of A, between 0 "
+                       f"and rank_q = {split.rank_q}")
+    if not 0 <= rank_a <= split.rank_q:
+        raise CliError(f"--rank-a must be between 0 and rank_q = "
+                       f"{split.rank_q}, got {rank_a}")
+    return decompose_bicrossproduct(split, rank_a)
 
 
-def _load_phi(path_or_zero, rep):
+def _adjoint(ca, connection):
+    """The adjoint Dorfman 2-representation for the TM-connection in the
+    --connection file, a JSON list of one rank x rank matrix of
+    polynomials per base coordinate; without it, the flat connection."""
+    p, n = ca.base_dim, ca.rank
+    if connection is None:
+        z = Polynomial.zero(p)
+        gamma = [[[z for _ in range(n)] for _ in range(n)] for _ in range(p)]
+    else:
+        gamma = _side_file(connection, "connection", serialize.Components(),
+                           p, p, n, n)
+    return adjoint_dorfman2rep(ca, gamma)
+
+
+def _change_splitting(rep, phi):
+    """The splitting change by the --phi tensor file; without it, or with
+    'zero', by zero."""
     p, rq, rb = rep.bundle.base.dim, rep.rank_q, rep.rank_b
-    if path_or_zero == "zero":
-        return Dorfman2Rep.phi_tensor(p, rq, rb)
-    return _load_side_file(path_or_zero, "phi",
-                           serialize.Tensor(Dorfman2Rep.phi_tensor), p, rq, rb)
+    if phi in (None, "zero"):
+        tensor = Dorfman2Rep.phi_tensor(p, rq, rb)
+    else:
+        tensor = _side_file(phi, "phi", serialize.Tensor(
+            Dorfman2Rep.phi_tensor), p, rq, rb)
+    return change_splitting(rep, tensor)
 
 
-def _expect_kind(kind, wanted, recipe):
-    if kind != wanted:
-        raise CliError(f"recipe {recipe!r} needs a {wanted} file, "
-                       f"got kind {kind!r}")
+RECIPES = {
+    "dorfman-from-split": Row({"splitlie2": _same}, dorfman_from_split),
+    "split-from-dorfman": Row({"dorfman2rep": _same}, split_from_dorfman),
+    "bicrossproduct": Row({"matched2reps": _same}, bicrossproduct),
+    "decompose": Row({"splitlie2": _same}, _decompose, options=("rank_a",)),
+    "core-courant": Row({"lapair": _same}, core_courant),
+    "adjoint": Row({"courant": _same}, _adjoint, options=("connection",)),
+    "standard": Row({"liealgebroid": attrgetter("bracket")},
+                    standard_dorfman2rep),
+    "semidirect": Row({"tworep": _same}, semidirect_dorfman2rep),
+    "change-splitting": Row({"dorfman2rep": _same}, _change_splitting,
+                            options=("phi",)),
+    "manin-pair": Row(_LAPAIR_HALVES, lambda dorfman, selfdual, dirac:
+                      manin_pair(LAPairData(selfdual, dorfman), dirac).courant,
+                      dirac=True),
+    "dualize-2rep": Row({"tworep": _same}, dualize_two_rep),
+    "induced-la": Row(_HALVES, lambda dorfman, _, dirac:
+                      induced_lie_algebroid_on_U(dorfman, dirac), dirac=True),
+}
+
+# the argparse destinations of the options that only some recipes read
+_RECIPE_OPTIONS = ("rank_a", "connection", "phi")
+
+
+def _inputs(name, row, kind, obj, second):
+    """The leading arguments of ``row.run`` for a first file of ``kind``
+    holding ``obj`` and the (kind, structure) of the second file, or None;
+    ``name`` ("mode 'm'" or "recipe 'r'") opens every error."""
+    if second is None and row.dirac:
+        raise CliError(f"{name} needs a second path: the dirac file")
+    if second is not None and not row.dirac:
+        raise CliError(f"{name} takes a single input file")
+    if kind not in row.views:
+        *others, last = row.views
+        wanted = f"{', '.join(others)} or {last}" if others else last
+        raise CliError(f"{name} needs a {wanted} file, got kind {kind!r}")
+    view = row.views[kind](obj)
+    if not row.dirac:
+        return (view,)
+    skind, dirac = second
+    if skind != "dirac":
+        raise CliError(f"{name} needs a dirac file as its second path, "
+                       f"got kind {skind!r}")
+    try:
+        dirac.check_fits(view[0])
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    return (*view, dirac)
+
+
+def _run_check(mode, kind, obj, second, seed):
+    if mode == "auto":
+        if kind not in _AUTO_MODE:
+            raise CliError(
+                f"{kind} files need --mode "
+                + "/".join(m for m, row in MODES.items() if row.dirac)
+                + " with the structure file first")
+        mode = _AUTO_MODE[kind]
+    row = MODES[mode]
+    return mode, row.run(*_inputs(f"mode {mode!r}", row, kind, obj, second),
+                         seed)
+
+
+def _read_inputs(args):
+    """The bytes of each input file, the kind and structure of the first
+    and the (kind, structure) of the second, or None."""
+    docs = [_read_document(path) for path in (args.path, args.second)
+            if path is not None]
+    (_, kind, obj), *rest = docs
+    return ([raw for raw, _, _ in docs], kind, obj,
+            rest[0][1:] if rest else None)
+
+
+def cmd_check(args):
+    chunks, kind, obj, second = _read_inputs(args)
+    mode, report = _run_check(args.mode, kind, obj, second, args.seed)
+    report.seed = args.seed
+    _write_report(report, mode, _digest(chunks), args.seed,
+                  args.format or _default_format(), args.out)
+    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def cmd_construct(args):
-    recipe = args.recipe
-    if args.second is not None and recipe not in ("manin-pair", "induced-la"):
-        raise CliError(f"recipe {recipe!r} takes a single input file")
-    _, kind, obj, _ = _read_document(args.path)
+    name, row = f"recipe {args.recipe!r}", RECIPES[args.recipe]
+    for option in _RECIPE_OPTIONS:
+        if option not in row.options and getattr(args, option) is not None:
+            raise CliError(f"{name} does not read "
+                           f"--{option.replace('_', '-')}")
+    _, kind, obj, second = _read_inputs(args)
     try:
-        if recipe == "dorfman-from-split":
-            _expect_kind(kind, "splitlie2", recipe)
-            result = dorfman_from_split(obj)
-        elif recipe == "split-from-dorfman":
-            _expect_kind(kind, "dorfman2rep", recipe)
-            result = split_from_dorfman(obj)
-        elif recipe == "bicrossproduct":
-            _expect_kind(kind, "matched2reps", recipe)
-            result = bicrossproduct(obj)
-        elif recipe == "decompose":
-            _expect_kind(kind, "splitlie2", recipe)
-            if args.rank_a is None:
-                raise CliError("recipe 'decompose' needs --rank-a")
-            if not 0 <= args.rank_a <= obj.rank_q:
-                raise CliError(f"--rank-a must be between 0 and rank_q = "
-                               f"{obj.rank_q}, got {args.rank_a}")
-            result = decompose_bicrossproduct(obj, args.rank_a)
-        elif recipe == "core-courant":
-            _expect_kind(kind, "lapair", recipe)
-            result = core_courant(obj)
-        elif recipe == "adjoint":
-            _expect_kind(kind, "courant", recipe)
-            gamma = _load_connection(args.connection, obj.base_dim, obj.rank)
-            result = adjoint_dorfman2rep(obj, gamma)
-        elif recipe == "standard":
-            _expect_kind(kind, "liealgebroid", recipe)
-            result = standard_dorfman2rep(obj.bracket)
-        elif recipe == "semidirect":
-            _expect_kind(kind, "tworep", recipe)
-            result = semidirect_dorfman2rep(obj)
-        elif recipe == "change-splitting":
-            _expect_kind(kind, "dorfman2rep", recipe)
-            result = change_splitting(obj, _load_phi(args.phi, obj))
-        elif recipe == "dualize-2rep":
-            _expect_kind(kind, "tworep", recipe)
-            result = dualize_two_rep(obj)
-        elif recipe in ("manin-pair", "induced-la"):
-            if args.second is None:
-                raise CliError(f"recipe {recipe!r} needs a second path: "
-                               "the dirac file")
-            _, kind2, obj2, _ = _read_document(args.second)
-            _expect_kind(kind2, "dirac", recipe)
-            if recipe == "manin-pair":
-                _expect_kind(kind, "lapair", recipe)
-            dorf = _as_dorfman(kind, obj)
-            _check_dirac_fits(dorf, obj2)
-            if recipe == "manin-pair":
-                result = manin_pair(obj, obj2).courant
-            else:
-                result = induced_lie_algebroid_on_U(dorf, obj2)
-        else:
-            raise CliError(f"unknown recipe {recipe!r}")
+        result = row.run(*_inputs(name, row, kind, obj, second),
+                         *(getattr(args, option) for option in row.options))
     except ValueError as exc:
         sys.stderr.write(f"precondition failed: {exc}\n")
         return EXIT_FAIL
@@ -378,36 +375,34 @@ def build_parser():
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json"))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
-
     p = sub.add_parser("check", help="verify the axioms of a structure file")
     p.add_argument("path")
     p.add_argument("second", nargs="?", default=None,
-                   help="second structure file (dirac modes)")
+                   help="the dirac file, for the modes that read one")
     p.add_argument("--mode", choices=CHECK_MODES, default="auto")
-    common(p)
+    p.add_argument("--format", choices=("text", "json"))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("construct", help="build a derived structure file")
     p.add_argument("recipe", choices=RECIPES)
     p.add_argument("path")
     p.add_argument("second", nargs="?", default=None,
-                   help="second structure file (manin-pair, induced-la)")
+                   help="the dirac file, for the recipes that read one")
     p.add_argument("--rank-a", type=int, default=None)
     p.add_argument("--connection", default=None,
                    help="JSON file with one matrix of Christoffel symbols "
                         "per base coordinate (default: flat)")
-    p.add_argument("--phi", default="zero",
-                   help="'zero' or a JSON file with the splitting change")
-    common(p)
+    p.add_argument("--phi", default=None,
+                   help="'zero' (the default) or a JSON file with the "
+                        "splitting change")
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("example", help="emit a deterministic corpus file")
     p.add_argument("name")
-    common(p)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_example)
 
     return parser
@@ -418,7 +413,6 @@ _PARSER = build_parser()
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
-    args.format = args.format or _default_format()
     try:
         return args.func(args)
     except CliError as exc:

@@ -99,8 +99,7 @@ class DegenerateCourant:
         return out
 
 
-def check_courant_axioms(ca: DegenerateCourant, seed: int = 0,
-                         title: str = "Courant algebroid") -> CheckReport:
+def check_courant_axioms(ca: DegenerateCourant, seed: int = 0) -> CheckReport:
     """Axioms CA1-CA5, D-compatibility and rho D = 0 on frames, the
     coordinate functions and seeded random sections and functions.
 
@@ -127,7 +126,7 @@ def check_courant_axioms(ca: DegenerateCourant, seed: int = 0,
         CA1      <- every label above, rho_D_zero, K on frames
     """
     rng = _random.Random(seed)
-    report = CheckReport(title, seed)
+    report = CheckReport("Courant algebroid", seed)
     p, n = ca.base_dim, ca.rank
     pair, dee, rho_field = memo(ca.pair), memo(ca.dee), memo(ca.rho_field)
     bracket = memo(partial(ca.bracket, dee))
@@ -433,8 +432,7 @@ def core_courant(pair: LAPairData) -> DegenerateCourant:
     return DegenerateCourant(D.bundle.base, n, rho, pairing, comps, dmat)
 
 
-def check_core_courant(pair: LAPairData, seed: int = 0,
-                       title: str = "core Courant algebroid") -> CheckReport:
+def check_core_courant(pair: LAPairData, seed: int = 0) -> CheckReport:
     """The Courant axioms of the core (``check_courant_axioms``), then
     partial_B as a bracket morphism and [[D f, tau]] = 0, on frames, the
     coordinate functions and seeded random sections and functions.
@@ -451,7 +449,7 @@ def check_core_courant(pair: LAPairData, seed: int = 0,
     """
     rng = _random.Random(seed)
     ca = core_courant(pair)
-    report = CheckReport(title, seed)
+    report = CheckReport("core Courant algebroid", seed)
     report.merge(check_courant_axioms(ca, seed))
 
     S, D = pair.selfdual, pair.dorfman
@@ -778,9 +776,8 @@ def manin_pair(pair: LAPairData, data: DiracData) -> ManinPairResult:
     return ManinPairResult(ca, complement, u_inclusion)
 
 
-def check_manin_pair(result: ManinPairResult, seed: int = 0,
-                     title: str = "Manin pair") -> CheckReport:
-    report = CheckReport(title, seed)
+def check_manin_pair(result: ManinPairResult, seed: int = 0) -> CheckReport:
+    report = CheckReport("Manin pair", seed)
     ca = result.courant
     report.merge(check_courant_axioms(ca, seed))
     det = ca.pairing.determinant()

@@ -44,10 +44,8 @@ def so3_structure_constants(base_dim):
     return comps
 
 
-def _so3_bundle(base_dim=1):
-    base = _base(base_dim)
-    bundle = AnchoredBundle(base, 3, PolyMatrix(base_dim, base_dim, 3))
-    return bundle
+def _so3_bundle():
+    return AnchoredBundle(_base(1), 3, PolyMatrix(1, 1, 3))
 
 
 def _zero_gamma(base_dim, rows, rank):

@@ -166,16 +166,15 @@ class GradedDerivation:
     """Derivation of the graded function algebra, given on generators and
     extended by the graded Leibniz rule."""
 
-    def __init__(self, base_dim, rank_q, rank_b, degree,
-                 x_img=None, tau_img=None, b_img=None):
+    def __init__(self, base_dim, rank_q, rank_b, degree, x_img, tau_img,
+                 b_img):
         self.base_dim = base_dim
         self.rank_q = rank_q
         self.rank_b = rank_b
         self.degree = degree
-        zero = lambda: GradedFunction.zero(base_dim, rank_q, rank_b)
-        self.x_img = list(x_img) if x_img else [zero() for _ in range(base_dim)]
-        self.tau_img = list(tau_img) if tau_img else [zero() for _ in range(rank_q)]
-        self.b_img = list(b_img) if b_img else [zero() for _ in range(rank_b)]
+        self.x_img = list(x_img)
+        self.tau_img = list(tau_img)
+        self.b_img = list(b_img)
 
     def apply(self, gf: GradedFunction) -> GradedFunction:
         out = GradedFunction.zero(self.base_dim, self.rank_q, self.rank_b)
@@ -365,8 +364,7 @@ def split_from_dorfman(rep: Dorfman2Rep) -> SplitLie2Data:
 # axiom checker
 
 
-def check_dorfman2rep(rep: Dorfman2Rep, seed: int = 0,
-                      title: str = "Dorfman 2-representation") -> CheckReport:
+def check_dorfman2rep(rep: Dorfman2Rep, seed: int = 0) -> CheckReport:
     """Axioms (D1)-(D6) and the anchor conditions on frames and seeded
     random sections.
 
@@ -384,7 +382,7 @@ def check_dorfman2rep(rep: Dorfman2Rep, seed: int = 0,
         D6                 <- D2
     """
     rng = _random.Random(seed)
-    report = CheckReport(title, seed)
+    report = CheckReport("Dorfman 2-representation", seed)
     bundle = rep.bundle
     p = bundle.base_dim
     rq, rb = rep.rank_q, rep.rank_b
@@ -539,8 +537,7 @@ _HOMOLOGICAL_XREF = {
 }
 
 
-def check_homological(rep: Dorfman2Rep, seed: int = 0,
-                      title: str = "homological vector field") -> CheckReport:
+def check_homological(rep: Dorfman2Rep, seed: int = 0) -> CheckReport:
     """Check [Q, Q] = 0 on all generators, cross-referencing axiom labels.
 
     Q^2 = [Q, Q] / 2 is a derivation, so [Q, Q] = 0 on generators proves
@@ -548,7 +545,7 @@ def check_homological(rep: Dorfman2Rep, seed: int = 0,
     is therefore recorded as passed, without drawing or evaluating it,
     when every generator entry passed, and left out otherwise.
     """
-    report = CheckReport(title, seed)
+    report = CheckReport("homological vector field", seed)
     field = build_homological_field(rep)
     half_sq = graded_commutator(field, field)
     for (name, degree), gfval in zip(

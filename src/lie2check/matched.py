@@ -109,9 +109,8 @@ def _curvature_differential(curv, conn_c, conn, bracket, x1, x2, y1, y2):
     return section_sub(out, curv(y1, y2).apply(bracket(x1, x2)))
 
 
-def check_matched_two_reps(pair: MatchedPair2Reps, seed: int = 0,
-                           title: str = "matched pair of 2-representations"
-                           ) -> CheckReport:
+def check_matched_two_reps(pair: MatchedPair2Reps,
+                           seed: int = 0) -> CheckReport:
     """Both 2-representations (``check_two_rep``), then conditions (1)-(7)
     and the anchor identities on frames and seeded random sections.
 
@@ -133,7 +132,7 @@ def check_matched_two_reps(pair: MatchedPair2Reps, seed: int = 0,
         condition_7   <- 2rep_A:algebroid:skew, 2rep_B:algebroid:skew
     """
     rng = _random.Random(seed)
-    report = CheckReport(title, seed)
+    report = CheckReport("matched pair of 2-representations", seed)
     report.merge(check_two_rep(pair.two_rep_of_A(), seed), prefix="2rep_A:")
     report.merge(check_two_rep(pair.two_rep_of_B(), seed), prefix="2rep_B:")
 
@@ -410,9 +409,7 @@ class LAPairData:
             raise ValueError("base dimension mismatch")
 
 
-def check_la_matched_pair(pair: LAPairData, seed: int = 0,
-                          title: str = "matched Lie 2-algebroid pair"
-                          ) -> CheckReport:
+def check_la_matched_pair(pair: LAPairData, seed: int = 0) -> CheckReport:
     """Conditions (M1)-(M5), their equivalent forms and the anchor
     identities on frames and seeded random sections.
 
@@ -447,7 +444,7 @@ def check_la_matched_pair(pair: LAPairData, seed: int = 0,
     (``tests/test_settle.py``).
     """
     rng = _random.Random(seed)
-    report = CheckReport(title, seed)
+    report = CheckReport("matched Lie 2-algebroid pair", seed)
     S, D = pair.selfdual, pair.dorfman
     p = D.bundle.base_dim
     rq, rb = D.rank_q, D.rank_b
@@ -646,10 +643,8 @@ def check_la_matched_pair(pair: LAPairData, seed: int = 0,
     return report
 
 
-def check_q_preserves_poisson(pair: LAPairData, seed: int = 0,
-                              title: str = "Q preserves the Poisson bracket"
-                              ) -> CheckReport:
-    report = CheckReport(title, seed)
+def check_q_preserves_poisson(pair: LAPairData, seed: int = 0) -> CheckReport:
+    report = CheckReport("Q preserves the Poisson bracket", seed)
     ps = PoissonStructure(pair.selfdual)
     field = build_homological_field(pair.dorfman)
     table, deg, q_img = ps.table, ps.degrees, field.images()

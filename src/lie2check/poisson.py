@@ -91,15 +91,14 @@ class SelfDual2Rep:
                     + self.curvB.get(i, j, t, s)).is_zero()]
 
 
-def check_selfdual2rep(rep: SelfDual2Rep, seed: int = 0,
-                       title: str = "self-dual 2-representation") -> CheckReport:
+def check_selfdual2rep(rep: SelfDual2Rep, seed: int = 0) -> CheckReport:
     """Symmetry of partial_q and antisymmetry of R_B on frame components,
     then the 2-representation checks of ``as_two_rep``.
 
     Its sampled entries all come from ``check_two_rep``, which settles
     them by its own argument; it assumes no label checked here.
     """
-    report = CheckReport(title, seed)
+    report = CheckReport("self-dual 2-representation", seed)
     for label, failing in (
             ("partial_symmetric", rep.partial_symmetry_failures()),
             ("curv_antisymmetric", rep.curv_antisymmetry_failures())):
@@ -188,9 +187,8 @@ class PoissonStructure:
         return -value if degree * self.degrees[c] % 2 else value
 
 
-def check_graded_jacobi(rep: SelfDual2Rep, seed: int = 0,
-                        title: str = "graded Jacobi identity") -> CheckReport:
-    report = CheckReport(title, seed)
+def check_graded_jacobi(rep: SelfDual2Rep, seed: int = 0) -> CheckReport:
+    report = CheckReport("graded Jacobi identity", seed)
     ps = PoissonStructure(rep)
     table, deg = ps.table, ps.degrees
     gens = range(len(deg))
@@ -218,8 +216,8 @@ def check_graded_jacobi(rep: SelfDual2Rep, seed: int = 0,
     return report
 
 
-def is_symplectic(rep: SelfDual2Rep, title: str = "symplectic") -> CheckReport:
-    report = CheckReport(title)
+def is_symplectic(rep: SelfDual2Rep) -> CheckReport:
+    report = CheckReport("symplectic")
     p = rep.base_dim
     rb = rep.rank_b
     report.add("rank_matches_base", rb == p,

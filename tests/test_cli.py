@@ -486,3 +486,119 @@ def test_unwritable_out_path_is_exit_2(tmp_path, capsys, command, where):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ") \
         and err.count("\n") == 1, err
+
+
+# The file kinds each mode and recipe reads, written out here rather than
+# read from the CLI's tables, and a corpus file of every kind.
+_DORFMAN_KINDS = {"dorfman2rep", "splitlie2", "lapair"}
+_SELFDUAL_KINDS = {"selfdual2rep", "lapair"}
+_MODE_KINDS = {
+    "lie-algebroid": {"liealgebroid"}, "two-rep": {"tworep"},
+    "dorfman": _DORFMAN_KINDS, "homological": _DORFMAN_KINDS,
+    "selfdual": _SELFDUAL_KINDS, "graded-jacobi": _SELFDUAL_KINDS,
+    "symplectic": _SELFDUAL_KINDS, "matched-2reps": {"matched2reps"},
+    "la-pair": {"lapair"}, "q-poisson": {"lapair"}, "courant": {"courant"},
+    "core-courant": {"lapair"}, "dirac-vb": _DORFMAN_KINDS,
+    "dirac-la-sub": {"lapair"}, "dirac-la": {"lapair"},
+}
+_RECIPE_KINDS = {
+    "dorfman-from-split": {"splitlie2"}, "split-from-dorfman": {"dorfman2rep"},
+    "bicrossproduct": {"matched2reps"}, "decompose": {"splitlie2"},
+    "core-courant": {"lapair"}, "adjoint": {"courant"},
+    "standard": {"liealgebroid"}, "semidirect": {"tworep"},
+    "change-splitting": {"dorfman2rep"}, "manin-pair": {"lapair"},
+    "dualize-2rep": {"tworep"}, "induced-la": _DORFMAN_KINDS,
+}
+_KIND_EXAMPLES = {
+    "liealgebroid": "tm_r2_algebroid", "tworep": "tm_r1_identity_2rep",
+    "dorfman2rep": "so3_lie2", "splitlie2": "so3_string",
+    "selfdual2rep": "so3_selfdual", "matched2reps": "axb_matched",
+    "lapair": "so3_poisson_pair", "courant": "so3_quadratic",
+    "dirac": "so3_e3_dirac",
+}
+_READS_DIRAC = {"dirac-vb", "dirac-la-sub", "dirac-la", "manin-pair",
+                "induced-la"}
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """A corpus file of each kind, by kind."""
+    work = tmp_path_factory.mktemp("kinds")
+    return {kind: _emit(work, name) for kind, name in _KIND_EXAMPLES.items()}
+
+
+def test_the_kind_oracle_covers_every_mode_and_recipe():
+    assert set(_MODE_KINDS) == set(cli.CHECK_MODES) - {"auto"}
+    assert set(_RECIPE_KINDS) == set(RECIPES)
+
+
+@pytest.mark.parametrize("command, name", [
+    *(("check", mode) for mode in sorted(_MODE_KINDS)),
+    *(("construct", recipe) for recipe in sorted(_RECIPE_KINDS)),
+])
+def test_a_file_kind_not_read_is_exit_2_naming_the_command(
+        corpus, capsys, command, name):
+    """Each kind that a mode or recipe does not read, as its first file;
+    a dirac-reading one gets the dirac file second."""
+    wanted = (_MODE_KINDS if command == "check" else _RECIPE_KINDS)[name]
+    argv = ["check", "--mode", name] if command == "check" \
+        else ["construct", name]
+    what = "mode" if command == "check" else "recipe"
+    second = [str(corpus["dirac"])] if name in _READS_DIRAC else []
+    for kind in sorted(set(corpus) - wanted):
+        capsys.readouterr()
+        assert main([*argv, str(corpus[kind]), *second]) == 2, kind
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} {name!r} needs a ") \
+            and err.endswith(f", got kind {kind!r}\n") \
+            and err.count("\n") == 1, (kind, err)
+
+
+@pytest.mark.parametrize("command, name", [
+    ("check", "dirac-vb"), ("check", "dirac-la"),
+    ("construct", "manin-pair"), ("construct", "induced-la"),
+])
+def test_a_second_file_not_dirac_is_exit_2_naming_the_command(
+        corpus, capsys, command, name):
+    argv = ["check", "--mode", name] if command == "check" \
+        else ["construct", name]
+    what = "mode" if command == "check" else "recipe"
+    capsys.readouterr()
+    assert main([*argv, str(corpus["lapair"]), str(corpus["courant"])]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {what} {name!r} needs a dirac file as its "
+                   "second path, got kind 'courant'\n"), err
+
+
+# the option each recipe reads, and a value for each option
+_RECIPE_READS = {"decompose": "--rank-a", "adjoint": "--connection",
+                 "change-splitting": "--phi"}
+_OPTION_VALUES = {"--rank-a": "0", "--connection": "flat.json",
+                  "--phi": "zero"}
+
+
+@pytest.mark.parametrize("recipe, option", [
+    (recipe, option) for recipe in sorted(RECIPES)
+    for option in sorted(_OPTION_VALUES) if _RECIPE_READS.get(recipe) != option
+])
+def test_an_option_the_recipe_does_not_read_is_exit_2(corpus, capsys, recipe,
+                                                      option):
+    inputs = [str(corpus[sorted(_RECIPE_KINDS[recipe])[0]])]
+    if recipe in _READS_DIRAC:
+        inputs.append(str(corpus["dirac"]))
+    capsys.readouterr()
+    assert main(["construct", recipe, *inputs,
+                 option, _OPTION_VALUES[option]]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: recipe {recipe!r} does not read {option}\n", err
+
+
+def test_example_and_construct_take_no_seed_or_format(tmp_path, capsys):
+    split = str(_emit(tmp_path, "so3_string"))
+    for argv in (["example", "so3_string"],
+                 ["construct", "dorfman-from-split", split]):
+        for flag in (["--seed", "1"], ["--format", "json"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, *flag])
+            assert exc.value.code == 2
+            assert flag[0] in capsys.readouterr().err

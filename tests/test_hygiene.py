@@ -230,3 +230,61 @@ def test_constructed_tensors_are_filled():
              if path.name != "examples.py"
              for line in _index_tuple_sets(path)]
     assert not found, "tensor entries set by hand:\n" + "\n".join(found)
+
+
+# Each check mode and construct recipe is one row of ``cli.MODES`` or
+# ``cli.RECIPES``; no code in ``cli.py`` branches on a mode or recipe
+# name.  The scan flags a comparison of ``mode`` or ``recipe`` (a name or
+# an attribute) with a string literal other than "auto", or with a
+# tuple, list or set of string literals, and a ``startswith`` or
+# ``endswith`` test of one.
+def _is_mode_or_recipe(node):
+    name = node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+    return name in ("mode", "recipe")
+
+
+def _names_a_command(node):
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_names_a_command, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) \
+        and node.value != "auto"
+
+
+def _command_comparisons(source, filename="<source>"):
+    lines = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(map(_is_mode_or_recipe, sides)) \
+                    and any(map(_names_a_command, sides)):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("startswith", "endswith")
+              and _is_mode_or_recipe(node.func.value)
+              and any(map(_names_a_command, node.args))):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ('if mode == "courant":\n    pass\n', True),
+    ('if args.recipe in ("manin-pair", "induced-la"):\n    pass\n', True),
+    ('if mode.startswith("dirac-"):\n    pass\n', True),
+    ('if "adjoint" != recipe:\n    pass\n', True),
+    ('if mode == "auto":\n    pass\n', False),
+    ('if kind == "dirac":\n    pass\n', False),
+    ('row = MODES[mode]\n', False),
+])
+def test_the_command_scan_sees_branches_on_names(source, flagged):
+    assert bool(_command_comparisons(source)) == flagged
+
+
+def test_cli_has_no_branch_on_a_mode_or_recipe():
+    path = ROOT / "src" / "lie2check" / "cli.py"
+    found = [f"{path.relative_to(ROOT)}:{line}" for line in
+             _command_comparisons(path.read_text(encoding="utf-8"), str(path))]
+    assert not found, "mode or recipe compared with a name:\n" \
+        + "\n".join(found)
+
