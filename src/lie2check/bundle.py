@@ -177,8 +177,8 @@ def _dual_comps(comps):
              for j in range(len(plane))] for plane in comps]
 
 
-def random_section(rng, base_dim: int, rank: int, max_degree: int = 2):
-    return [random_polynomial(rng, base_dim, max_degree) for _ in range(rank)]
+def random_section(rng, base_dim: int, rank: int):
+    return [random_polynomial(rng, base_dim) for _ in range(rank)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from lie2check.cli import RECIPES, main
 from lie2check.courant import DiracData
 from lie2check.examples import EXAMPLES, build_example
 from lie2check.exactpoly import EXP_BOUND, Polynomial, PolyMatrix
+from lie2check.report import CheckReport
 
 SOUND = sorted(n for n in EXAMPLES if not n.startswith("broken_"))
 BROKEN = sorted(n for n in EXAMPLES if n.startswith("broken_"))
@@ -568,6 +569,35 @@ def test_a_second_file_not_dirac_is_exit_2_naming_the_command(
     err = capsys.readouterr().err
     assert err == (f"error: {what} {name!r} needs a dirac file as its "
                    "second path, got kind 'courant'\n"), err
+
+
+
+# the checker each mode runs, by its name in ``cli``
+_MODE_CHECKERS = {
+    "lie-algebroid": "check_lie_algebroid", "two-rep": "check_two_rep",
+    "dorfman": "check_dorfman2rep", "homological": "check_homological",
+    "selfdual": "check_selfdual2rep", "graded-jacobi": "check_graded_jacobi",
+    "symplectic": "is_symplectic", "matched-2reps": "check_matched_two_reps",
+    "la-pair": "check_la_matched_pair",
+    "q-poisson": "check_q_preserves_poisson",
+    "courant": "check_courant_axioms", "core-courant": "check_core_courant",
+    "dirac-vb": "check_dirac", "dirac-la-sub": "check_dirac",
+    "dirac-la": "check_dirac",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_MODE_CHECKERS))
+def test_each_mode_calls_its_checker_by_its_name(corpus, monkeypatch, mode):
+    """A wrapper bound to the checker's name in ``cli``, as the benchmark's
+    tracer binds one, sees the mode's call."""
+    stub, calls = CheckReport("stub"), []
+    monkeypatch.setattr(cli, _MODE_CHECKERS[mode],
+                        lambda *args: calls.append(args) or stub)
+    _, kind, obj = cli._read_document(corpus[sorted(_MODE_KINDS[mode])[0]])
+    second = cli._read_document(corpus["dirac"])[1:] \
+        if mode in _READS_DIRAC else None
+    assert cli._run_check(mode, kind, obj, second, 0) == (mode, stub)
+    assert len(calls) == 1
 
 
 # the option each recipe reads, and a value for each option
