@@ -5,9 +5,9 @@ polynomials over the base coordinates.  All operators are stored by
 their frame components and extended to arbitrary polynomial sections by
 the Leibniz rules, so an operator applies to frames and to any
 polynomial section alike.  The checkers record each identity on frames
-and on seeded random sections; those that settle (see ``report``)
-evaluate the random sections only for the labels that the frame entries
-do not prove.
+(``unit_sections``) and on sections drawn from their report, which they
+evaluate only for the labels that the frame entries do not prove (see
+``report``).
 
 The Leibniz extension is made in one place, ``covariant_apply``.  An
 operator D with frame values D_{e_i} f_j = sum_k comps[i][j][k] f_k,
@@ -28,12 +28,10 @@ the checker passes its memoized one.
 
 from __future__ import annotations
 
-import random as _random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exactpoly import (Polynomial, PolyMatrix, PolyTensor, dot,
-                        random_polynomial)
+from .exactpoly import Polynomial, PolyMatrix, PolyTensor, dot
 from .report import CheckReport, sweep
 
 
@@ -75,6 +73,11 @@ def unit_section(base_dim: int, rank: int, index: int):
     out = zero_section(base_dim, rank)
     out[index] = Polynomial.const(base_dim, 1)
     return out
+
+
+def unit_sections(base_dim: int, rank: int):
+    """The frame of a rank-``rank`` bundle: every unit section in order."""
+    return [unit_section(base_dim, rank, i) for i in range(rank)]
 
 
 def section_add(u, v):
@@ -177,10 +180,6 @@ def _dual_comps(comps):
              for j in range(len(plane))] for plane in comps]
 
 
-def random_section(rng, base_dim: int, rank: int):
-    return [random_polynomial(rng, base_dim) for _ in range(rank)]
-
-
 # ---------------------------------------------------------------------------
 # base space and bundles
 
@@ -207,9 +206,6 @@ class AnchoredBundle:
     @property
     def base_dim(self) -> int:
         return self.base.dim
-
-    def frames(self):
-        return [unit_section(self.base_dim, self.rank, i) for i in range(self.rank)]
 
     def anchor_field(self, q):
         """Vector-field components of the anchor applied to a section."""
@@ -433,10 +429,6 @@ class LieAlgebroidData:
             raise ValueError("the bracket is defined on a different bundle")
 
 
-def _random_sections(rng, base_dim, rank, count=3):
-    return [random_section(rng, base_dim, rank) for _ in range(count)]
-
-
 def check_lie_algebroid(alg: LieAlgebroidData, seed: int = 0) -> CheckReport:
     """Skewness on frame components, anchor compatibility and the Jacobi
     identity on frames and seeded random sections.
@@ -450,12 +442,11 @@ def check_lie_algebroid(alg: LieAlgebroidData, seed: int = 0) -> CheckReport:
         anchor_compat <- skew
         jacobi        <- skew, anchor_compat
     """
-    rng = _random.Random(seed)
     report = CheckReport("lie algebroid", seed)
     bundle = alg.bundle
     p = bundle.base_dim
-    frames = bundle.frames()
-    randoms = report.sample(_random_sections(rng, p, bundle.rank))
+    frames = unit_sections(p, bundle.rank)
+    randoms = report.draw(p, bundle.rank, 3)
     bracket, anchor_field = memo(alg.bracket.apply), memo(bundle.anchor_field)
 
     def anchor_compat(s1, s2):
@@ -533,7 +524,6 @@ def check_two_rep(rep: TwoRepData, seed: int = 0) -> CheckReport:
         curv_on_C, curv_on_B <- algebroid:anchor_compat, algebroid:skew
         dR_zero              <- algebroid:skew
     """
-    rng = _random.Random(seed)
     report = CheckReport("2-term representation", seed)
     report.merge(check_lie_algebroid(rep.algebroid, seed), prefix="algebroid:")
 
@@ -542,12 +532,9 @@ def check_two_rep(rep: TwoRepData, seed: int = 0) -> CheckReport:
     connB, connC = memo(rep.connB.apply), memo(rep.connC.apply)
     partial, curv = memo(rep.partial.apply), memo(rep.curv_matrix)
     p = bundle.base_dim
-    a_secs = bundle.frames() + \
-        report.sample(_random_sections(rng, p, bundle.rank))
-    c_secs = [unit_section(p, rep.rank_c, m) for m in range(rep.rank_c)] + \
-        report.sample(_random_sections(rng, p, rep.rank_c, count=1))
-    b_secs = [unit_section(p, rep.rank_b, r) for r in range(rep.rank_b)] + \
-        report.sample(_random_sections(rng, p, rep.rank_b, count=1))
+    a_secs = unit_sections(p, bundle.rank) + report.draw(p, bundle.rank, 3)
+    c_secs = unit_sections(p, rep.rank_c) + report.draw(p, rep.rank_c, 1)
+    b_secs = unit_sections(p, rep.rank_b) + report.draw(p, rep.rank_b, 1)
 
     def chain_map(a, c):
         return section_sub(partial(connC(a, c)), connB(a, partial(c)))

@@ -193,7 +193,7 @@ MODES = {
                     auto=("selfdual2rep",)),
     "graded-jacobi": Row(_SELFDUAL,
                          lambda rep, seed: check_graded_jacobi(rep, seed)),
-    "symplectic": Row(_SELFDUAL, lambda rep, seed: is_symplectic(rep)),
+    "symplectic": Row(_SELFDUAL, lambda rep, seed: is_symplectic(rep, seed)),
     "matched-2reps": Row({"matched2reps": _same},
                          lambda pair, seed: check_matched_two_reps(pair, seed),
                          auto=("matched2reps",)),
@@ -339,7 +339,6 @@ def _read_inputs(args):
 def cmd_check(args):
     chunks, kind, obj, second = _read_inputs(args)
     mode, report = _run_check(args.mode, kind, obj, second, args.seed)
-    report.seed = args.seed
     _write_report(report, mode, _digest(chunks), args.seed,
                   args.format or _default_format(), args.out)
     return EXIT_PASS if report.passed else EXIT_FAIL

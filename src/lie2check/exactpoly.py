@@ -380,28 +380,6 @@ class Polynomial:
         return cls(base_dim, terms)
 
 
-def random_polynomial(rng, base_dim: int, max_degree: int = 2) -> Polynomial:
-    """Small random polynomial with integer coefficients in [-3, 3]."""
-    exps_pool = [()] if base_dim == 0 else None
-    if exps_pool is None:
-        exps_pool = []
-
-        def walk(prefix, budget):
-            if len(prefix) == base_dim:
-                exps_pool.append(tuple(prefix))
-                return
-            for e in range(budget + 1):
-                walk(prefix + [e], budget - e)
-
-        walk([], max_degree)
-    terms = {}
-    for exps in exps_pool:
-        coeff = rng.randint(-3, 3)
-        if coeff:
-            terms[exps] = Fraction(coeff)
-    return Polynomial(base_dim, terms)
-
-
 def _perm_sign_and_sort(indices):
     """Sort index list, returning (sign, sorted tuple); sign 0 on repeats."""
     idx = list(indices)

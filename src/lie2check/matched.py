@@ -3,7 +3,6 @@ self-dual 2-representation, plus the bicrossproduct construction."""
 
 from __future__ import annotations
 
-import random as _random
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, combinations_with_replacement
@@ -13,8 +12,8 @@ from .report import CheckReport, sweep
 from .bundle import (
     AnchoredBundle, DullBracket, LieAlgebroidData, LinearConnection,
     TwoRepData, check_two_rep, curvature_matrix, field_bracket, memo,
-    random_section, section_add, section_neg, section_pair,
-    section_sub, unit_section, zero_section,
+    section_add, section_neg, section_pair, section_sub, unit_sections,
+    zero_section,
 )
 from .lie2 import Dorfman2Rep, SplitLie2Data, build_homological_field
 from .poisson import PoissonStructure, SelfDual2Rep
@@ -131,19 +130,15 @@ def check_matched_two_reps(pair: MatchedPair2Reps,
         condition_6   <- anchor_mixed, 2rep_B:algebroid:skew
         condition_7   <- 2rep_A:algebroid:skew, 2rep_B:algebroid:skew
     """
-    rng = _random.Random(seed)
     report = CheckReport("matched pair of 2-representations", seed)
     report.merge(check_two_rep(pair.two_rep_of_A(), seed), prefix="2rep_A:")
     report.merge(check_two_rep(pair.two_rep_of_B(), seed), prefix="2rep_B:")
 
     p = pair.base_dim
     ra, rb, rc = pair.rank_a, pair.rank_b, pair.rank_c
-    a_secs = pair.algA.bundle.frames() + \
-        report.sample([random_section(rng, p, ra)])
-    b_secs = pair.algB.bundle.frames() + \
-        report.sample([random_section(rng, p, rb)])
-    c_secs = [unit_section(p, rc, m) for m in range(rc)] + \
-        report.sample([random_section(rng, p, rc)])
+    a_secs = unit_sections(p, ra) + report.draw(p, ra, 1)
+    b_secs = unit_sections(p, rb) + report.draw(p, rb, 1)
+    c_secs = unit_sections(p, rc) + report.draw(p, rc, 1)
 
     dA = memo(pair.partialA.apply)
     dB = memo(pair.partialB.apply)
@@ -267,8 +262,7 @@ def bicrossproduct(pair: MatchedPair2Reps) -> SplitLie2Data:
         for j in range(rb):
             for k in range(rb):
                 comps[ra + i][ra + j][ra + k] = pair.algB.bracket.comps[i][j][k]
-    frames_a = pair.algA.bundle.frames()
-    frames_b = pair.algB.bundle.frames()
+    frames_a, frames_b = unit_sections(p, ra), unit_sections(p, rb)
     for i in range(ra):
         for j in range(rb):
             grad_b = pair.nablaAB.apply(frames_a[i], frames_b[j])
@@ -443,20 +437,16 @@ def check_la_matched_pair(pair: LAPairData, seed: int = 0) -> CheckReport:
     frame entry passes and both brackets are skew
     (``tests/test_settle.py``).
     """
-    rng = _random.Random(seed)
     report = CheckReport("matched Lie 2-algebroid pair", seed)
     S, D = pair.selfdual, pair.dorfman
     p = D.bundle.base_dim
     rq, rb = D.rank_q, D.rank_b
     bracket_q = D.dual_bracket()
 
-    q_secs = D.bundle.frames() + report.sample([random_section(rng, p, rq)])
-    tau_secs = [unit_section(p, rq, j) for j in range(rq)] + \
-        report.sample([random_section(rng, p, rq)])
-    b_secs = S.algebroid.bundle.frames() + \
-        report.sample([random_section(rng, p, rb)])
-    b_frames = S.algebroid.bundle.frames()
-    q_frames = D.bundle.frames()
+    q_frames, b_frames = unit_sections(p, rq), unit_sections(p, rb)
+    q_secs = q_frames + report.draw(p, rq, 1)
+    tau_secs = unit_sections(p, rq) + report.draw(p, rq, 1)
+    b_secs = b_frames + report.draw(p, rb, 1)
 
     dQ = memo(S.partial_q.apply)
     dB = memo(D.partial_b.apply)

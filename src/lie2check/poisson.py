@@ -20,7 +20,7 @@ from .exactpoly import PolyMatrix, PolyTensor
 from .report import CheckReport, sweep, witness
 from .bundle import (
     LieAlgebroidData, LinearConnection, TwoRepData, check_two_rep,
-    curvature_matrix, unit_section,
+    curvature_matrix, unit_sections,
 )
 from .lie2 import GradedDerivation, GradedFunction, generators
 
@@ -153,7 +153,7 @@ class PoissonStructure:
         tau, b = range(p, p + rq), range(p + rq, p + rq + rb)
         table = [[self._gf({}) for _ in self.degrees] for _ in self.degrees]
         anchor, gamma_star = rep.algebroid.bundle.anchor, rep.nablaQstar().gamma
-        frames_b = [unit_section(p, rb, l) for l in range(rb)]
+        frames_b = unit_sections(p, rb)
         for l in range(rb):
             for i in range(p):
                 # {b_l, x_i} = rho_B(b_l)(x_i)
@@ -216,8 +216,8 @@ def check_graded_jacobi(rep: SelfDual2Rep, seed: int = 0) -> CheckReport:
     return report
 
 
-def is_symplectic(rep: SelfDual2Rep) -> CheckReport:
-    report = CheckReport("symplectic")
+def is_symplectic(rep: SelfDual2Rep, seed: int = 0) -> CheckReport:
+    report = CheckReport("symplectic", seed)
     p = rep.base_dim
     rb = rep.rank_b
     report.add("rank_matches_base", rb == p,

@@ -6,26 +6,35 @@ Every checker records each witness tuple with one call,
 stored components, or an identity that holds by construction, with
 ``CheckReport.add``.
 
-Settling.  Besides frames, a checker evaluates its identities on
-sections and functions drawn from a seeded ``random.Random``.  A checker
-that settles marks those draws with ``CheckReport.sample``; one that
-does not has every ``check`` evaluated at once.  A tuple that holds a
-sampled item is deferred: it gets a passing placeholder at its position.
-Before returning, the checker calls ``CheckReport.settle`` with its
-premise table, which maps each label it defers to what its docstring's
-completeness argument needs: other labels, and zero-argument shape
-predicates.  A label is proven when every entry recorded under it passed
-and every premise holds; the argument then proves its deferred residuals
-zero, and their placeholders stand.  Only the deferred tuples of the
-other labels are evaluated, in place.  The draws themselves are made
+Drawing.  Besides frames, a checker evaluates its identities on sampled
+sections and functions, and it takes them from its report: each report
+seeds one ``random.Random`` from its ``seed`` at construction, and
+``CheckReport.draw`` and ``CheckReport.draw_functions`` return the next
+sections or functions of that stream, each component a
+``random_polynomial``.  This module is the only one that draws.
+
+Settling.  Every draw is marked as sampled (``CheckReport.sample``).  A
+tuple that holds a sampled item is deferred: it gets a passing
+placeholder at its position.  Before returning, a checker that draws
+calls ``CheckReport.settle`` with its premise table, which maps each
+label it defers to what its docstring's completeness argument needs:
+other labels, and zero-argument shape predicates.  A label is proven
+when every entry recorded under it passed and every premise holds; the
+argument then proves its deferred residuals zero, and their placeholders
+stand.  Only the deferred tuples of the other labels are evaluated, in
+place; an empty table proves no label.  The draws themselves are made
 either way, so the report is the same as if every tuple had been
 evaluated in its loop.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
+
+from .exactpoly import Polynomial
 
 
 def sweep(*slots):
@@ -50,6 +59,28 @@ def sweep(*slots):
                            else pick(idx, k))]
         out = [(n + dn, s + ds) for n, s in out for dn, ds in draws]
     return out
+
+
+def random_polynomial(rng, base_dim: int, max_degree: int = 2) -> Polynomial:
+    """Small random polynomial with integer coefficients in [-3, 3]: one
+    draw per monomial of degree at most ``max_degree``, in lexicographic
+    order of the exponent tuples."""
+    exps_pool = []
+
+    def walk(prefix, budget):
+        if len(prefix) == base_dim:
+            exps_pool.append(tuple(prefix))
+            return
+        for e in range(budget + 1):
+            walk(prefix + [e], budget - e)
+
+    walk([], max_degree)
+    terms = {}
+    for exps in exps_pool:
+        coeff = rng.randint(-3, 3)
+        if coeff:
+            terms[exps] = Fraction(coeff)
+    return Polynomial(base_dim, terms)
 
 
 def witness(names) -> str:
@@ -87,6 +118,8 @@ class CheckReport:
     title: str
     seed: int = 0
     entries: list = field(default_factory=list)
+    # the generator of every draw, seeded from ``seed``
+    _rng: random.Random = field(init=False, repr=False, compare=False)
     # id -> item for the sampled draws (holding them keeps the ids
     # valid), and (index, residual, args) per deferred entry
     _sampled: dict = field(default_factory=dict, init=False, repr=False,
@@ -99,12 +132,28 @@ class CheckReport:
     _verdicts: dict = field(default=None, init=False, repr=False,
                             compare=False)
 
+    def __post_init__(self):
+        self._rng = random.Random(self.seed)
+
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
     def add(self, label: str, passed: bool, witness: str = "", residual: str = ""):
         self.entries.append(CheckEntry(label, passed, witness, residual))
+
+    def draw(self, base_dim: int, rank: int, count: int):
+        """The next ``count`` sections of a rank-``rank`` bundle over
+        ``base_dim`` coordinates, marked as sampled; each component is a
+        ``random_polynomial`` of degree at most 2."""
+        return self.sample([[random_polynomial(self._rng, base_dim)
+                             for _ in range(rank)] for _ in range(count)])
+
+    def draw_functions(self, base_dim: int, count: int, max_degree: int = 2):
+        """The next ``count`` functions over ``base_dim`` coordinates, of
+        degree at most ``max_degree``, marked as sampled."""
+        return self.sample([random_polynomial(self._rng, base_dim, max_degree)
+                            for _ in range(count)])
 
     def sample(self, items):
         """Mark drawn sections or functions as sampled; returns ``items``."""

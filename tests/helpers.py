@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from lie2check import __version__
 from lie2check.courant import standard_courant, tangent_double_pair
+from lie2check.examples import semidirect_flat
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
+from lie2check.lie2 import change_splitting, split_from_dorfman
 from lie2check.serialize import REPORT_FORMAT
 
 
@@ -104,3 +106,18 @@ def curved_tangent_double():
     g0 = [[z, x2, z, z], [z, z, z, z], [z, z, z, z], [z, z, -x2, z]]
     g1 = [[z] * 4 for _ in range(4)]
     return tangent_double_pair(standard_courant(2), [g0, g1])
+
+
+def splitting_morphism(sign):
+    """The arguments of ``check_lie2_morphism`` for semidirect_flat
+    against its change of splitting by phi = x (q1 ^ q2) b1, with mu_Q and
+    mu_B the identities and mu12 = sign * phi; sign -1 is a morphism."""
+    dorf = semidirect_flat()
+    x = Polynomial.variable(1, 0)
+    phi, mu12 = (PolyTensor(1, [(2, 2, True), (1, 1, False)])
+                 for _ in range(2))
+    phi.set((0, 1, 0), x)
+    mu12.set((0, 1, 0), x.scale(sign))
+    return (split_from_dorfman(dorf),
+            split_from_dorfman(change_splitting(dorf, phi)),
+            PolyMatrix.identity(1, 2), PolyMatrix.identity(1, 1), mu12)

@@ -600,6 +600,17 @@ def test_each_mode_calls_its_checker_by_its_name(corpus, monkeypatch, mode):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("mode", sorted(_MODE_KINDS))
+def test_each_mode_passes_the_seed_to_its_checker(corpus, mode):
+    """A report's seed is fixed when its checker builds it, so the text
+    header shows the seed that the sampled sections were drawn with."""
+    _, kind, obj = cli._read_document(corpus[sorted(_MODE_KINDS[mode])[0]])
+    second = cli._read_document(corpus["dirac"])[1:] \
+        if mode in _READS_DIRAC else None
+    report = cli._run_check(mode, kind, obj, second, 5)[1]
+    assert report.render_text().startswith(f"{report.title}  [seed 5]\n")
+
+
 # the option each recipe reads, and a value for each option
 _RECIPE_READS = {"decompose": "--rank-a", "adjoint": "--connection",
                  "change-splitting": "--phi"}

@@ -40,10 +40,9 @@ from lie2check.courant import (
 )
 from lie2check.examples import (
     EXAMPLES, broken_selfdual_nonsym, broken_selfdual_zero_r,
-    broken_so3_pair_dq, build_example, semidirect_flat, so3_e3_dirac,
-    so3_poisson_pair,
+    broken_so3_pair_dq, build_example, so3_e3_dirac, so3_poisson_pair,
 )
-from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
+from lie2check.exactpoly import Polynomial, PolyMatrix
 from lie2check.lie2 import (
     Dorfman2Rep, change_splitting, check_lie2_morphism, dorfman_from_split,
     split_from_dorfman,
@@ -53,7 +52,7 @@ from lie2check.matched import (
 )
 from lie2check.poisson import check_graded_jacobi
 
-from helpers import canonical_keys, report_dict
+from helpers import canonical_keys, report_dict, splitting_morphism
 
 SEEDS = (0, 5)
 
@@ -217,18 +216,8 @@ def _dirac(tmp_path, mode, dirac, seed):
 
 
 def _morphism(sign, seed):
-    """semidirect_flat against its change of splitting by phi, with
-    mu_Q and mu_B the identities and mu12 = sign * phi."""
-    dorf = semidirect_flat()
-    x = Polynomial.variable(1, 0)
-    phi, mu12 = (PolyTensor(1, [(2, 2, True), (1, 1, False)])
-                 for _ in range(2))
-    phi.set((0, 1, 0), x)
-    mu12.set((0, 1, 0), x.scale(sign))
-    report = check_lie2_morphism(
-        split_from_dorfman(dorf), split_from_dorfman(change_splitting(dorf, phi)),
-        PolyMatrix.identity(1, 2), PolyMatrix.identity(1, 1), mu12, seed=seed)
-    return _report_sha(report)
+    return _report_sha(check_lie2_morphism(*splitting_morphism(sign),
+                                           seed=seed))
 
 
 def _manin(data, seed):

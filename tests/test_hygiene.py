@@ -44,6 +44,31 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+def _unread_locals(path):
+    """(line, name) for each name a function in ``path`` assigns and
+    never reads, in its own body or a nested one; names starting with
+    ``_`` are exempt."""
+    found = set()
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                   str(path))):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names = [node for node in ast.walk(func) if isinstance(node, ast.Name)]
+        read = {node.id for node in names
+                if not isinstance(node.ctx, ast.Store)}
+        found |= {(node.lineno, node.id) for node in names
+                  if isinstance(node.ctx, ast.Store)
+                  and not node.id.startswith("_") and node.id not in read}
+    return sorted(found)
+
+
+def test_no_unread_locals():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line, name in _unread_locals(path)]
+    assert not found, "locals assigned and never read:\n" + "\n".join(found)
+
+
 # Polynomials share their operands and one zero per base dimension, so a
 # terms mapping must never change once its constructor has handed it over.
 # The constructors in ``exactpoly`` build a local dict and store it whole.
@@ -169,9 +194,10 @@ def test_no_literal_tensor_layouts(module):
 
 
 # A deferred placeholder reads as a pass until ``CheckReport.settle``
-# proves or evaluates it, so a checker that marks draws with ``.sample(``
-# must also call ``.settle(``.  The scan takes each function defined at
-# module level or in a module-level class, with its nested defs.
+# proves or evaluates it, so a checker that draws with ``.draw(`` or
+# ``.draw_functions(`` must also call ``.settle(``.  The scan takes each
+# function defined at module level or in a module-level class, with its
+# nested defs.
 def _unsettled_samplers(source, filename="<source>"):
     tree = ast.parse(source, filename)
     funcs = []
@@ -187,17 +213,17 @@ def _unsettled_samplers(source, filename="<source>"):
         called = {n.func.attr for n in ast.walk(func)
                   if isinstance(n, ast.Call)
                   and isinstance(n.func, ast.Attribute)}
-        if "sample" in called and "settle" not in called:
+        if called & {"draw", "draw_functions"} and "settle" not in called:
             found.append((func.lineno, func.name))
     return found
 
 
 @pytest.mark.parametrize("source, flagged", [
-    ("def check(r):\n    def draw():\n        return r.sample([1])\n"
-     "    return draw()\n", True),
-    ("def check(r):\n    def draw():\n        return r.sample([1])\n"
-     "    draw()\n    return r.settle()\n", False),
-    ("class C:\n    def check(self, r):\n        r.sample([1])\n", True),
+    ("def check(r):\n    def pick():\n        return r.draw(1, 2, 1)\n"
+     "    return pick()\n", True),
+    ("def check(r):\n    def pick():\n        return r.draw_functions(1, 1)\n"
+     "    pick()\n    return r.settle({})\n", False),
+    ("class C:\n    def check(self, r):\n        r.draw(1, 2, 1)\n", True),
 ])
 def test_the_settle_scan_sees_nested_samplers(source, flagged):
     assert bool(_unsettled_samplers(source)) == flagged
@@ -209,6 +235,40 @@ def test_every_sampling_checker_settles():
              for line, name in _unsettled_samplers(
                  path.read_text(encoding="utf-8"), str(path))]
     assert not found, "sampled draws never settled:\n" + "\n".join(found)
+
+
+# Sampling is decided in one module: each ``report.CheckReport`` owns a
+# seeded generator and draws with ``report.random_polynomial``.  No other
+# module in ``src/`` imports ``random`` or names the generator class or
+# the sampler, so removing sampling touches only ``report``.
+_SAMPLERS = {"random_polynomial", "Random"}
+
+
+def _draws_outside_the_report(path):
+    """(line, name) for each import of ``random`` and each use,
+    definition or import of a name in ``_SAMPLERS``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                   str(path))):
+        modules = [alias.name for alias in node.names] \
+            if isinstance(node, ast.Import) else \
+            [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        if any(m.split(".")[0] == "random" for m in modules):
+            found.append((node.lineno, "random"))
+        # a Name, an Attribute, a def or class, or an imported alias
+        name = getattr(node, "id", None) or getattr(node, "attr", None) \
+            or getattr(node, "name", None)
+        if name in _SAMPLERS:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_only_the_report_draws():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name != "report.py"
+             for line, name in _draws_outside_the_report(path)]
+    assert not found, "sampling outside report.py:\n" + "\n".join(found)
 
 
 # Constructed tensors are built by ``PolyTensor.fill``, which owns the

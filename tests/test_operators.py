@@ -463,5 +463,5 @@ def test_the_courant_check_takes_each_dee_once(monkeypatch):
     # evaluate the sampled tuples too, which a passing check settles
     monkeypatch.setattr(CheckReport, "proves", lambda self, *_: False)
     assert check_courant_axioms(standard_courant(2)).passed
-    assert len(args) > len(standard_courant(2).frames())
+    assert len(args) > standard_courant(2).rank
     assert len(args) == len(set(args))

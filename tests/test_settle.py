@@ -20,10 +20,11 @@ from lie2check.cli import CHECK_MODES, CliError, _run_check
 from lie2check.courant import DegenerateCourant, check_courant_axioms
 from lie2check.examples import EXAMPLES, build_example, tangent_double_pair_r1
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
+from lie2check.lie2 import check_lie2_morphism
 from lie2check.matched import check_la_matched_pair
 from lie2check.report import CheckReport
 
-from helpers import curved_tangent_double, report_dict
+from helpers import curved_tangent_double, report_dict, splitting_morphism
 
 SEEDS = (0, 5)
 MODES = [m for m in CHECK_MODES if m != "auto" and not m.startswith("dirac-")]
@@ -187,6 +188,50 @@ def test_the_curved_tangent_double_settles(monkeypatch):
         ["la-pair", "q-poisson", "core-courant", "selfdual",
          "graded-jacobi", "symplectic", "dorfman", "homological"])
     assert not any(ran.values()), ran
+
+
+@pytest.mark.parametrize("sign", [-1, 1], ids=["minus_phi", "plus_phi"])
+def test_the_morphism_check_evaluates_every_deferred_tuple(sign,
+                                                           monkeypatch):
+    # its premise table is empty, so no label is proven and the settled
+    # run evaluates every tuple it deferred, as the full run does
+    args = splitting_morphism(sign)
+    settled, sampled, ran = _check(lambda: check_lie2_morphism(*args),
+                                   monkeypatch)
+    full, _, ran_all = _check(lambda: check_lie2_morphism(*args),
+                              monkeypatch, full=True)
+    assert settled == full
+    assert sampled and ran == ran_all > 0
+
+
+# ---------------------------------------------------------------------------
+# the draw stream: every report draws from one generator seeded by its
+# seed, in the order of the calls, and the values are the ones that
+# ``random_polynomial`` has always drawn for that seed
+
+
+DRAWN = {
+    0: ([["3 + 3*x2^2 - 3*x1*x2 - x1^2", "1 + 3*x1 + 3*x1*x2 - x1^2",
+          "-x2 - 2*x1 + x2^2 + x1*x2 - 2*x1^2"],
+         ["-1 - 2*x2 - 3*x1 + 3*x2^2 + x1*x2 + 3*x1^2",
+          "-1 + x2 + 3*x1 + 2*x2^2 + x1*x2 - 2*x1^2",
+          "-1 - 3*x2 - 3*x1 + 2*x2^2 + 3*x1*x2 + 2*x1^2"]],
+        ["-1", "1 - 3*x1"]),
+    1: ([["-2 + x2 + 3*x1 + 3*x2^2 + 3*x1*x2 - 3*x1^2", "-1 - 3*x2 + 3*x1",
+          "2 - 2*x1 + 3*x2^2 - 3*x1*x2"],
+         ["-3 + 3*x2 + x1*x2 + 3*x1^2", "3 - 3*x2 + 2*x2^2 - x1*x2 + 2*x1^2",
+          "3 - 2*x2 - 3*x1 + x2^2 - x1*x2 - 3*x1^2"]],
+        ["-3 - 3*x1", "2 + x1"]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DRAWN))
+def test_the_draw_stream_is_pinned(seed):
+    report = CheckReport("t", seed)
+    sections = report.draw(2, 3, 2)
+    functions = report.draw_functions(1, 2, max_degree=1)
+    assert ([[f.render() for f in s] for s in sections],
+            [f.render() for f in functions]) == DRAWN[seed]
 
 
 # ---------------------------------------------------------------------------
