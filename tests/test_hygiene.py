@@ -250,9 +250,12 @@ def _draws_outside_the_report(path):
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
                                    str(path))):
-        modules = [alias.name for alias in node.names] \
-            if isinstance(node, ast.Import) else \
-            [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
         if any(m.split(".")[0] == "random" for m in modules):
             found.append((node.lineno, "random"))
         # a Name, an Attribute, a def or class, or an imported alias
