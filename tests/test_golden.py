@@ -11,15 +11,20 @@ Manin-pair check, and the failing reports of the Poisson-bracket checkers
 checker's loops, labels, witnesses or residuals changes the hash.
 
 ``CONSTRUCTIONS`` pins the sha256 of the encoded output of every
-construction that builds a tensor, on the corpus examples of the kind
-it takes: split <-> Dorfman, the bicrossproduct and its decomposition at
-every ``rank_a``, the semidirect and dual 2-representations (also of
-each self-dual example's ``as_two_rep()``), the standard Dorfman
-2-representation, the adjoint Dorfman 2-representation and the tangent
-double (also of ``standard_courant(2)`` and ``(3)`` with a curved
-metric connection), and both changes of splitting with a fixed nonzero
-phi.  A construction that refuses its input pins its message instead.
-The benchmark covers only its six round trips, with phi = 0.
+construction, on the corpus examples of the kind it takes: split <->
+Dorfman, the bicrossproduct and its decomposition at every ``rank_a``,
+the semidirect and dual 2-representations (also of each self-dual
+example's ``as_two_rep()``), the standard Dorfman 2-representation, the
+adjoint Dorfman 2-representation and the tangent double (also of
+``standard_courant(2)`` and ``(3)`` with a curved metric connection),
+both changes of splitting with a fixed nonzero phi, the core Courant
+algebroid of each matched pair, and the Manin pair and the induced Lie
+algebroid of each (matched pair or Dorfman 2-representation, Dirac
+structure) pair.  The corpus Dirac structures have B' = 0, so the
+tangent double over R^1 is also paired with B' = B and U = Q or U =
+span(e1): there B is nonzero and reaches the Manin-pair bracket.  A
+construction that refuses its input pins its message instead.  The
+benchmark covers only its six round trips, with phi = 0.
 
 Print the current hashes of both tables with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -34,9 +39,10 @@ from lie2check import serialize
 from lie2check.bundle import dualize_two_rep
 from lie2check.cli import main
 from lie2check.courant import (
-    DiracData, adjoint_dorfman2rep, check_manin_pair, manin_pair,
-    selfdual_change_splitting, semidirect_dorfman2rep, standard_courant,
-    standard_dorfman2rep, tangent_double_pair,
+    DiracData, adjoint_dorfman2rep, check_manin_pair, core_courant,
+    induced_lie_algebroid_on_U, manin_pair, selfdual_change_splitting,
+    semidirect_dorfman2rep, standard_courant, standard_dorfman2rep,
+    tangent_double_pair,
 )
 from lie2check.examples import (
     EXAMPLES, broken_selfdual_nonsym, broken_selfdual_zero_r,
@@ -88,7 +94,7 @@ GOLDEN = {
 }
 
 CONSTRUCTIONS = {
-    'adjoint/broken_so3_bad_pairing/flat': '82dcdf955cfe07f3ed65e8eb44b80e88d20b67313adc08b87f4753d17f8e6bf6',
+'adjoint/broken_so3_bad_pairing/flat': '82dcdf955cfe07f3ed65e8eb44b80e88d20b67313adc08b87f4753d17f8e6bf6',
     'adjoint/so3_quadratic/flat': '6195ed37ac1e574cc5aac29a3145969bd43cff8fd2566d3607140a756be1124c',
     'adjoint/standard_courant(2)/curved': '3dab869ee7befb47b802dd66bed2a8a6fb4a05a6ca61f2cc3ff522fd5faf10bd',
     'adjoint/standard_courant(2)/flat': 'de53b380d1082fb124dfa884d318c2ebdb98790b318fc3936074c08d75d26026',
@@ -105,6 +111,10 @@ CONSTRUCTIONS = {
     'change-splitting/so3_poisson_pair.dorfman': '652fb4d5a496255789f7a4bda4dc5ce3b2d7edf4862ff7f111bd8ceaaefeb134',
     'change-splitting/so3_symplectic_pair.dorfman': '18f650b07d45dee62e1df85e874ba47fa4f9727957a90e8ba1ba88c2a466dc93',
     'change-splitting/tangent_double_pair_r1.dorfman': 'c55b14fc6fcec2f8e9fdbdbbf04b18de43557b6775f14225cd66d36e04a5a13f',
+    'core-courant/broken_so3_pair_dq': '27cf72f86b28319ac11f93a0473541247c053f38bb4a522fad906cdea24ceb1f',
+    'core-courant/so3_poisson_pair': '7c09a435b8e2353c416fe6b18cbd1fef734c9da50235851d2df5307ab041a102',
+    'core-courant/so3_symplectic_pair': 'c04d1ec7d763f8d84025a80e554e5c821006fe8b2ac149bce1673bf0af1a87cf',
+    'core-courant/tangent_double_pair_r1': '51596070dbf48293f7be86f365aefb546ae0db50869d44b585a311a2b6d9c8be',
     'decompose/axb_matched.bicrossproduct/rank_a0': 'cb510e6c9c7a42050767f23448cf59db8f4a3436779409fd87a892d6a2524a26',
     'decompose/axb_matched.bicrossproduct/rank_a1': 'af11c30ff0ee1002d92361dc4212d97a02fb4935ecf79652815a32ca88a937bc',
     'decompose/axb_matched.bicrossproduct/rank_a2': 'c70665fa62f4e648f4b0031c29c07171d4a7a43616ea2fc37a36db4bc173ad9d',
@@ -151,6 +161,30 @@ CONSTRUCTIONS = {
     'dualize/so3_symplectic_pair.selfdual.as_two_rep': 'f49b8002fdef66bd34dc5ae61356ed5d75678c8ed75a920b2838d7bd57e959a7',
     'dualize/tangent_double_pair_r1.selfdual.as_two_rep': 'a5c5b767399090509fde14ae46847f79734e7844301ea0dd0c3293e9da7449f4',
     'dualize/tm_r1_identity_2rep': 'd8aa7c4336f7baf7245b6c7f9f5c43dc737faebf3ae16665757001105bbd0e62',
+    'induced-la/broken_so3_pair_dq.dorfman/broken_so3_e12_dirac': '56adc68ea18dbd87c2c3e07af9c8ae9f30400e0d93222cdd4e926dee130e8460',
+    'induced-la/broken_so3_pair_dq.dorfman/so3_e3_dirac': '56adc68ea18dbd87c2c3e07af9c8ae9f30400e0d93222cdd4e926dee130e8460',
+    'induced-la/semidirect_flat/broken_so3_e12_dirac': 'f5b438e96dcf130ffebc5fa68cd3468478aa969d6498de4bf4421de237f956e7',
+    'induced-la/semidirect_flat/so3_e3_dirac': 'f5b438e96dcf130ffebc5fa68cd3468478aa969d6498de4bf4421de237f956e7',
+    'induced-la/so3_lie2/broken_so3_e12_dirac': '9079bb9256da79e723a091e4df3628e27c02fd7551586047bae83f32b2fc772c',
+    'induced-la/so3_lie2/so3_e3_dirac': 'c20d225944732791c61eb9d1aa09a70032956ecc645cdb51c6a2c438b9354bd4',
+    'induced-la/so3_poisson_pair.dorfman/broken_so3_e12_dirac': '9079bb9256da79e723a091e4df3628e27c02fd7551586047bae83f32b2fc772c',
+    'induced-la/so3_poisson_pair.dorfman/so3_e3_dirac': 'c20d225944732791c61eb9d1aa09a70032956ecc645cdb51c6a2c438b9354bd4',
+    'induced-la/so3_symplectic_pair.dorfman/broken_so3_e12_dirac': '56adc68ea18dbd87c2c3e07af9c8ae9f30400e0d93222cdd4e926dee130e8460',
+    'induced-la/so3_symplectic_pair.dorfman/so3_e3_dirac': '56adc68ea18dbd87c2c3e07af9c8ae9f30400e0d93222cdd4e926dee130e8460',
+    'induced-la/tangent_double_pair_r1.dorfman/U_Q': '86e9a094f54b6b30d398d8428f0e837f9cbc0b8c41603e11add0dc623f56f062',
+    'induced-la/tangent_double_pair_r1.dorfman/U_e1': '2dc630e8eaf7c26181aa0d06d9fcfd42cc8a72878f858396837d6398bab46189',
+    'induced-la/tangent_double_pair_r1.dorfman/broken_so3_e12_dirac': 'f5b438e96dcf130ffebc5fa68cd3468478aa969d6498de4bf4421de237f956e7',
+    'induced-la/tangent_double_pair_r1.dorfman/so3_e3_dirac': 'f5b438e96dcf130ffebc5fa68cd3468478aa969d6498de4bf4421de237f956e7',
+    'manin-pair/broken_so3_pair_dq/broken_so3_e12_dirac': '56adc68ea18dbd87c2c3e07af9c8ae9f30400e0d93222cdd4e926dee130e8460',
+    'manin-pair/broken_so3_pair_dq/so3_e3_dirac': '56adc68ea18dbd87c2c3e07af9c8ae9f30400e0d93222cdd4e926dee130e8460',
+    'manin-pair/so3_poisson_pair/broken_so3_e12_dirac': '9b24e53789eb7940e7dfd33d410e7d839e8a7f43e5d4e6c572d654b09792b290',
+    'manin-pair/so3_poisson_pair/so3_e3_dirac': '3134735cb3aa5416ad4dc66649302a8b7dd7ea2b7f31698492f7a0f1c90eb184',
+    'manin-pair/so3_symplectic_pair/broken_so3_e12_dirac': '56adc68ea18dbd87c2c3e07af9c8ae9f30400e0d93222cdd4e926dee130e8460',
+    'manin-pair/so3_symplectic_pair/so3_e3_dirac': '56adc68ea18dbd87c2c3e07af9c8ae9f30400e0d93222cdd4e926dee130e8460',
+    'manin-pair/tangent_double_pair_r1/U_Q': '720afa0515ee741e0430033f04dfe81fda12626ed8fa6a80a0a910c0446ea157',
+    'manin-pair/tangent_double_pair_r1/U_e1': 'd8fff838ad5e08177ebea003342bb16e1ebe29f7ff9bd4b889d88a2700fc2cbf',
+    'manin-pair/tangent_double_pair_r1/broken_so3_e12_dirac': 'f5b438e96dcf130ffebc5fa68cd3468478aa969d6498de4bf4421de237f956e7',
+    'manin-pair/tangent_double_pair_r1/so3_e3_dirac': 'f5b438e96dcf130ffebc5fa68cd3468478aa969d6498de4bf4421de237f956e7',
     'selfdual-change-splitting/broken_selfdual_nonsym/sign-1': '73b3961dc4b5210b0ed082933613ad515d889b687f68f550bcd8c0ae4d33c94d',
     'selfdual-change-splitting/broken_selfdual_nonsym/sign1': '798ac1ffe53e8a7da91ce72714bea93222abb21d01283169ce1adfec0dc6eeef',
     'selfdual-change-splitting/broken_selfdual_zero_r/sign-1': 'b325bb2f173c3f101656e7d6d95407934738979875413aef828e8e1209c01398',
@@ -351,7 +385,35 @@ def _construction_cases():
                 lambda c=ca, g=gamma: adjoint_dorfman2rep(c, g)
             cases[f"tangent-double/{name}/{gname}"] = \
                 lambda c=ca, g=gamma: tangent_double_pair(c, g)
+    for name, pair in built["lapair"].items():
+        cases[f"core-courant/{name}"] = lambda a=pair: core_courant(a)
+    dirac_pairs = [(pname, pair, dname, data)
+                   for pname, pair in built["lapair"].items()
+                   for dname, data in built["dirac"].items()]
+    double = "tangent_double_pair_r1"
+    dirac_pairs += [(double, built["lapair"][double], dname, data)
+                    for dname, data in _double_diracs().items()]
+    for pname, pair, dname, data in dirac_pairs:
+        cases[f"manin-pair/{pname}/{dname}"] = \
+            lambda a=pair, d=data: manin_pair(a, d).courant
+    dirac_pairs = [(rname, rep, dname, data)
+                   for rname, rep in dorfmans.items()
+                   for dname, data in built["dirac"].items()]
+    dirac_pairs += [(f"{double}.dorfman", built["lapair"][double].dorfman,
+                     dname, data) for dname, data in _double_diracs().items()]
+    for rname, rep, dname, data in dirac_pairs:
+        cases[f"induced-la/{rname}/{dname}"] = \
+            lambda r=rep, d=data: induced_lie_algebroid_on_U(r, d)
     return cases
+
+
+def _double_diracs():
+    """Dirac structures of the tangent double over R^1 (rank Q = 2, rank
+    B = 1) with full support B' = B: U = Q and U = span(e1)."""
+    one, zero = Polynomial.const(1, 1), Polynomial.zero(1)
+    full_b = PolyMatrix.identity(1, 1)
+    return {"U_Q": DiracData(PolyMatrix.identity(1, 2), full_b),
+            "U_e1": DiracData(PolyMatrix(1, 2, 1, [[one], [zero]]), full_b)}
 
 
 CONSTRUCTION_CASES = _construction_cases()
