@@ -19,6 +19,12 @@ Dorfman connections, dull brackets and Courant brackets add their own
 correction terms to it.  Hom-valued 2-forms (the curvature tensors) are
 evaluated in one place too, ``curvature_matrix``.
 
+The constructions (in ``lie2``, ``poisson``, ``matched`` and ``courant``)
+build their tensors through ``PolyTensor.fill``, and their matrices and
+frame components by value: each ``PolyMatrix`` and each comps list is
+one expression over its blocks, never zero-filled and then written entry
+by entry.
+
 Checkers wrap the operators they apply with ``memo``.  Where one
 operator is built from another (D inside the Courant bracket, the
 connections inside ``hom_derivative``, the connection and bracket inside
@@ -181,38 +187,27 @@ def _dual_comps(comps):
 
 
 # ---------------------------------------------------------------------------
-# base space and bundles
-
-
-@dataclass
-class BaseSpace:
-    dim: int
+# bundles
 
 
 class AnchoredBundle:
-    """Trivial bundle of given rank with a polynomial anchor to TM.
+    """Trivial bundle of given rank over R^base_dim with a polynomial
+    anchor to TM.
 
-    The anchor is a (dim x rank) matrix: column i holds the vector-field
-    components of the anchor image of the i-th frame section.
+    The anchor is a (base_dim x rank) matrix: column i holds the
+    vector-field components of the anchor image of the i-th frame section.
     """
 
-    def __init__(self, base: BaseSpace, rank: int, anchor: PolyMatrix):
-        self.base = base
+    def __init__(self, base_dim: int, rank: int, anchor: PolyMatrix):
+        self.base_dim = base_dim
         self.rank = rank
-        if (anchor.rows, anchor.cols) != (base.dim, rank):
+        if (anchor.rows, anchor.cols) != (base_dim, rank):
             raise ValueError("anchor shape mismatch")
         self.anchor = anchor
-
-    @property
-    def base_dim(self) -> int:
-        return self.base.dim
 
     def anchor_field(self, q):
         """Vector-field components of the anchor applied to a section."""
         return self.anchor.apply(q)
-
-    def anchor_apply(self, q, f: Polynomial) -> Polynomial:
-        return field_apply(self.anchor_field(q), f)
 
     def anchor_pullback_d(self, f: Polynomial):
         """Dual-bundle section rho^* df: component i is rho(frame_i)(f),

@@ -254,7 +254,7 @@ def _adjoint(ca, connection):
 def _change_splitting(rep, phi):
     """The splitting change by the --phi tensor file; without it, or with
     'zero', by zero."""
-    p, rq, rb = rep.bundle.base.dim, rep.rank_q, rep.rank_b
+    p, rq, rb = rep.bundle.base_dim, rep.rank_q, rep.rank_b
     if phi in (None, "zero"):
         tensor = Dorfman2Rep.phi_tensor(p, rq, rb)
     else:

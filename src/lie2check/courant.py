@@ -13,11 +13,10 @@ from .exactpoly import (
 )
 from .report import CheckReport, sweep, witness
 from .bundle import (
-    AnchoredBundle, BaseSpace, DullBracket, LieAlgebroidData,
-    LinearConnection, connection_curvature, covariant_apply, field_apply,
-    field_bracket, memo, section_add, section_neg, section_pair,
-    section_smul, section_sub, unit_section, unit_sections, zero_section,
-    DorfmanConnection,
+    AnchoredBundle, DullBracket, LieAlgebroidData, LinearConnection,
+    connection_curvature, covariant_apply, field_apply, field_bracket, memo,
+    section_add, section_neg, section_pair, section_smul, section_sub,
+    unit_section, unit_sections, zero_section, DorfmanConnection,
 )
 from .lie2 import Dorfman2Rep
 from .poisson import SelfDual2Rep
@@ -40,7 +39,7 @@ class DegenerateCourant:
     D f = sum_k (sum_m dmat[k][m] d_m f) e_k.
     """
 
-    base: BaseSpace
+    base_dim: int
     rank: int
     rho: PolyMatrix
     pairing: PolyMatrix
@@ -48,17 +47,13 @@ class DegenerateCourant:
     dmat: PolyMatrix
 
     def __post_init__(self):
-        p = self.base.dim
+        p = self.base_dim
         if (self.rho.rows, self.rho.cols) != (p, self.rank):
             raise ValueError("anchor shape mismatch")
         if (self.pairing.rows, self.pairing.cols) != (self.rank, self.rank):
             raise ValueError("pairing shape mismatch")
         if (self.dmat.rows, self.dmat.cols) != (self.rank, p):
             raise ValueError("D-map shape mismatch")
-
-    @property
-    def base_dim(self):
-        return self.base.dim
 
     def rho_field(self, e):
         return self.rho.apply(e)
@@ -185,29 +180,27 @@ def check_courant_axioms(ca: DegenerateCourant, seed: int = 0) -> CheckReport:
 # example classes
 
 
-def quadratic_lie_algebra(base: BaseSpace, comps, pairing: PolyMatrix
+def quadratic_lie_algebra(p: int, comps, pairing: PolyMatrix
                           ) -> DegenerateCourant:
-    """Courant algebroid with zero anchor and D: a Lie algebra bundle with
-    an invariant pairing (invariance is the caller's CA2 check)."""
+    """Courant algebroid over R^p with zero anchor and D: a Lie algebra
+    bundle with an invariant pairing (invariance is the caller's CA2
+    check)."""
     n = pairing.rows
-    p = base.dim
-    return DegenerateCourant(base, n, PolyMatrix(p, p, n), pairing, comps,
+    return DegenerateCourant(p, n, PolyMatrix(p, p, n), pairing, comps,
                              PolyMatrix(p, n, p))
 
 
 def standard_courant(p: int) -> DegenerateCourant:
     """TM + T*M over R^p with the Dorfman bracket; frames are the
     coordinate fields followed by the coordinate differentials."""
-    base = BaseSpace(p)
     n = 2 * p
-    one = Polynomial.const(p, 1)
-    rho, pairing, dmat = PolyMatrix(p, p, n), PolyMatrix(p, n, n), \
-        PolyMatrix(p, n, p)
-    for m in range(p):
-        rho[m, m] = pairing[m, p + m] = pairing[p + m, m] = \
-            dmat[p + m, m] = one
+    ident, zero = PolyMatrix.identity(p, p).data, PolyMatrix(p, p, p).data
+    rho = PolyMatrix(p, p, n, [a + b for a, b in zip(ident, zero)])
+    pairing = PolyMatrix(p, n, n, [a + b for a, b in
+                                   zip(zero + ident, ident + zero)])
     comps = [[zero_section(p, n) for _ in range(n)] for _ in range(n)]
-    return DegenerateCourant(base, n, rho, pairing, comps, dmat)
+    return DegenerateCourant(p, n, rho, pairing, comps,
+                             PolyMatrix(p, n, p, zero + ident))
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +232,9 @@ def _adjoint_and_inverse(ca: DegenerateCourant, gamma):
     except ValueError as exc:
         raise ValueError(f"pairing is not invertible: {exc}") from exc
 
-    bundle = AnchoredBundle(ca.base, n, ca.rho)
+    bundle = AnchoredBundle(p, n, ca.rho)
     partial_b = ca.rho.matmul(ginv)
-    tm = AnchoredBundle(ca.base, p, PolyMatrix.identity(p, p))
+    tm = AnchoredBundle(p, p, PolyMatrix.identity(p, p))
     nabla = LinearConnection(tm, n, gamma).apply
 
     frames = unit_sections(p, n)
@@ -255,24 +248,12 @@ def _adjoint_and_inverse(ca: DegenerateCourant, gamma):
         """Transport E -> E* via the pairing."""
         return ca.pairing.apply(s)
 
-    comps = [[[Polynomial.zero(p) for _ in range(n)] for _ in range(n)]
-             for _ in range(n)]
-    ginv_cols = [[ginv[r, j] for r in range(n)] for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            img = lower(delta_prime(frames[i], ginv_cols[j]))
-            for k in range(n):
-                comps[i][j][k] = img[k]
-    delta = DorfmanConnection(bundle, comps)
-
-    gamma_bas = [[[Polynomial.zero(p) for _ in range(p)] for _ in range(p)]
-                 for _ in range(n)]
-    for i in range(n):
-        for m in range(p):
-            for mp in range(p):
-                gamma_bas[i][m][mp] = dot(gamma[m][i], ca.rho.data[mp], p) \
-                    - ca.rho[mp, i].diff(m)
-    nabla_bas = LinearConnection(bundle, p, gamma_bas)
+    ginv_cols = ginv.transpose().data
+    delta = DorfmanConnection(bundle, [
+        [lower(delta_prime(e, col)) for col in ginv_cols] for e in frames])
+    nabla_bas = LinearConnection(bundle, p, [
+        [[dot(gamma[m][i], ca.rho.data[mp], p) - ca.rho[mp, i].diff(m)
+          for mp in range(p)] for m in range(p)] for i in range(n)])
 
     coord_fields = unit_sections(p, p)
 
@@ -313,9 +294,8 @@ def standard_dorfman2rep(dull: DullBracket) -> Dorfman2Rep:
     rank_e = rq - p
     if rank_e < 0:
         raise ValueError("bundle rank is below the base dimension")
-    expected = PolyMatrix(p, p, rq)
-    for m in range(p):
-        expected[m, m] = Polynomial.const(p, 1)
+    frames = unit_sections(p, rq)
+    expected = PolyMatrix(p, p, rq, frames[:p])
     if not bundle.anchor.add(expected.scale(-1)).is_zero():
         raise ValueError("anchor is not the tangent projection")
     if not dull.is_skew():
@@ -328,15 +308,12 @@ def standard_dorfman2rep(dull: DullBracket) -> Dorfman2Rep:
                         "tangent part of the bracket is not the Lie bracket: "
                         f"witness (v{i + 1}, v{j + 1})")
 
-    partial_b = PolyMatrix(p, rank_e, rq)
-    for r in range(rank_e):
-        partial_b[r, p + r] = Polynomial.const(p, 1)
+    partial_b = PolyMatrix(p, rank_e, rq, frames[p:])
     delta = DorfmanConnection.from_dull_bracket(dull)
     gamma = [[[delta.comps[i][p + j][p + k] for k in range(rank_e)]
               for j in range(rank_e)] for i in range(rq)]
     nabla = LinearConnection(bundle, rank_e, gamma)
 
-    frames = unit_sections(p, rq)
     curv = Dorfman2Rep.curv_tensor(p, rq, rank_e).fill(
         lambda i, j, r: connection_curvature(
             delta.apply, dull.apply, frames[i], frames[j],
@@ -356,34 +333,29 @@ def semidirect_dorfman2rep(rep) -> Dorfman2Rep:
     zero = Polynomial.zero(p)
     anchor = PolyMatrix(p, p, rq, [row + [zero] * rc
                                    for row in algA.bundle.anchor.data])
-    bundle = AnchoredBundle(algA.bundle.base, rq, anchor)
+    bundle = AnchoredBundle(p, rq, anchor)
+    partial_b = PolyMatrix(p, rb, rq, [[zero] * ra + row
+                                       for row in rep.partial.data])
 
-    partial_b = PolyMatrix(p, rb, rq)
-    for r in range(rb):
-        for m in range(rc):
-            partial_b[r, ra + m] = rep.partial[r, m]
+    gammaAC, bracketA = rep.connC.gamma, algA.bracket.comps
 
-    comps = [[[zero for _ in range(rq)] for _ in range(rq)] for _ in range(rq)]
-    gammaAC = rep.connC.gamma
-    for i in range(ra):
-        for j in range(ra):
-            for k in range(ra):
-                comps[i][j][k] = -algA.bracket.comps[i][k][j]
-        for m in range(rc):
-            for k in range(rc):
-                comps[i][ra + m][ra + k] = gammaAC[i][m][k]
-    for n_ in range(rc):
-        for m in range(rc):
-            for j in range(ra):
-                comps[ra + n_][ra + m][j] = -gammaAC[j][m][n_]
-    delta = DorfmanConnection(bundle, comps)
+    def delta_row(i, j):
+        """Delta_{q_i} of the j-th frame of Q* = A* + C.  Along a_i it is
+        minus the transposed bracket of A on A* and the A-connection on
+        C; along the i-th C*-frame it sends C into A* by minus the
+        transposed connection; every other block is zero."""
+        if i < ra and j < ra:
+            return [-bracketA[i][k][j] for k in range(ra)] + [zero] * rc
+        if i < ra:
+            return [zero] * ra + gammaAC[i][j - ra]
+        if j < ra:
+            return [zero] * rq
+        return [-gammaAC[k][j - ra][i - ra] for k in range(ra)] + [zero] * rc
 
-    gamma = [[[zero for _ in range(rb)] for _ in range(rb)]
-             for _ in range(rq)]
-    for i in range(ra):
-        gamma[i] = [[rep.connB.gamma[i][j][k] for k in range(rb)]
-                    for j in range(rb)]
-    nabla = LinearConnection(bundle, rb, gamma)
+    delta = DorfmanConnection(bundle, [[delta_row(i, j) for j in range(rq)]
+                                       for i in range(rq)])
+    nabla = LinearConnection(bundle, rb, rep.connB.gamma + [
+        [[zero] * rb for _ in range(rb)] for _ in range(rc)])
 
     def curv_row(i, j, r):
         """R(q_i, q_j) b_r on the frames of Q* = A* + C: on a_i, a_j it
@@ -417,12 +389,20 @@ def core_courant(pair: LAPairData) -> DegenerateCourant:
     pairing = S.partial_q
     dmat = D.bundle.anchor.transpose()
 
-    nQstar = S.nablaQstar()
+    bracket = _core_bracket(pair)
     taus = unit_sections(p, n)
-    comps = [[section_sub(D.delta.apply(S.partial_q.apply(tau_i), tau_j),
-                          nQstar.apply(D.partial_b.apply(tau_j), tau_i))
-              for tau_j in taus] for tau_i in taus]
-    return DegenerateCourant(D.bundle.base, n, rho, pairing, comps, dmat)
+    comps = [[bracket(tau_i, tau_j) for tau_j in taus] for tau_i in taus]
+    return DegenerateCourant(p, n, rho, pairing, comps, dmat)
+
+
+def _core_bracket(pair: LAPairData):
+    """The bracket Delta_{partial_Q tau1} tau2 - nabla*_{partial_B tau2}
+    tau1 of two sections of the core Q*."""
+    S, D = pair.selfdual, pair.dorfman
+    nQstar = S.nablaQstar()
+    return lambda t1, t2: section_sub(
+        D.delta.apply(S.partial_q.apply(t1), t2),
+        nQstar.apply(D.partial_b.apply(t2), t1))
 
 
 def check_core_courant(pair: LAPairData, seed: int = 0) -> CheckReport:
@@ -480,14 +460,11 @@ def tangent_double_pair(ca: DegenerateCourant, gamma) -> LAPairData:
     dorfman, ginv = _adjoint_and_inverse(ca, gamma)
     p, n = ca.base_dim, ca.rank
 
-    tm_anchor = PolyMatrix.identity(p, p)
-    tm = AnchoredBundle(ca.base, p, tm_anchor)
-    zero = Polynomial.zero(p)
-    tm_comps = [[[zero for _ in range(p)] for _ in range(p)] for _ in range(p)]
-    algB = LieAlgebroidData(tm, DullBracket(tm, tm_comps))
+    tm = AnchoredBundle(p, p, PolyMatrix.identity(p, p))
+    algB = LieAlgebroidData(tm, DullBracket(tm, [
+        [zero_section(p, p) for _ in range(p)] for _ in range(p)]))
 
-    nablaQ = LinearConnection(tm, n, [[[gamma[m][i][j] for j in range(n)]
-                                       for i in range(n)] for m in range(p)])
+    nablaQ = LinearConnection(tm, n, gamma)
 
     coord_fields = unit_sections(p, p)
 
@@ -530,10 +507,6 @@ class DiracData:
             if (mat.rows, mat.base_dim) != (rank, p):
                 raise ValueError(f"dirac {name} needs {rank} rows over "
                                  f"base dimension {p}")
-
-    @property
-    def dim_u(self):
-        return self.u_incl.cols
 
     def u_annihilator_basis(self) -> PolyMatrix:
         """Rows: a basis of the annihilator of U inside Q*; a section lies
@@ -619,27 +592,23 @@ def induced_lie_algebroid_on_U(dorfman: Dorfman2Rep, data: DiracData
     """Lie algebroid structure inherited by U from a VB-Dirac structure
     with full support."""
     data.check_fits(dorfman)
-    p = dorfman.bundle.base_dim
-    d = data.dim_u
+    d = data.u_incl.cols
     left = data.u_incl.left_inverse()
     u_rows = data.u_annihilator_basis()
     bracket = dorfman.dual_bracket()
 
+    def frame_bracket(u1, u2):
+        """The U-frame coordinates of [u1, u2]."""
+        val = bracket.apply(u1, u2)
+        if any(not r.is_zero() for r in u_rows.apply(val)):
+            raise ValueError("bracket of U-frames does not close in U")
+        return left.apply(val)
+
     anchor = dorfman.bundle.anchor.matmul(data.u_incl)
-    bundle = AnchoredBundle(dorfman.bundle.base, d, anchor)
-    zero = Polynomial.zero(p)
-    comps = [[[zero for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    u_cols = [[data.u_incl[i, a] for i in range(data.u_incl.rows)]
-              for a in range(d)]
-    for a in range(d):
-        for b in range(d):
-            val = bracket.apply(u_cols[a], u_cols[b])
-            if any(not r.is_zero() for r in u_rows.apply(val)):
-                raise ValueError("bracket of U-frames does not close in U")
-            coeffs = left.apply(val)
-            for c in range(d):
-                comps[a][b][c] = coeffs[c]
-    return LieAlgebroidData(bundle, DullBracket(bundle, comps))
+    bundle = AnchoredBundle(dorfman.bundle.base_dim, d, anchor)
+    u_cols = data.u_incl.transpose().data
+    return LieAlgebroidData(bundle, DullBracket(bundle, [
+        [frame_bracket(u1, u2) for u2 in u_cols] for u1 in u_cols]))
 
 
 # ---------------------------------------------------------------------------
@@ -661,37 +630,26 @@ def manin_pair(pair: LAPairData, data: DiracData) -> ManinPairResult:
     data.check_fits(D)
     p = D.bundle.base_dim
     rq = D.rank_q
-    rb = D.rank_b
-    if data.bprime_incl.cols != rb:
+    if data.bprime_incl.cols != D.rank_b:
         raise ValueError("Manin pair requires full support B' = B")
-    d = data.dim_u
+    d = data.u_incl.cols
 
     ann = data.u_annihilator_basis()           # rq - d rows
-    # deterministic coordinate complement of the annihilator in Q*
-    complement = []
-    span = ann.constant_rows()
-    current = rank(span)
+    # deterministic coordinate complement of the annihilator in Q*: the
+    # unit rows that stay independent of the annihilator and each other
+    complement, span = [], ann.constant_rows()
     for k in range(rq):
-        cand = [0] * rq
-        cand[k] = 1
-        trial = span + [cand]
-        if rank(trial) > current:
-            span = trial
-            current += 1
+        trial = span + [[int(i == k) for i in range(rq)]]
+        if rank(trial) == len(trial):
             complement.append(k)
-        if current == rq:
-            break
-    if len(complement) != d:
-        raise ValueError("could not build a complement of the annihilator")
+            span = trial
 
     # change of basis on Q*: columns are the complement vectors then the
     # annihilator basis; its inverse decomposes tau = c + upsilon
-    units = PolyMatrix.identity(p, rq).data
+    units = unit_sections(p, rq)
     basis_inv = PolyMatrix(p, rq, rq, [units[k] for k in complement]
                            + ann.data).transpose().inverse_constant()
     ann_t = ann.transpose()
-
-    u_cols = [[data.u_incl[i, a] for i in range(rq)] for a in range(d)]
     u_left = data.u_incl.left_inverse()
 
     def reduce(u_sec, tau_sec):
@@ -704,40 +662,18 @@ def manin_pair(pair: LAPairData, data: DiracData) -> ManinPairResult:
             raise ValueError("quotient representative does not lie in U")
         return u_left.apply(u_new) + c_part
 
+    def anchor_value(u, tau):
+        return section_add(D.bundle.anchor.apply(u),
+                           S.algebroid.bundle.anchor.apply(
+                               D.partial_b.apply(tau)))
+
     def pairing_value(u1, t1, u2, t2):
         return section_pair(u1, t2) + section_pair(u2, t1) \
             + section_pair(t1, S.partial_q.apply(t2))
 
-    # basis sections of the quotient
-    basis_u = [(u_cols[a], zero_section(p, rq)) for a in range(d)]
-    basis_c = []
-    for k in complement:
-        tau = zero_section(p, rq)
-        tau[k] = Polynomial.const(p, 1)
-        basis_c.append((zero_section(p, rq), tau))
-    basis = basis_u + basis_c
-    n = 2 * d
-
-    rho = PolyMatrix(p, p, n)
-    for idx, (u, tau) in enumerate(basis):
-        vec = section_add(D.bundle.anchor.apply(u),
-                          S.algebroid.bundle.anchor.apply(
-                              D.partial_b.apply(tau)))
-        for m in range(p):
-            rho[m, idx] = vec[m]
-
-    pairing = PolyMatrix(p, n, n)
-    for i in range(n):
-        for j in range(n):
-            pairing[i, j] = pairing_value(*basis[i], *basis[j])
-
     nQ = S.nablaQ
-    nQstar = S.nablaQstar()
     bracketU = D.dual_bracket()
-
-    def core_bracket(t1, t2):
-        return section_sub(D.delta.apply(S.partial_q.apply(t1), t2),
-                           nQstar.apply(D.partial_b.apply(t2), t1))
+    core_bracket = _core_bracket(pair)
 
     def full_bracket(u1, t1, u2, t2):
         u_out = bracketU.apply(u1, u2)
@@ -748,29 +684,24 @@ def manin_pair(pair: LAPairData, data: DiracData) -> ManinPairResult:
         t_out = section_sub(t_out, D.delta.apply(u2, t1))
         t_out = section_add(t_out, D.bundle.anchor_pullback_d(
             section_pair(t1, u2)))
-        return u_out, t_out
+        return reduce(u_out, t_out)
 
-    comps = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            u_out, t_out = full_bracket(*basis[i], *basis[j])
-            row.append(reduce(u_out, t_out))
-        comps.append(row)
-
-    dmat = PolyMatrix(p, n, p)
-    for m in range(p):
-        f = Polynomial.variable(p, m)
-        vec = reduce(zero_section(p, rq), D.bundle.anchor_pullback_d(f))
-        for k in range(n):
-            dmat[k, m] = vec[k]
-
-    base = D.bundle.base
-    ca = DegenerateCourant(base, n, rho, pairing, comps, dmat)
-    u_inclusion = PolyMatrix(p, n, d)
-    for a in range(d):
-        u_inclusion[a, a] = Polynomial.const(p, 1)
-    return ManinPairResult(ca, complement, u_inclusion)
+    # basis sections of the quotient: the U-frames, then the complement
+    zero = zero_section(p, rq)
+    basis = [(u, zero) for u in data.u_incl.transpose().data] \
+        + [(zero, units[k]) for k in complement]
+    n = 2 * d
+    rho = PolyMatrix(p, n, p, [anchor_value(*b) for b in basis]).transpose()
+    pairing = PolyMatrix(p, n, n, [[pairing_value(*b1, *b2) for b2 in basis]
+                                   for b1 in basis])
+    comps = [[full_bracket(*b1, *b2) for b2 in basis] for b1 in basis]
+    dmat = PolyMatrix(p, p, n, [
+        reduce(zero, D.bundle.anchor_pullback_d(Polynomial.variable(p, m)))
+        for m in range(p)]).transpose()
+    u_inclusion = PolyMatrix(p, n, d, [row[:d] for row in
+                                       PolyMatrix.identity(p, n).data])
+    return ManinPairResult(DegenerateCourant(p, n, rho, pairing, comps, dmat),
+                           complement, u_inclusion)
 
 
 def check_manin_pair(result: ManinPairResult, seed: int = 0) -> CheckReport:
@@ -804,14 +735,10 @@ def selfdual_change_splitting(rep: SelfDual2Rep, phi: PolyTensor,
     p = rep.base_dim
     rq, rb = rep.rank_q, rep.rank_b
 
-    def phi_matrix(l):
-        out = PolyMatrix(p, rq, rq)
-        for s in range(rq):
-            for t in range(rq):
-                out[t, s] = phi.get(s, t, l).scale(sign)
-        return out
-
-    phi_mats = [phi_matrix(l) for l in range(rb)]
+    phi_mats = [PolyMatrix(p, rq, rq, [[phi.get(s, t, l).scale(sign)
+                                        for s in range(rq)]
+                                       for t in range(rq)])
+                for l in range(rb)]
     dq_phi = [rep.partial_q.matmul(m) for m in phi_mats]
 
     gamma = [[[rep.nablaQ.gamma[l][s][k] + dq_phi[l][k, s]

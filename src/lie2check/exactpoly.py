@@ -85,10 +85,6 @@ def rational(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def format_rational(value: int | Fraction) -> str:
-    return str(value)
-
-
 def _coefficient(value):
     """``value`` as a stored coefficient: an int when it is integral.
 
@@ -356,7 +352,7 @@ class Polynomial:
     # -- serialization -------------------------------------------------
     def to_json(self):
         items = sorted(self.monomials().items())
-        return [{"coeff": format_rational(c), "exps": list(e)} for e, c in items]
+        return [{"coeff": str(c), "exps": list(e)} for e, c in items]
 
     @classmethod
     def from_json(cls, base_dim: int, data) -> "Polynomial":

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from .exactpoly import Polynomial, PolyMatrix
 from .bundle import (
-    AnchoredBundle, BaseSpace, DullBracket, LieAlgebroidData,
-    LinearConnection, TwoRepData,
+    AnchoredBundle, DullBracket, LieAlgebroidData, LinearConnection,
+    TwoRepData,
 )
 from .lie2 import Dorfman2Rep, DorfmanConnection, SplitLie2Data
 from .poisson import SelfDual2Rep
@@ -20,10 +20,6 @@ from .courant import (
     DegenerateCourant, DiracData, quadratic_lie_algebra,
     semidirect_dorfman2rep, standard_courant, tangent_double_pair,
 )
-
-
-def _base(p):
-    return BaseSpace(p)
 
 
 def _zero(p):
@@ -45,7 +41,7 @@ def so3_structure_constants(base_dim):
 
 
 def _so3_bundle():
-    return AnchoredBundle(_base(1), 3, PolyMatrix(1, 1, 3))
+    return AnchoredBundle(1, 3, PolyMatrix(1, 1, 3))
 
 
 def _zero_gamma(base_dim, rows, rank):
@@ -60,7 +56,7 @@ def _zero_gamma(base_dim, rows, rank):
 
 def so3_quadratic() -> DegenerateCourant:
     """so(3) with the Killing-normalised (identity) invariant pairing."""
-    return quadratic_lie_algebra(_base(1), so3_structure_constants(1),
+    return quadratic_lie_algebra(1, so3_structure_constants(1),
                                  PolyMatrix.identity(1, 3))
 
 
@@ -72,7 +68,7 @@ def broken_so3_bad_pairing() -> DegenerateCourant:
     """Non-invariant pairing diag(1, 1, 2) on so(3)."""
     g = PolyMatrix.identity(1, 3)
     g[2, 2] = Polynomial.const(1, 2)
-    return quadratic_lie_algebra(_base(1), so3_structure_constants(1), g)
+    return quadratic_lie_algebra(1, so3_structure_constants(1), g)
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +88,8 @@ def so3_string() -> SplitLie2Data:
 
 def tm_r1_lie1() -> SplitLie2Data:
     """TM over R^1 as a Lie 2-algebroid with trivial B (de Rham case)."""
-    base = _base(1)
     anchor = PolyMatrix.identity(1, 1)
-    bundle = AnchoredBundle(base, 1, anchor)
+    bundle = AnchoredBundle(1, 1, anchor)
     bracket = DullBracket(bundle, [[[_zero(1)]]])
     nablaB = LinearConnection(bundle, 0, [[]])
     return SplitLie2Data(bundle, 0, PolyMatrix(1, 1, 0), bracket, nablaB,
@@ -140,10 +135,9 @@ def broken_so3_bad_jacobi() -> SplitLie2Data:
 
 def broken_r4_nonclosed() -> SplitLie2Data:
     """Abelian rank-4 Q over R^1 with a non-closed l3."""
-    base = _base(1)
     anchor = PolyMatrix(1, 1, 4)
     anchor[0, 3] = _one(1)
-    bundle = AnchoredBundle(base, 4, anchor)
+    bundle = AnchoredBundle(1, 4, anchor)
     z = _zero(1)
     bracket = DullBracket(bundle, [[[z] * 4 for _ in range(4)]
                                    for _ in range(4)])
@@ -168,8 +162,7 @@ def broken_so3_string_l1() -> SplitLie2Data:
 
 def _tm_algebroid(base_dim):
     """The tangent Lie algebroid of R^base_dim in the coordinate frame."""
-    base = _base(base_dim)
-    bundle = AnchoredBundle(base, base_dim,
+    bundle = AnchoredBundle(base_dim, base_dim,
                             PolyMatrix.identity(base_dim, base_dim))
     z = _zero(base_dim)
     comps = [[[z for _ in range(base_dim)] for _ in range(base_dim)]
@@ -237,10 +230,9 @@ def broken_selfdual_zero_r() -> SelfDual2Rep:
 def unit_matched_point() -> MatchedPair2Reps:
     """Rank-1 matched pair over a point-like base (zero anchors), with
     all connections equal to the identity action."""
-    base = _base(1)
     zanchor = PolyMatrix(1, 1, 1)
-    A = AnchoredBundle(base, 1, zanchor)
-    B = AnchoredBundle(base, 1, zanchor)
+    A = AnchoredBundle(1, 1, zanchor)
+    B = AnchoredBundle(1, 1, zanchor)
     algA = LieAlgebroidData(A, DullBracket(A, [[[_zero(1)]]]))
     algB = LieAlgebroidData(B, DullBracket(B, [[[_zero(1)]]]))
     unit = PolyMatrix.identity(1, 1)
@@ -252,11 +244,10 @@ def unit_matched_point() -> MatchedPair2Reps:
 
 
 def _axb_matched(broken=False) -> MatchedPair2Reps:
-    base = _base(1)
     tanchor = PolyMatrix.identity(1, 1)
     zanchor = PolyMatrix(1, 1, 1)
-    A = AnchoredBundle(base, 1, tanchor)
-    B = AnchoredBundle(base, 1, zanchor)
+    A = AnchoredBundle(1, 1, tanchor)
+    B = AnchoredBundle(1, 1, zanchor)
     algA = LieAlgebroidData(A, DullBracket(A, [[[_zero(1)]]]))
     algB = LieAlgebroidData(B, DullBracket(B, [[[_zero(1)]]]))
     x = Polynomial.variable(1, 0)
@@ -327,8 +318,7 @@ def broken_so3_pair_dq() -> LAPairData:
 def so3_poisson_pair() -> LAPairData:
     """Non-symplectic Poisson pair: B = 0 and partial_q = 0 on so(3)."""
     dorf = so3_lie2()
-    base = _base(1)
-    B0 = AnchoredBundle(base, 0, PolyMatrix(1, 1, 0))
+    B0 = AnchoredBundle(1, 0, PolyMatrix(1, 1, 0))
     algB0 = LieAlgebroidData(B0, DullBracket(B0, []))
     sd = SelfDual2Rep(algB0, 3, PolyMatrix(1, 3, 3),
                       LinearConnection(B0, 3, []),

@@ -74,16 +74,6 @@ class GradedFunction:
     def from_poly(cls, rank_q, rank_b, poly: Polynomial):
         return cls(poly.base_dim, rank_q, rank_b, {((), ()): poly})
 
-    @classmethod
-    def tau(cls, base_dim, rank_q, rank_b, index):
-        one = Polynomial.const(base_dim, 1)
-        return cls(base_dim, rank_q, rank_b, {((index,), ()): one})
-
-    @classmethod
-    def bgen(cls, base_dim, rank_q, rank_b, index):
-        one = Polynomial.const(base_dim, 1)
-        return cls(base_dim, rank_q, rank_b, {((), (index,)): one})
-
     # -- structure -----------------------------------------------------
     def is_zero(self):
         return not self.terms
@@ -270,13 +260,6 @@ class Dorfman2Rep:
     def rank_q(self):
         return self.bundle.rank
 
-    def partial_b_apply(self, tau):
-        return self.partial_b.apply(tau)
-
-    def partial_b_star_apply(self, beta):
-        """partial_b^* : B^* -> Q, the transpose on frames."""
-        return self.partial_b.transpose().apply(beta)
-
     def dual_bracket(self) -> DullBracket:
         return self.delta.dual_dull_bracket()
 
@@ -388,7 +371,9 @@ def check_dorfman2rep(rep: Dorfman2Rep, seed: int = 0) -> CheckReport:
     nabla_dual = memo(rep.nablaB.dual().apply)
     br, delta = memo(bracket.apply), memo(rep.delta.apply)
     nablaB, curv = memo(rep.nablaB.apply), memo(rep.curv_matrix)
-    partial_b = memo(rep.partial_b_apply)
+    partial_b = memo(rep.partial_b.apply)
+    # partial_b^* : B^* -> Q, the transpose on frames
+    partial_b_star = memo(rep.partial_b.transpose().apply)
 
     q_frames = unit_sections(p, rq)
     q_secs = q_frames + report.draw(p, rq, 2)
@@ -407,8 +392,8 @@ def check_dorfman2rep(rep: Dorfman2Rep, seed: int = 0) -> CheckReport:
 
     def d3(xi1, xi2):
         return section_add(
-            nabla_dual(rep.partial_b_star_apply(xi1), xi2),
-            nabla_dual(rep.partial_b_star_apply(xi2), xi1))
+            nabla_dual(partial_b_star(xi1), xi2),
+            nabla_dual(partial_b_star(xi2), xi1))
 
     def d4_nabla(q1, q2, b):
         return section_sub(partial_b(curv(q1, q2).apply(b)),

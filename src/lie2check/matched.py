@@ -7,13 +7,13 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, combinations_with_replacement
 
-from .exactpoly import Polynomial, PolyMatrix, PolyTensor
+from .exactpoly import PolyMatrix, PolyTensor
 from .report import CheckReport, sweep
 from .bundle import (
     AnchoredBundle, DullBracket, LieAlgebroidData, LinearConnection,
-    TwoRepData, check_two_rep, curvature_matrix, field_bracket, memo,
-    section_add, section_neg, section_pair, section_sub, unit_sections,
-    zero_section,
+    TwoRepData, check_two_rep, curvature_matrix, field_apply, field_bracket,
+    memo, section_add, section_neg, section_pair, section_sub,
+    unit_sections, zero_section,
 )
 from .lie2 import Dorfman2Rep, SplitLie2Data, build_homological_field
 from .poisson import PoissonStructure, SelfDual2Rep
@@ -69,12 +69,6 @@ class MatchedPair2Reps:
     def two_rep_of_B(self) -> TwoRepData:
         return TwoRepData(self.algB, self.rank_a, self.rank_c, self.partialA,
                           self.nablaBA, self.nablaBC, self.curvBA)
-
-    def curvAB_matrix(self, a1, a2) -> PolyMatrix:
-        return curvature_matrix(self.curvAB, a1, a2)
-
-    def curvBA_matrix(self, b1, b2) -> PolyMatrix:
-        return curvature_matrix(self.curvBA, b1, b2)
 
 
 def _derivation_defect(d, curv, conn, back, bracket, x1, x2, y):
@@ -146,8 +140,8 @@ def check_matched_two_reps(pair: MatchedPair2Reps,
     nBA, nBC = memo(pair.nablaBA.apply), memo(pair.nablaBC.apply)
     brA = memo(pair.algA.bracket.apply)
     brB = memo(pair.algB.bracket.apply)
-    curvAB = memo(pair.curvAB_matrix)
-    curvBA = memo(pair.curvBA_matrix)
+    curvAB = memo(partial(curvature_matrix, pair.curvAB))
+    curvBA = memo(partial(curvature_matrix, pair.curvBA))
 
     # (1) symmetric part of the C-bracket candidate vanishes
     def condition_1(c1, c2):
@@ -234,46 +228,31 @@ def bicrossproduct(pair: MatchedPair2Reps) -> SplitLie2Data:
     p = pair.base_dim
     ra, rb, rc = pair.rank_a, pair.rank_b, pair.rank_c
     rq = ra + rb
-    base = pair.algA.bundle.base
 
-    anchor = PolyMatrix(p, p, rq)
-    for m in range(p):
-        for i in range(ra):
-            anchor[m, i] = pair.algA.bundle.anchor[m, i]
-        for j in range(rb):
-            anchor[m, ra + j] = pair.algB.bundle.anchor[m, j]
-    Q = AnchoredBundle(base, rq, anchor)
-
+    anchor = PolyMatrix(p, p, rq, [a + b for a, b in zip(
+        pair.algA.bundle.anchor.data, pair.algB.bundle.anchor.data)])
+    Q = AnchoredBundle(p, rq, anchor)
     # l1 = (-partial_A) + partial_B : C -> A + B
-    l1 = PolyMatrix(p, rq, rc)
-    for m in range(rc):
-        for i in range(ra):
-            l1[i, m] = -pair.partialA[i, m]
-        for j in range(rb):
-            l1[ra + j, m] = pair.partialB[j, m]
+    l1 = PolyMatrix(p, rq, rc, [[-e for e in row]
+                                for row in pair.partialA.data]
+                    + pair.partialB.data)
 
-    zero = Polynomial.zero(p)
-    comps = [[[zero for _ in range(rq)] for _ in range(rq)] for _ in range(rq)]
-    for i in range(ra):
-        for j in range(ra):
-            for k in range(ra):
-                comps[i][j][k] = pair.algA.bracket.comps[i][j][k]
-    for i in range(rb):
-        for j in range(rb):
-            for k in range(rb):
-                comps[ra + i][ra + j][ra + k] = pair.algB.bracket.comps[i][j][k]
     frames_a, frames_b = unit_sections(p, ra), unit_sections(p, rb)
-    for i in range(ra):
-        for j in range(rb):
-            grad_b = pair.nablaAB.apply(frames_a[i], frames_b[j])
-            grad_a = pair.nablaBA.apply(frames_b[j], frames_a[i])
-            for k in range(ra):
-                comps[i][ra + j][k] = -grad_a[k]
-                comps[ra + j][i][k] = grad_a[k]
-            for k in range(rb):
-                comps[i][ra + j][ra + k] = grad_b[k]
-                comps[ra + j][i][ra + k] = -grad_b[k]
-    bracket = DullBracket(Q, comps)
+
+    def cross(a, b):
+        """[a, b] = nabla_a b - nabla_b a and [b, a] = -[a, b], with each
+        connection applied once."""
+        grad_b, grad_a = pair.nablaAB.apply(a, b), pair.nablaBA.apply(b, a)
+        return section_neg(grad_a) + grad_b, grad_a + section_neg(grad_b)
+
+    crosses = [[cross(a, b) for b in frames_b] for a in frames_a]
+    compsA, compsB = pair.algA.bracket.comps, pair.algB.bracket.comps
+    zero_a, zero_b = zero_section(p, ra), zero_section(p, rb)
+    bracket = DullBracket(Q, [
+        [compsA[i][j] + zero_b for j in range(ra)]
+        + [crosses[i][j][0] for j in range(rb)] for i in range(ra)] + [
+        [crosses[j][i][1] for j in range(ra)]
+        + [zero_a + compsB[i][j] for j in range(rb)] for i in range(rb)])
 
     # connection of Q on C*: dual of nabla^{AC} + nabla^{BC}
     nabla = LinearConnection(Q, rc, pair.nablaAC.dual().gamma +
@@ -285,16 +264,19 @@ def bicrossproduct(pair: MatchedPair2Reps) -> SplitLie2Data:
     def part_b(idx):
         return frames_b[idx - ra] if idx >= ra else zero_section(p, rb)
 
+    curvAB = partial(curvature_matrix, pair.curvAB)
+    curvBA = partial(curvature_matrix, pair.curvBA)
+
     def l3_row(i, j, k):
         """l3(q_i, q_j, q_k) from both curvature tensors, values in C."""
         a1, a2, a3 = part_a(i), part_a(j), part_a(k)
         b1, b2, b3 = part_b(i), part_b(j), part_b(k)
-        val = pair.curvAB_matrix(a1, a2).apply(b3)
-        val = section_add(val, pair.curvAB_matrix(a2, a3).apply(b1))
-        val = section_add(val, pair.curvAB_matrix(a3, a1).apply(b2))
-        val = section_sub(val, pair.curvBA_matrix(b1, b2).apply(a3))
-        val = section_sub(val, pair.curvBA_matrix(b2, b3).apply(a1))
-        return section_sub(val, pair.curvBA_matrix(b3, b1).apply(a2))
+        val = curvAB(a1, a2).apply(b3)
+        val = section_add(val, curvAB(a2, a3).apply(b1))
+        val = section_add(val, curvAB(a3, a1).apply(b2))
+        val = section_sub(val, curvBA(b1, b2).apply(a3))
+        val = section_sub(val, curvBA(b2, b3).apply(a1))
+        return section_sub(val, curvBA(b3, b1).apply(a2))
 
     return SplitLie2Data(Q, rc, l1, bracket, nabla,
                          SplitLie2Data.l3_tensor(p, rq, rc).fill(l3_row))
@@ -311,34 +293,23 @@ def decompose_bicrossproduct(split: SplitLie2Data, rank_a: int
     rb = rq - ra
     comps = split.bracket.comps
 
-    for i in range(ra):
-        for j in range(ra):
-            for k in range(ra, rq):
-                if not comps[i][j][k].is_zero():
-                    raise ValueError(
-                        "pure A-frame brackets do not close in A")
-    for i in range(ra, rq):
-        for j in range(ra, rq):
-            for k in range(ra):
-                if not comps[i][j][k].is_zero():
-                    raise ValueError(
-                        "pure B-frame brackets do not close in B")
+    if any(not comps[i][j][k].is_zero() for i in range(ra)
+           for j in range(ra) for k in range(ra, rq)):
+        raise ValueError("pure A-frame brackets do not close in A")
+    if any(not comps[i][j][k].is_zero() for i in range(ra, rq)
+           for j in range(ra, rq) for k in range(ra)):
+        raise ValueError("pure B-frame brackets do not close in B")
     # stored keys (i, j, k, m) are canonical (i < j < k) and nonzero
     if any(k < ra for _, _, k, _ in split.l3.entries):
         raise ValueError("l3 does not vanish on pure A-frame triples")
     if any(i >= ra for i, _, _, _ in split.l3.entries):
         raise ValueError("l3 does not vanish on pure B-frame triples")
 
-    base = split.bundle.base
-    anchorA = PolyMatrix(p, p, ra)
-    anchorB = PolyMatrix(p, p, rb)
-    for m in range(p):
-        for i in range(ra):
-            anchorA[m, i] = split.bundle.anchor[m, i]
-        for j in range(rb):
-            anchorB[m, j] = split.bundle.anchor[m, ra + j]
-    bundleA = AnchoredBundle(base, ra, anchorA)
-    bundleB = AnchoredBundle(base, rb, anchorB)
+    anchor = split.bundle.anchor.data
+    bundleA = AnchoredBundle(p, ra, PolyMatrix(p, p, ra,
+                                               [row[:ra] for row in anchor]))
+    bundleB = AnchoredBundle(p, rb, PolyMatrix(p, p, rb,
+                                               [row[ra:] for row in anchor]))
 
     compsA = [[[comps[i][j][k] for k in range(ra)] for j in range(ra)]
               for i in range(ra)]
@@ -347,13 +318,9 @@ def decompose_bicrossproduct(split: SplitLie2Data, rank_a: int
     algA = LieAlgebroidData(bundleA, DullBracket(bundleA, compsA))
     algB = LieAlgebroidData(bundleB, DullBracket(bundleB, compsB))
 
-    partialA = PolyMatrix(p, ra, rc)
-    partialB = PolyMatrix(p, rb, rc)
-    for m in range(rc):
-        for i in range(ra):
-            partialA[i, m] = -split.l1[i, m]
-        for j in range(rb):
-            partialB[j, m] = split.l1[ra + j, m]
+    partialA = PolyMatrix(p, ra, rc, [[-e for e in row]
+                                      for row in split.l1.data[:ra]])
+    partialB = PolyMatrix(p, rb, rc, split.l1.data[ra:])
 
     gammaAB = [[[comps[i][ra + j][ra + k] for k in range(rb)]
                 for j in range(rb)] for i in range(ra)]
@@ -450,7 +417,7 @@ def check_la_matched_pair(pair: LAPairData, seed: int = 0) -> CheckReport:
 
     dQ = memo(S.partial_q.apply)
     dB = memo(D.partial_b.apply)
-    dBstar = memo(D.partial_b_star_apply)
+    dBstar = memo(D.partial_b.transpose().apply)    # partial_B^*
     delta = memo(D.delta.apply)
     nB = memo(D.nablaB.apply)                 # Q-connection on B
     nQ = memo(S.nablaQ.apply)                 # B-connection on Q
@@ -492,15 +459,10 @@ def check_la_matched_pair(pair: LAPairData, seed: int = 0) -> CheckReport:
     def omega_b(qa, qb, b1, b2):
         return section_pair(RB(b1, b2).apply(qa), qb)
 
-    def rho_b(b, f):
-        return S.algebroid.bundle.anchor_apply(b, f)
-
-    def rho_q(q, f):
-        return D.bundle.anchor_apply(q, f)
-
     def cov_b(b, bb, qs):
         # nabla_b of the 3-form omega_R(. , . , .)(bb), evaluated on qs
-        out = rho_b(b, omega_r(qs[0], qs[1], qs[2], bb))
+        out = field_apply(S.algebroid.bundle.anchor_field(b),
+                          omega_r(qs[0], qs[1], qs[2], bb))
         for m in range(3):
             shifted = list(qs)
             shifted[m] = nQ(b, qs[m])
@@ -508,7 +470,8 @@ def check_la_matched_pair(pair: LAPairData, seed: int = 0) -> CheckReport:
         return out
 
     def cov_q(q, qa, qb, b1, b2):
-        out = rho_q(q, omega_b(qa, qb, b1, b2))
+        out = field_apply(D.bundle.anchor_field(q),
+                          omega_b(qa, qb, b1, b2))
         out = out - omega_b(qa, qb, nB(q, b1), b2)
         out = out - omega_b(qa, qb, b1, nB(q, b2))
         return out

@@ -21,8 +21,8 @@ from operator import attrgetter
 
 from .exactpoly import Polynomial, PolyMatrix, PolyTensor
 from .bundle import (
-    AnchoredBundle, BaseSpace, DullBracket, LieAlgebroidData,
-    LinearConnection, TwoRepData,
+    AnchoredBundle, DullBracket, LieAlgebroidData, LinearConnection,
+    TwoRepData,
 )
 from .lie2 import Dorfman2Rep, DorfmanConnection, SplitLie2Data
 from .poisson import SelfDual2Rep
@@ -185,7 +185,7 @@ class Kind:
 
 
 def _bundle(v, rank):
-    return AnchoredBundle(BaseSpace(v["base_dim"]), v[rank], v["anchor"])
+    return AnchoredBundle(v["base_dim"], v[rank], v["anchor"])
 
 
 def _algebroid(v):
@@ -315,9 +315,8 @@ _KINDS = {
         ("pairing", Matrix("rank", "rank")),
         ("bracket", Components("rank", "rank", "rank"), "bracket_comps"),
         ("Dmap", Matrix("rank", "base_dim"), "dmat"),
-    ], lambda v: DegenerateCourant(BaseSpace(v["base_dim"]), v["rank"],
-                                   v["rho"], v["pairing"], v["bracket"],
-                                   v["Dmap"])),
+    ], lambda v: DegenerateCourant(v["base_dim"], v["rank"], v["rho"],
+                                   v["pairing"], v["bracket"], v["Dmap"])),
     "dirac": Kind(DiracData, "base_dim", [
         ("base_dim", COUNT, "u_incl.base_dim"),
         ("rank_q", COUNT, "u_incl.rows"),
@@ -373,7 +372,3 @@ def decode_structure(doc: dict):
 
 def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def loads(text: str) -> dict:
-    return json.loads(text)

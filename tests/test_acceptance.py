@@ -8,8 +8,8 @@ import pytest
 
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
 from lie2check.bundle import (
-    AnchoredBundle, BaseSpace, DullBracket, LinearConnection,
-    check_lie_algebroid, unit_section,
+    AnchoredBundle, DullBracket, LinearConnection, check_lie_algebroid,
+    unit_section,
 )
 from lie2check.lie2 import (
     change_splitting, check_dorfman2rep, check_homological,
@@ -47,10 +47,9 @@ def _zero_gamma(p, rank):
 
 
 def _standard_dorfman():
-    base = BaseSpace(1)
     anchor = PolyMatrix(1, 1, 2)
     anchor[0, 0] = Polynomial.const(1, 1)
-    bundle = AnchoredBundle(base, 2, anchor)
+    bundle = AnchoredBundle(1, 2, anchor)
     z = Polynomial.zero(1)
     dull = DullBracket(bundle, [[[z, z] for _ in range(2)]
                                 for _ in range(2)])

@@ -4,8 +4,8 @@ import pytest
 
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
 from lie2check.bundle import (
-    AnchoredBundle, BaseSpace, DullBracket, LieAlgebroidData,
-    LinearConnection, TwoRepData, check_lie_algebroid, check_two_rep,
+    AnchoredBundle, DullBracket, LieAlgebroidData, LinearConnection,
+    TwoRepData, check_lie_algebroid, check_two_rep,
     connection_curvature, dualize_two_rep, field_bracket, jacobiator,
     section_pair, section_sub, unit_section,
 )
@@ -15,8 +15,7 @@ from lie2check.examples import (
 
 
 def _so3_algebroid():
-    base = BaseSpace(1)
-    bundle = AnchoredBundle(base, 3, PolyMatrix(1, 1, 3))
+    bundle = AnchoredBundle(1, 3, PolyMatrix(1, 1, 3))
     return LieAlgebroidData(bundle, DullBracket(bundle,
                                                 so3_structure_constants(1)))
 
@@ -38,8 +37,7 @@ def test_broken_so3_fails_jacobi_with_witness():
     comps = so3_structure_constants(1)
     comps[0][1][0] = Polynomial.const(1, 1)
     comps[1][0][0] = Polynomial.const(1, -1)
-    base = BaseSpace(1)
-    bundle = AnchoredBundle(base, 3, PolyMatrix(1, 1, 3))
+    bundle = AnchoredBundle(1, 3, PolyMatrix(1, 1, 3))
     alg = LieAlgebroidData(bundle, DullBracket(bundle, comps))
     rep = check_lie_algebroid(alg, seed=3)
     assert not rep.passed
@@ -72,8 +70,7 @@ def test_connection_curvature_oracle():
 
 
 def _tm_two_rep(curved=False):
-    base = BaseSpace(1)
-    bundle = AnchoredBundle(base, 1, PolyMatrix.identity(1, 1))
+    bundle = AnchoredBundle(1, 1, PolyMatrix.identity(1, 1))
     alg = LieAlgebroidData(bundle, DullBracket(bundle,
                                                [[[Polynomial.zero(1)]]]))
     gamma = Polynomial.variable(1, 0) if curved else Polynomial.zero(1)
@@ -123,9 +120,8 @@ def test_section_pairing():
 
 
 def test_algebroid_rejects_a_bracket_on_another_bundle():
-    base = BaseSpace(1)
-    bundle = AnchoredBundle(base, 3, PolyMatrix(1, 1, 3))
-    other = AnchoredBundle(base, 3, PolyMatrix(1, 1, 3))
+    bundle = AnchoredBundle(1, 3, PolyMatrix(1, 1, 3))
+    other = AnchoredBundle(1, 3, PolyMatrix(1, 1, 3))
     bracket = DullBracket(other, so3_structure_constants(1))
     with pytest.raises(ValueError, match="different bundle"):
         LieAlgebroidData(bundle, bracket)

@@ -5,9 +5,7 @@ import json
 import pytest
 
 from lie2check import __version__, cli, serialize
-from lie2check.bundle import (
-    AnchoredBundle, BaseSpace, DullBracket, LieAlgebroidData,
-)
+from lie2check.bundle import AnchoredBundle, DullBracket, LieAlgebroidData
 from lie2check.cli import RECIPES, main
 from lie2check.courant import DiracData
 from lie2check.examples import EXAMPLES, build_example
@@ -358,7 +356,7 @@ def _zero_algebroid_file(tmp_path, base_dim, rank):
     anchor = PolyMatrix(base_dim, base_dim, rank)
     for m in range(min(rank, base_dim)):
         anchor[m, m] = Polynomial.const(base_dim, 1)
-    bundle = AnchoredBundle(BaseSpace(base_dim), rank, anchor)
+    bundle = AnchoredBundle(base_dim, rank, anchor)
     z = Polynomial.zero(base_dim)
     comps = [[[z] * rank for _ in range(rank)] for _ in range(rank)]
     path = tmp_path / f"alg_{base_dim}_{rank}.json"

@@ -8,7 +8,7 @@ from lie2check import serialize
 from lie2check.cli import main
 from lie2check.exactpoly import Polynomial, PolyMatrix
 from lie2check.bundle import (
-    BaseSpace, field_apply, section_add, section_smul, unit_section,
+    field_apply, section_add, section_smul, unit_section,
 )
 from lie2check.lie2 import check_dorfman2rep, check_homological
 from lie2check.poisson import check_selfdual2rep
@@ -59,7 +59,7 @@ def test_bracket_is_leibniz_in_both_slots_by_construction(data):
     p = data.draw(st.integers(min_value=1, max_value=2))
     n = data.draw(st.integers(min_value=1, max_value=3))
     d = Draw(data.draw, p)
-    ca = DegenerateCourant(BaseSpace(p), n, d.matrix(p, n), d.matrix(n, n),
+    ca = DegenerateCourant(p, n, d.matrix(p, n), d.matrix(n, n),
                            d.comps(n, n, n), d.matrix(n, p))
     e1, e2, f = d.section(n), d.section(n), d.poly()
 

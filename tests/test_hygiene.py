@@ -295,6 +295,87 @@ def test_constructed_tensors_are_filled():
     assert not found, "tensor entries set by hand:\n" + "\n".join(found)
 
 
+# Constructed matrices and frame components are built by value too, in
+# one expression from their blocks, not zero-filled and then written
+# entry by entry.  The scan flags an item write with a tuple index
+# (``m[i, j] = v``, a PolyMatrix entry) unless its target is a dict that
+# the function binds, and an item write into frame components: three
+# subscripts deep (``c[i][j][k] = v``) or into a name the function binds
+# to a list nested three deep.  Writes into a flat section
+# (``out[k] = ...``) are the operators' accumulators and stay.
+def _list_depth(node):
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return max(_list_depth(node.left), _list_depth(node.right))
+    if isinstance(node, ast.ListComp):
+        return 1 + _list_depth(node.elt)
+    if isinstance(node, ast.List):
+        return 1 + max(map(_list_depth, node.elts), default=0)
+    return 0
+
+
+def _is_dict(node):
+    return isinstance(node, (ast.Dict, ast.DictComp)) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "dict")
+
+
+def _index_writes(source, filename="<source>"):
+    lines = set()
+    for func in ast.walk(ast.parse(source, filename)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        dicts, comps, targets = set(), set(), []
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                targets += _flat(node.targets)
+                names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+                if _is_dict(node.value):
+                    dicts |= names
+                if _list_depth(node.value) >= 3:
+                    comps |= names
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets.append(node.target)
+        for target in targets:
+            if not isinstance(target, ast.Subscript):
+                continue
+            root, depth = target, 0
+            while isinstance(root, ast.Subscript):
+                root, depth = root.value, depth + 1
+            name = root.id if isinstance(root, ast.Name) else None
+            keyed = isinstance(target.slice, ast.Tuple) \
+                and not (depth == 1 and name in dicts)
+            if keyed or depth >= 3 or name in comps:
+                lines.add(target.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("def f(p, v):\n    m = PolyMatrix(p, 2, 2)\n    m[0, 1] = v\n", True),
+    ("def f(m, v):\n    m[0, 1] += v\n", True),
+    ("def f(c, v):\n    c[0][1][2] = v\n", True),
+    ("def f(z, row):\n    g = [[[z] * 2 for _ in range(2)] for _ in range(2)]"
+     "\n    g[0] = row\n", True),
+    ("def f(u, v):\n    coeffs = {}\n    coeff = coeffs[0, 1] = u * v\n",
+     False),
+    ("def f(v):\n    terms = {}\n    terms[((0,), ())] = v\n", False),
+    ("def f(u, v):\n    out = list(u)\n    out[0] = out[0] + v\n", False),
+    ("def f(z, v):\n    t = [[z] * 2 for _ in range(2)]\n    t[0][1] = v\n",
+     False),
+])
+def test_the_index_write_scan_sees_matrices_and_components(source, flagged):
+    assert bool(_index_writes(source)) == flagged
+
+
+def test_constructed_matrices_are_built_by_value():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name not in ("exactpoly.py", "examples.py")
+             for line in _index_writes(path.read_text(encoding="utf-8"),
+                                       str(path))]
+    assert not found, "matrix or component entries written by index:\n" \
+        + "\n".join(found)
+
+
 # Each check mode and construct recipe is one row of ``cli.MODES`` or
 # ``cli.RECIPES``; no code in ``cli.py`` branches on a mode or recipe
 # name.  The scan flags a comparison of ``mode`` or ``recipe`` (a name or

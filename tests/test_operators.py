@@ -21,10 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lie2check.bundle import (
-    AnchoredBundle, BaseSpace, DorfmanConnection, DullBracket,
-    LieAlgebroidData, LinearConnection, TwoRepData, connection_curvature,
-    covariant_apply, field_apply, field_bracket, section_pair, section_sub,
-    zero_section,
+    AnchoredBundle, DorfmanConnection, DullBracket, LieAlgebroidData,
+    LinearConnection, TwoRepData, connection_curvature, covariant_apply,
+    field_apply, field_bracket, section_pair, section_sub, zero_section,
 )
 from lie2check.courant import (DegenerateCourant, check_courant_axioms,
                                standard_courant)
@@ -235,7 +234,7 @@ def _setup(data):
     p = data.draw(st.integers(min_value=1, max_value=2))
     rq, r = data.draw(ranks), data.draw(ranks)
     d = Draw(data.draw, p)
-    return p, rq, r, d, AnchoredBundle(BaseSpace(p), rq, d.matrix(p, rq))
+    return p, rq, r, d, AnchoredBundle(p, rq, d.matrix(p, rq))
 
 
 def _comps_drawer(data, p):
@@ -268,7 +267,7 @@ def test_connections_and_brackets_match_reference(data):
 def test_courant_bracket_and_tm_connection_match_reference(data):
     p, n, _, d, _ = _setup(data)
     dc = _comps_drawer(data, p)
-    ca = DegenerateCourant(BaseSpace(p), n, d.matrix(p, n), dc.matrix(n, n),
+    ca = DegenerateCourant(p, n, d.matrix(p, n), dc.matrix(n, n),
                            dc.comps(n, n, n), dc.matrix(n, p))
     gamma = dc.comps(p, n, n)
     e1, e2 = d.section(n), d.section(n)
@@ -278,7 +277,7 @@ def test_courant_bracket_and_tm_connection_match_reference(data):
     assert ca.dee(f) == ref_dee(ca, f)
     assert ca.bracket(ca.dee, e1, e2) == ref_courant_bracket(ca, e1, e2)
     # the TM-connection of ``adjoint_dorfman2rep`` and ``tangent_double_pair``
-    tm = AnchoredBundle(BaseSpace(p), p, PolyMatrix.identity(p, p))
+    tm = AnchoredBundle(p, p, PolyMatrix.identity(p, p))
     nabla = LinearConnection(tm, n, gamma).apply
     assert nabla(x, e1) == ref_nabla_vec(ca, gamma, x, e1)
     assert connection_curvature(nabla, field_bracket, x, y, e2) == \
@@ -330,7 +329,7 @@ def test_zero_skipping_loops_match_dense_reference(data):
         dual = d.section(cols)
         assert section_pair(vec, dual) == \
             ref_matrix_apply(PolyMatrix(p, 1, cols, [vec]), dual)[0]
-    bundle = AnchoredBundle(BaseSpace(p), cols, d.matrix(p, cols))
+    bundle = AnchoredBundle(p, cols, d.matrix(p, cols))
     assert bundle.anchor_pullback_d(f) == \
         ref_anchor_pullback_d(bundle.anchor, f)
 
@@ -353,13 +352,13 @@ _field = [_x, _x]
 
 def _anchored(rows):
     """A bundle over R^2 whose anchor has the given rows."""
-    return AnchoredBundle(BaseSpace(2), len(rows[0]),
+    return AnchoredBundle(2, len(rows[0]),
                           PolyMatrix(2, 2, len(rows[0]), rows))
 
 
 def _courant_r1(dmat_row):
     z = _zero(2)
-    return DegenerateCourant(BaseSpace(2), 1, PolyMatrix(2, 2, 1),
+    return DegenerateCourant(2, 1, PolyMatrix(2, 2, 1),
                              PolyMatrix(2, 1, 1), [[[z]]],
                              PolyMatrix(2, 1, 2, [dmat_row]))
 
@@ -389,7 +388,7 @@ DIMENSION_MISMATCHES = {
         [], [[[_zero(2), _zero(1)], [_zero(2), _zero(2)]]],
         [_x], [_x, _zero(2)]),
     "dorfman_zero_pullback": lambda: DorfmanConnection(
-        AnchoredBundle(BaseSpace(0), 1, PolyMatrix(0, 0, 1)),
+        AnchoredBundle(0, 1, PolyMatrix(0, 0, 1)),
         [[[_zero(0)]]]).apply([_zero(0)], [_x]),
     "dee_entry": lambda: _courant_r1([_x, _zero(1)]).dee(_x),
     "dee_function": lambda: _courant_r1([_x, _x]).dee(_zero(1)),

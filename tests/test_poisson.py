@@ -39,14 +39,16 @@ def test_euclidean_bracket_of_momenta_is_the_pairing():
     ps = PoissonStructure(euclidean_selfdual_r1())
     _, tau1, tau2, b1 = range(4)  # x1, tau1, tau2, b1
     one = GradedFunction.from_poly(2, 1, Polynomial.const(1, 1))
-    tau = [GradedFunction.tau(1, 2, 1, i) for i in range(2)]
+    tau = [GradedFunction(1, 2, 1, {((i,), ()): Polynomial.const(1, 1)})
+           for i in range(2)]
     assert ps.table[tau1][tau1] == one
     assert ps.left[tau1].apply(tau[0]) == one
     assert ps.with_generator(tau[0], 1, tau1) == one
     assert ps.table[tau1][tau2].is_zero()
     assert ps.left[tau1].apply(tau[1]).is_zero()
     assert ps.table[b1][b1].is_zero()
-    assert ps.left[b1].apply(GradedFunction.bgen(1, 2, 1, 0)).is_zero()
+    b_gen = GradedFunction(1, 2, 1, {((), (0,)): Polynomial.const(1, 1)})
+    assert ps.left[b1].apply(b_gen).is_zero()
 
 
 def test_right_bracket_is_the_left_one_under_graded_skew_symmetry():

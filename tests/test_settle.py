@@ -15,7 +15,6 @@ from collections import Counter
 import pytest
 
 from lie2check import serialize
-from lie2check.bundle import BaseSpace
 from lie2check.cli import CHECK_MODES, CliError, _run_check
 from lie2check.courant import DegenerateCourant, check_courant_axioms
 from lie2check.examples import EXAMPLES, build_example, tangent_double_pair_r1
@@ -296,7 +295,7 @@ def _degenerate_counterexample():
     sections: at (e2, x e2, e2) its residual is e1."""
     z, one = Polynomial.zero(1), Polynomial.const(1, 1)
     return DegenerateCourant(
-        BaseSpace(1), 2, PolyMatrix(1, 1, 2),
+        1, 2, PolyMatrix(1, 1, 2),
         PolyMatrix(1, 2, 2, [[z, z], [z, one]]),
         [[[z, z], [-one, z]], [[one, z], [z, z]]],
         PolyMatrix(1, 2, 1, [[one], [z]]))
