@@ -194,13 +194,13 @@ def standard_courant(p: int) -> DegenerateCourant:
     """TM + T*M over R^p with the Dorfman bracket; frames are the
     coordinate fields followed by the coordinate differentials."""
     n = 2 * p
-    ident, zero = PolyMatrix.identity(p, p).data, PolyMatrix(p, p, p).data
-    rho = PolyMatrix(p, p, n, [a + b for a, b in zip(ident, zero)])
-    pairing = PolyMatrix(p, n, n, [a + b for a, b in
-                                   zip(zero + ident, ident + zero)])
+    frames = unit_sections(p, n)
+    rho = PolyMatrix(p, p, n, frames[:p])
+    pairing = PolyMatrix(p, n, n, frames[p:] + frames[:p])
+    dmat = PolyMatrix(p, n, p, [zero_section(p, p)] * p
+                      + unit_sections(p, p))
     comps = [[zero_section(p, n) for _ in range(n)] for _ in range(n)]
-    return DegenerateCourant(p, n, rho, pairing, comps,
-                             PolyMatrix(p, n, p, zero + ident))
+    return DegenerateCourant(p, n, rho, pairing, comps, dmat)
 
 
 # ---------------------------------------------------------------------------

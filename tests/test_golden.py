@@ -94,7 +94,7 @@ GOLDEN = {
 }
 
 CONSTRUCTIONS = {
-'adjoint/broken_so3_bad_pairing/flat': '82dcdf955cfe07f3ed65e8eb44b80e88d20b67313adc08b87f4753d17f8e6bf6',
+    'adjoint/broken_so3_bad_pairing/flat': '82dcdf955cfe07f3ed65e8eb44b80e88d20b67313adc08b87f4753d17f8e6bf6',
     'adjoint/so3_quadratic/flat': '6195ed37ac1e574cc5aac29a3145969bd43cff8fd2566d3607140a756be1124c',
     'adjoint/standard_courant(2)/curved': '3dab869ee7befb47b802dd66bed2a8a6fb4a05a6ca61f2cc3ff522fd5faf10bd',
     'adjoint/standard_courant(2)/flat': 'de53b380d1082fb124dfa884d318c2ebdb98790b318fc3936074c08d75d26026',
