@@ -10,6 +10,13 @@ Manin-pair check, and the failing reports of the Poisson-bracket checkers
 ``partial_q``, whose bracket table is not skew).  A change to a
 checker's loops, labels, witnesses or residuals changes the hash.
 
+The ``koszul/`` cases pin four failing reports whose residuals are
+covariant Koszul differentials, which no corpus input fails:
+``dR_zero`` of a self-dual 2-representation, M5 of a matched Lie
+2-algebroid pair, condition 7 of a matched pair of 2-representations,
+and the ``curvature`` label of a Lie 2-algebroid morphism (through
+d mu12).  ``test_koszul_pin_fails`` names the labels each one fails.
+
 ``CONSTRUCTIONS`` pins the sha256 of the encoded output of every
 construction, on the corpus examples of the kind it takes: split <->
 Dorfman, the bicrossproduct and its decomposition at every ``rank_a``,
@@ -36,7 +43,6 @@ import json
 import pytest
 
 from lie2check import serialize
-from lie2check.bundle import dualize_two_rep
 from lie2check.cli import main
 from lie2check.courant import (
     DiracData, adjoint_dorfman2rep, check_manin_pair, core_courant,
@@ -48,17 +54,26 @@ from lie2check.examples import (
     EXAMPLES, broken_selfdual_nonsym, broken_selfdual_zero_r,
     broken_so3_pair_dq, build_example, so3_e3_dirac, so3_poisson_pair,
 )
-from lie2check.exactpoly import Polynomial, PolyMatrix
+from lie2check.bundle import (
+    AnchoredBundle, DullBracket, LieAlgebroidData, LinearConnection,
+    dualize_two_rep,
+)
+from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
+from lie2check.examples import broken_r4_nonclosed, euclidean_curved_r2
 from lie2check.lie2 import (
     Dorfman2Rep, change_splitting, check_lie2_morphism, dorfman_from_split,
     split_from_dorfman,
 )
 from lie2check.matched import (
-    bicrossproduct, check_q_preserves_poisson, decompose_bicrossproduct,
+    MatchedPair2Reps, bicrossproduct, check_la_matched_pair,
+    check_matched_two_reps, check_q_preserves_poisson,
+    decompose_bicrossproduct,
 )
-from lie2check.poisson import check_graded_jacobi
+from lie2check.poisson import check_graded_jacobi, check_selfdual2rep
 
-from helpers import canonical_keys, report_dict, splitting_morphism
+from helpers import (
+    canonical_keys, curved_tangent_double, report_dict, splitting_morphism,
+)
 
 SEEDS = (0, 5)
 
@@ -79,6 +94,14 @@ GOLDEN = {
     'graded-jacobi/broken_so3_pair_dq/seed5': '8facb5f3af8f285c3691a1224341036698e94970b40e79b9800e82133989efa3',
     'graded-jacobi/so3_poisson_pair_nonsym/seed0': 'dd25216de47a6ed9bace573b8f90dfbfdd8d4834cde1339f51460731b0c73af0',
     'graded-jacobi/so3_poisson_pair_nonsym/seed5': 'e423f6a40aa903f4e23d3ba4dfc3e309d96618f1ba93fdbe13324a7fac9ec4d4',
+    'koszul/M5/seed0': 'c3e2943e6f28f2cf6a2cc42bf6883d37036d58517aad42e827d83ad72013624b',
+    'koszul/M5/seed5': '8189fb4f16eaddb7dd39e1cf5ad98b4f35ff283fffde36d18c22357ba90fdc19',
+    'koszul/condition_7/seed0': '49feb6c49e1741aab3f556df08e0acf073c4a45d6b874ab532fd30391d26a8a4',
+    'koszul/condition_7/seed5': 'a343ae455ef243394957307b46299ffd96ade368824b5e38fe6fb6d313dae4ac',
+    'koszul/curvature/seed0': 'd5875ea2900860b73f574cb3773a1647bf2fa22f97fccf9ab97051603fb2cd47',
+    'koszul/curvature/seed5': '48de677acbaf7a2c8453e824b46553142f86c0cca32f0b411aaa4a4c95e8a122',
+    'koszul/dR_zero/seed0': 'a0271569bc7c0db0b1032217ca10f15a61cb800ae1268304aa301dff544ca22d',
+    'koszul/dR_zero/seed5': '8723f9c96ddf47fc66d5dfe9fd7833b443a82c53b5a5480b9148d2ac0b56c366',
     'manin/full/seed0': '5d0615bf35b97a5629bdd930fa8192b7dbddf456dfe499e7050d0dc6ecc537b4',
     'manin/full/seed5': '96909cdd095774209ea43e5fe732692aa476c31bf9264939e473d35ffcf26944',
     'manin/so3_e3_dirac/seed0': 'dc49c4b302b9ad5a47f04fe6f8b374f6fba744ef92ac7d3a0980654af16fb0be',
@@ -279,6 +302,77 @@ def _poisson_checks():
                lambda s, b=build: check_q_preserves_poisson(b(), seed=s))
 
 
+def selfdual_bad_bracket():
+    """euclidean_curved_r2 with 1 added to the (e1, e1) bracket's first
+    component: the bracket is not skew, and dR_zero fails."""
+    rep = euclidean_curved_r2()
+    comps = rep.algebroid.bracket.comps
+    comps[0][0][0] = comps[0][0][0] + Polynomial.const(2, 1)
+    return rep
+
+
+def curved_double_bad_bracket():
+    """The curved tangent double with 1 added to the (b1, b1) bracket's
+    first component: M5 fails."""
+    pair = curved_tangent_double()
+    comps = pair.selfdual.algebroid.bracket.comps
+    comps[0][0][0] = comps[0][0][0] + Polynomial.const(2, 1)
+    return pair
+
+
+def matched_curved_ab():
+    """Matched pair of ranks 2, 2 and 1 over R^1 with zero brackets,
+    connections and partials, b1 anchored to d/dx and
+    R_AB(a1, a2) b2 = x1 c1: only condition 7 fails."""
+    z = Polynomial.zero(1)
+
+    def algebroid(anchor):
+        bundle = AnchoredBundle(1, 2, anchor)
+        return LieAlgebroidData(bundle, DullBracket(
+            bundle, [[[z] * 2 for _ in range(2)] for _ in range(2)]))
+
+    def flat(alg, rank):
+        return LinearConnection(alg.bundle, rank, [
+            [[z] * rank for _ in range(rank)] for _ in range(2)])
+
+    anchor_b = PolyMatrix(1, 1, 2)
+    anchor_b[0, 0] = Polynomial.const(1, 1)
+    alg_a, alg_b = algebroid(PolyMatrix(1, 1, 2)), algebroid(anchor_b)
+    curv_ab = MatchedPair2Reps.curv_tensor(1, 2, 2, 1)
+    curv_ab.set((0, 1, 1, 0), Polynomial.variable(1, 0))
+    return MatchedPair2Reps(
+        alg_a, alg_b, 1, PolyMatrix(1, 2, 1), PolyMatrix(1, 2, 1),
+        flat(alg_a, 2), flat(alg_a, 1), flat(alg_b, 2), flat(alg_b, 1),
+        curv_ab, MatchedPair2Reps.curv_tensor(1, 2, 2, 1))
+
+
+def r4_morphism():
+    """broken_r4_nonclosed to itself with identity mu_Q and mu_B and
+    mu12 = x1 (q1 ^ q2) b1: only the curvature label fails, through
+    d mu12."""
+    split = broken_r4_nonclosed()
+    mu12 = PolyTensor(1, [(4, 2, True), (1, 1, False)])
+    mu12.set((0, 1, 0), Polynomial.variable(1, 0))
+    return (split, split, PolyMatrix.identity(1, 4),
+            PolyMatrix.identity(1, 1), mu12)
+
+
+# name -> (report of a seed, the labels it fails)
+KOSZUL_CHECKS = {
+    "dR_zero": (lambda s: check_selfdual2rep(selfdual_bad_bracket(), seed=s),
+                {"dR_zero", "curv_on_B", "curv_on_C", "algebroid:skew",
+                 "algebroid:anchor_compat", "algebroid:jacobi"}),
+    "M5": (lambda s: check_la_matched_pair(curved_double_bad_bracket(),
+                                           seed=s),
+           {"M2", "M3", "M5", "M5_expanded"}),
+    "condition_7": (lambda s: check_matched_two_reps(matched_curved_ab(),
+                                                     seed=s),
+                    {"condition_7"}),
+    "curvature": (lambda s: check_lie2_morphism(*r4_morphism(), seed=s),
+                  {"curvature"}),
+}
+
+
 def _cases():
     cases = {}
     for seed in SEEDS:
@@ -295,6 +389,9 @@ def _cases():
                 lambda tmp, d=data, s=seed: _manin(d, s)
         for mode, name, check in _poisson_checks():
             cases[f"{mode}/{name}/seed{seed}"] = \
+                lambda tmp, c=check, s=seed: _report_sha(c(s))
+        for name, (check, _) in KOSZUL_CHECKS.items():
+            cases[f"koszul/{name}/seed{seed}"] = \
                 lambda tmp, c=check, s=seed: _report_sha(c(s))
     return cases
 
@@ -426,6 +523,13 @@ def test_report_hash_is_pinned(tmp_path, case):
 
 def test_every_case_is_pinned():
     assert set(GOLDEN) == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(KOSZUL_CHECKS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_koszul_pin_fails(name, seed):
+    check, labels = KOSZUL_CHECKS[name]
+    assert {e.label for e in check(seed).entries if not e.passed} == labels
 
 
 @pytest.mark.parametrize("case", sorted(CONSTRUCTION_CASES))
