@@ -17,7 +17,10 @@ Most frame rows comps[i][j] are zero, so the product u_i v_j is formed
 only for a row with a nonzero entry.  Connections are exactly this;
 Dorfman connections, dull brackets and Courant brackets add their own
 correction terms to it.  Hom-valued 2-forms (the curvature tensors) are
-evaluated in one place too, ``curvature_matrix``.
+evaluated in one place too, ``curvature_matrix``, and module-valued
+k-forms in ``form_value``.  Every covariant Koszul differential (D6, the
+shift of a change of splitting, d_nabla R, condition 7 of a matched pair,
+M5 and the morphism curvature) is summed in one place, ``koszul``.
 
 The constructions (in ``lie2``, ``poisson``, ``matched`` and ``courant``)
 build their tensors through ``PolyTensor.fill``, and their matrices and
@@ -27,9 +30,8 @@ by entry.
 
 Checkers wrap the operators they apply with ``memo``.  Where one
 operator is built from another (D inside the Courant bracket, the
-connections inside ``hom_derivative``, the connection and bracket inside
-``form_cartan_differential``), it takes that operator as a callable, so
-the checker passes its memoized one.
+covariant derivative and bracket inside ``koszul``), it takes that
+operator as a callable, so the checker passes its memoized one.
 """
 
 from __future__ import annotations
@@ -345,68 +347,53 @@ def jacobiator(bracket, q1, q2, q3):
         bracket(q1, bracket(q2, q3)))
 
 
-@dataclass
-class VectorValuedForm:
-    """Alternating form on Q with values in a rank-r module, by components."""
+def form_value(tensor: PolyTensor, args):
+    """A module-valued k-form on k sections.
 
-    bundle: AnchoredBundle
-    arity: int
-    value_rank: int
-    tensor: PolyTensor
-
-    @classmethod
-    def empty(cls, bundle: AnchoredBundle, arity: int, value_rank: int):
-        tensor = PolyTensor(bundle.base_dim,
-                            [(bundle.rank, arity, True), (value_rank, 1, False)])
-        return cls(bundle, arity, value_rank, tensor)
-
-    def eval_sections(self, args):
-        """Tensorial evaluation on section arguments.  It reads the stored
-        components, so a determinant is taken only for frame keys where
-        the form has a nonzero value."""
-        p = self.bundle.base_dim
-        out = zero_section(p, self.value_rank)
-        coeffs = {}
-        for idx, val in self.tensor.entries.items():
-            key, m = idx[:-1], idx[-1]
-            if key not in coeffs:
-                coeffs[key] = _alternating_coeff(args, key, p)
-            if coeffs[key].terms:
-                out[m] = out[m] + coeffs[key] * val
-        return out
-
-
-def _alternating_coeff(args, key, base_dim):
-    """det of the (arity x arity) matrix of chosen components of args."""
-    n = len(key)
-    mat = PolyMatrix(base_dim, n, n,
-                     [[args[a][key[b]] for b in range(n)] for a in range(n)])
-    return mat.determinant()
-
-
-def form_cartan_differential(form: VectorValuedForm, conn, bracket, args):
-    """Koszul differential of a module-valued form, on section arguments.
-
-    (d omega)(a_1..a_{k+1}) = sum_i (-1)^{i+1} nabla_{a_i} omega(.. a_i ..)
-      + sum_{i<j} (-1)^{i+j} omega([a_i,a_j], .. a_i .. a_j ..).
-    conn and bracket are callables: the apply of a connection on the
-    value module and of a dull bracket (or their memos).
+    tensor has index groups (rank, k, antisym), (n, 1): entry
+    (i_1, .., i_k, m) is the m-th component of the form on frames
+    i_1 < .. < i_k.  The form is tensorial and alternating, so the
+    coefficient of an entry is the determinant of the args' components at
+    its frame indices; it is taken only for keys where the form has a
+    nonzero value.
     """
-    p = form.bundle.base_dim
+    p = tensor.base_dim
+    out = zero_section(p, tensor.groups[-1][0])
+    coeffs = {}
+    for idx, val in tensor.entries.items():
+        key, m = idx[:-1], idx[-1]
+        coeff = coeffs.get(key)
+        if coeff is None:
+            coeff = coeffs[key] = PolyMatrix(
+                p, len(key), len(key),
+                [[a[b] for b in key] for a in args]).determinant()
+        if coeff.terms:
+            out[m] = out[m] + coeff * val
+    return out
+
+
+def koszul(value, along, bracket, args):
+    """Koszul differential of a k-form, on k + 1 section arguments:
+        sum_i (-1)^i along(a_i, rest_i)
+          + sum_{i<j} (-1)^{i+j} value([[a_i, a_j]] + rest_ij),
+    counting from 0, where rest_i drops a_i and rest_ij drops a_i and a_j
+    from args.  value(secs) is the form on a list of k sections, a
+    section of its module; bracket is the bracket of the sections.
+    along(a, secs) is the covariant derivative along a of the form at
+    secs: for a connection on the values, conn(a, value(secs)); for a
+    form with further slots, also the terms that move those slots
+    along a.
+    """
+    args = list(args)
     k = len(args)
-    out = zero_section(p, form.value_rank)
-    for i in range(k):
-        rest = args[:i] + args[i + 1:]
-        term = conn(args[i], form.eval_sections(rest))
-        out = section_add(out, term) if i % 2 == 0 else section_sub(out, term)
-    for i in range(k):
-        for j in range(i + 1, k):
-            rest = [bracket(args[i], args[j])] + \
-                [args[m] for m in range(k) if m not in (i, j)]
-            term = form.eval_sections(rest)
-            # 1-based sign (-1)^{(i+1)+(j+1)} = (-1)^{i+j}
-            out = section_add(out, term) if (i + j) % 2 == 0 else \
-                section_sub(out, term)
+    terms = [(i, along(args[i], args[:i] + args[i + 1:])) for i in range(k)]
+    terms += [(i + j, value([bracket(args[i], args[j])]
+                            + [args[m] for m in range(k) if m not in (i, j)]))
+              for i, j in combinations(range(k), 2)]
+    out = terms[0][1]
+    for sign, term in terms[1:]:
+        out = section_add(out, term) if sign % 2 == 0 else \
+            section_sub(out, term)
     return out
 
 
@@ -489,20 +476,6 @@ class TwoRepData:
         """R(a1, a2) as a Hom(B, C) polynomial matrix (tensorial)."""
         return curvature_matrix(self.curv, a1, a2)
 
-    def hom_derivative(self, connB, connC, a, phi: PolyMatrix) -> PolyMatrix:
-        """nabla^Hom_a phi = connC_a . phi - phi . connB_a on a Hom(B,C)
-        matrix, for the callables connB and connC (their memos)."""
-        p = self.algebroid.bundle.base_dim
-        out = PolyMatrix(p, self.rank_c, self.rank_b)
-        for r in range(self.rank_b):
-            col = [phi.data[m][r] for m in range(self.rank_c)]
-            term1 = connC(a, col)
-            br = unit_section(p, self.rank_b, r)
-            term2 = phi.apply(connB(a, br))
-            for m in range(self.rank_c):
-                out.data[m][r] = term1[m] - term2[m]
-        return out
-
 
 def check_two_rep(rep: TwoRepData, seed: int = 0) -> CheckReport:
     """The algebroid's checks, then the chain map, both curvature
@@ -529,7 +502,8 @@ def check_two_rep(rep: TwoRepData, seed: int = 0) -> CheckReport:
     p = bundle.base_dim
     a_secs = unit_sections(p, bundle.rank) + report.draw(p, bundle.rank, 3)
     c_secs = unit_sections(p, rep.rank_c) + report.draw(p, rep.rank_c, 1)
-    b_secs = unit_sections(p, rep.rank_b) + report.draw(p, rep.rank_b, 1)
+    b_frames = unit_sections(p, rep.rank_b)
+    b_secs = b_frames + report.draw(p, rep.rank_b, 1)
 
     def chain_map(a, c):
         return section_sub(partial(connC(a, c)), connB(a, partial(c)))
@@ -542,9 +516,20 @@ def check_two_rep(rep: TwoRepData, seed: int = 0) -> CheckReport:
         return section_sub(connection_curvature(connB, bracket, a1, a2, b),
                            partial(curv(a1, a2).apply(b)))
 
-    def dR_zero(a1, a2, a3):
-        return _flatten_matrix(
-            _two_rep_dR(rep, curv, bracket, connB, connC, a1, a2, a3))
+    # Hom(B, C)-valued forms as sections, flattened row by row
+    def curv_flat(secs):
+        return [e for row in curv(*secs).data for e in row]
+
+    def hom_derivative(a, rest):
+        """nabla^Hom_a R(rest) = connC_a . R(rest) - R(rest) . connB_a."""
+        phi = curv(*rest)
+        cols = [section_sub(connC(a, [row[r] for row in phi.data]),
+                            phi.apply(connB(a, b)))
+                for r, b in enumerate(b_frames)]
+        return [col[m] for m in range(rep.rank_c) for col in cols]
+
+    def dR_zero(*args):
+        return koszul(curv_flat, hom_derivative, bracket, args)
 
     for names, args in sweep(("a", a_secs), ("c", c_secs)):
         report.check("chain_map", names, chain_map, *args)
@@ -559,29 +544,6 @@ def check_two_rep(rep: TwoRepData, seed: int = 0) -> CheckReport:
     return report.settle({"chain_map": (), "curv_on_C": curving,
                           "curv_on_B": curving,
                           "dR_zero": ("algebroid:skew",)})
-
-
-def _flatten_matrix(mat: PolyMatrix):
-    return [mat.data[i][j] for i in range(mat.rows) for j in range(mat.cols)]
-
-
-def _two_rep_dR(rep: TwoRepData, curv, bracket, connB, connC,
-                a1, a2, a3) -> PolyMatrix:
-    """(d_{nabla^Hom} R)(a1, a2, a3) as a Hom(B, C) matrix, for the
-    callables curv = R, bracket, connB and connC."""
-    p = rep.algebroid.bundle.base_dim
-    out = PolyMatrix(p, rep.rank_c, rep.rank_b)
-    args = [a1, a2, a3]
-    for i in range(3):
-        rest = [args[m] for m in range(3) if m != i]
-        term = rep.hom_derivative(connB, connC, args[i], curv(*rest))
-        out = out.add(term if i % 2 == 0 else term.scale(-1))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            k = 3 - i - j
-            term = curv(bracket(args[i], args[j]), args[k])
-            out = out.add(term if (i + j) % 2 == 0 else term.scale(-1))
-    return out
 
 
 def dualize_two_rep(rep: TwoRepData) -> TwoRepData:

@@ -276,7 +276,7 @@ RECIPES = {
     "change-splitting": Row({"dorfman2rep": _same}, _change_splitting,
                             options=("phi",)),
     "manin-pair": Row(_LAPAIR_HALVES, lambda dorfman, selfdual, dirac:
-                      manin_pair(LAPairData(selfdual, dorfman), dirac).courant,
+                      manin_pair(LAPairData(selfdual, dorfman), dirac),
                       dirac=True),
     "dualize-2rep": Row({"tworep": _same}, dualize_two_rep),
     "induced-la": Row(_HALVES, lambda dorfman, _, dirac:

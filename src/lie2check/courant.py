@@ -615,17 +615,10 @@ def induced_lie_algebroid_on_U(dorfman: Dorfman2Rep, data: DiracData
 # Manin pair
 
 
-@dataclass
-class ManinPairResult:
-    courant: DegenerateCourant
-    complement_indices: list
-    u_inclusion: PolyMatrix
-
-
-def manin_pair(pair: LAPairData, data: DiracData) -> ManinPairResult:
+def manin_pair(pair: LAPairData, data: DiracData) -> DegenerateCourant:
     """Courant algebroid on (U + Q*) / graph(-partial_Q on the annihilator
     of U), realized on the basis U-frames + a coordinate complement of the
-    annihilator in Q*."""
+    annihilator in Q*: its first rank // 2 frames span U."""
     S, D = pair.selfdual, pair.dorfman
     data.check_fits(D)
     p = D.bundle.base_dim
@@ -698,21 +691,20 @@ def manin_pair(pair: LAPairData, data: DiracData) -> ManinPairResult:
     dmat = PolyMatrix(p, p, n, [
         reduce(zero, D.bundle.anchor_pullback_d(Polynomial.variable(p, m)))
         for m in range(p)]).transpose()
-    u_inclusion = PolyMatrix(p, n, d, [row[:d] for row in
-                                       PolyMatrix.identity(p, n).data])
-    return ManinPairResult(DegenerateCourant(p, n, rho, pairing, comps, dmat),
-                           complement, u_inclusion)
+    return DegenerateCourant(p, n, rho, pairing, comps, dmat)
 
 
-def check_manin_pair(result: ManinPairResult, seed: int = 0) -> CheckReport:
+def check_manin_pair(ca: DegenerateCourant, seed: int = 0) -> CheckReport:
+    """The Courant axioms of ``manin_pair``'s output, then nondegeneracy
+    and that U, its first rank // 2 frames, is isotropic and closed under
+    the bracket."""
     report = CheckReport("Manin pair", seed)
-    ca = result.courant
     report.merge(check_courant_axioms(ca, seed))
     det = ca.pairing.determinant()
     report.add("pairing_nondegenerate",
                det.is_constant() and det.constant_value() != 0,
                residual="" if det.is_constant() else det.render())
-    d = result.u_inclusion.cols
+    d = ca.rank // 2
     iso = all(ca.pairing[i, j].is_zero() for i in range(d) for j in range(d))
     report.add("U_isotropic", iso)
     closed = all(ca.bracket_comps[i][j][k].is_zero()

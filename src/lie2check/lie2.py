@@ -14,15 +14,16 @@ and the Hamiltonian derivations {g, .} of the degree -2 Poisson bracket
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 
 from .exactpoly import Polynomial, PolyMatrix, PolyTensor, dot
 from .report import CheckReport, sweep, witness
 from .bundle import (
     AnchoredBundle, DorfmanConnection, DullBracket, LinearConnection,
-    VectorValuedForm, connection_curvature, curvature_matrix, field_bracket,
-    form_cartan_differential, memo, section_add, section_pair, section_sub,
-    unit_section, unit_sections,
+    connection_curvature, curvature_matrix, field_bracket, form_value,
+    koszul, memo, section_add, section_pair, section_sub, unit_section,
+    unit_sections,
 )
 
 
@@ -166,37 +167,32 @@ class GradedDerivation:
         self.b_img = list(b_img)
 
     def apply(self, gf: GradedFunction) -> GradedFunction:
-        out = GradedFunction.zero(self.base_dim, self.rank_q, self.rank_b)
-        odd = self.degree % 2 == 1
+        """D(f m) for each term f m of gf, m = tau_t1..tau_tk b_s1..b_sl:
+            sum_i x_img[i] (d_i f) m
+          + sum_pos (-1)^pos tau_img[t] (m without tau_t) f
+          + sum_s b_img[s] (m without b_s) f,
+        pos the place of tau_t among the taus.  (-1)^pos is D's Koszul
+        sign through the earlier taus times the sign of moving the image
+        to the front; for a b the two signs cancel."""
+        shape = (self.base_dim, self.rank_q, self.rank_b)
+        out = GradedFunction.zero(*shape)
         for (taus, bs), poly in gf.terms.items():
-            # derivative of the base-polynomial factor (even, leftmost)
-            monomial = GradedFunction(self.base_dim, self.rank_q, self.rank_b,
-                                      {(taus, bs): Polynomial.const(self.base_dim, 1)})
-            for i in range(self.base_dim):
+            for i, img in enumerate(self.x_img):
                 dpoly = poly.diff(i)
-                if dpoly.is_zero() or self.x_img[i].is_zero():
-                    continue
-                out = out + (self.x_img[i] * monomial) * dpoly
-            # derivative across the generator factors
-            factors = [("tau", i) for i in taus] + [("b", i) for i in bs]
-            for pos, (kind, idx) in enumerate(factors):
-                img = self.tau_img[idx] if kind == "tau" else self.b_img[idx]
-                if img.is_zero():
-                    continue
-                prefix_odd = sum(1 for k, _ in factors[:pos] if k == "tau")
-                sign = -1 if (odd and prefix_odd % 2 == 1) else 1
-                prefix = GradedFunction(
-                    self.base_dim, self.rank_q, self.rank_b,
-                    {(tuple(i for k, i in factors[:pos] if k == "tau"),
-                      tuple(i for k, i in factors[:pos] if k == "b")):
-                     Polynomial.const(self.base_dim, 1)})
-                suffix = GradedFunction(
-                    self.base_dim, self.rank_q, self.rank_b,
-                    {(tuple(i for k, i in factors[pos + 1:] if k == "tau"),
-                      tuple(i for k, i in factors[pos + 1:] if k == "b")):
-                     Polynomial.const(self.base_dim, 1)})
-                term = (prefix * img * suffix) * poly
-                out = out + (term.scale(sign) if sign == -1 else term)
+                if dpoly.terms and not img.is_zero():
+                    out = out + img * GradedFunction(*shape,
+                                                     {(taus, bs): dpoly})
+            for pos, t in enumerate(taus):
+                img = self.tau_img[t]
+                if not img.is_zero():
+                    rest = (taus[:pos] + taus[pos + 1:], bs)
+                    out = out + img * GradedFunction(
+                        *shape, {rest: -poly if pos % 2 else poly})
+            for pos, s in enumerate(bs):
+                img = self.b_img[s]
+                if not img.is_zero():
+                    rest = (taus, bs[:pos] + bs[pos + 1:])
+                    out = out + img * GradedFunction(*shape, {rest: poly})
         return out
 
     def images(self):
@@ -278,16 +274,17 @@ class Dorfman2Rep:
             if not (self.curv.get(i, j, r, k)
                     + self.curv.get(i, k, r, j)).is_zero()]
 
-    def omega_form(self) -> VectorValuedForm:
-        """omega_R(q1,q2,q3) = R(q1,q2)^* q3 as a B*-valued 3-form.
+    def omega_form(self) -> PolyTensor:
+        """omega_R(q1,q2,q3) = R(q1,q2)^* q3 as a B*-valued 3-form, in the
+        l3 layout (see ``bundle.form_value``).
 
         Built from the i<j<k entries; total antisymmetry is what axiom
         (D5) asserts and is checked separately.
         """
-        form = VectorValuedForm.empty(self.bundle, 3, self.rank_b)
-        form.tensor.fill(lambda i, j, k: [self.curv.get(i, j, r, k)
-                                          for r in range(self.rank_b)])
-        return form
+        return SplitLie2Data.l3_tensor(
+            self.bundle.base_dim, self.rank_q, self.rank_b).fill(
+            lambda i, j, k: [self.curv.get(i, j, r, k)
+                             for r in range(self.rank_b)])
 
 
 @dataclass
@@ -338,7 +335,7 @@ def split_from_dorfman(rep: Dorfman2Rep) -> SplitLie2Data:
         l1=rep.partial_b.transpose().scale(-1),
         bracket=rep.dual_bracket(),
         nablaB=rep.nablaB,
-        l3=rep.omega_form().tensor,
+        l3=rep.omega_form(),
     )
 
 
@@ -404,7 +401,9 @@ def check_dorfman2rep(rep: Dorfman2Rep, seed: int = 0) -> CheckReport:
                            connection_curvature(delta, br, q1, q2, tau))
 
     def d6(*args):
-        return form_cartan_differential(omega, nabla_dual, br, args)
+        return koszul(partial(form_value, omega),
+                      lambda q, rest: nabla_dual(q, form_value(omega, rest)),
+                      br, args)
 
     # anchor conditions
     chain = bundle.anchor.matmul(rep.partial_b.transpose())
@@ -562,14 +561,15 @@ def change_splitting(rep: Dorfman2Rep, phi: PolyTensor) -> Dorfman2Rep:
         for k in range(rb)] for j in range(rb)] for i in range(rq)]
     new_nabla = LinearConnection(rep.bundle, rb, new_gamma)
 
-    # omega^2 = omega^1 + d_{nabla^{2,*}} phi, Cartan differential with the
+    # omega^2 = omega^1 + d_{nabla^{2,*}} phi, Koszul differential with the
     # original dual bracket
-    phi_form = VectorValuedForm(rep.bundle, 2, rb, phi)
     old_bracket = rep.dual_bracket().apply
     nabla2_dual = new_nabla.dual().apply
     frames = unit_sections(p, rq)
-    shift = memo(lambda i, j, k: form_cartan_differential(
-        phi_form, nabla2_dual, old_bracket, [frames[i], frames[j], frames[k]]))
+    shift = memo(lambda i, j, k: koszul(
+        partial(form_value, phi),
+        lambda q, rest: nabla2_dual(q, form_value(phi, rest)),
+        old_bracket, [frames[i], frames[j], frames[k]]))
     new_curv = Dorfman2Rep.curv_tensor(p, rq, rb).fill(
         lambda i, j, r: [rep.curv.get(i, j, r, k) + shift(i, j, k)[r]
                          for k in range(rq)])
@@ -598,7 +598,7 @@ def check_lie2_morphism(split1: SplitLie2Data, split2: SplitLie2Data,
     """
     report = CheckReport("Lie 2-algebroid morphism", seed)
     p = split1.bundle.base_dim
-    rq1, rb1 = split1.rank_q, split1.rank_b
+    rq1 = split1.rank_q
     rb2 = split2.rank_b
 
     # (1) anchors intertwine
@@ -609,20 +609,17 @@ def check_lie2_morphism(split1: SplitLie2Data, split2: SplitLie2Data,
     res = mu_q.matmul(split1.l1).add(split2.l1.matmul(mu_b).scale(-1))
     report.add("chain_map", res.is_zero(), witness="mu_Q l1 = l1 mu_B")
 
-    mu12_form = VectorValuedForm(split1.bundle, 2, rb2, mu12)
     q1_secs = unit_sections(p, rq1) + report.draw(p, rq1, 1)
     mu_b_t = mu_b.transpose()
     partial1 = split1.l1.transpose().scale(-1)
     b2_frames = unit_sections(p, rb2)
-    omega1 = VectorValuedForm(split1.bundle, 3, rb1, split1.l3)
-    omega2 = VectorValuedForm(split2.bundle, 3, rb2, split2.l3)
     nabla2_dual = split2.nablaB.dual().apply
 
     # (3) brackets match up to l1 of mu12
     def bracket(q, qp):
         lhs = mu_q.apply(split1.bracket.apply(q, qp))
         rhs = split2.bracket.apply(mu_q.apply(q), mu_q.apply(qp))
-        corr = split2.l1.apply(mu12_form.eval_sections([q, qp]))
+        corr = split2.l1.apply(form_value(mu12, [q, qp]))
         return section_sub(lhs, section_add(rhs, corr))
 
     # (4) connections match up to partial_1 of the mu12 contraction
@@ -630,18 +627,19 @@ def check_lie2_morphism(split1: SplitLie2Data, split2: SplitLie2Data,
         lhs = mu_b_t.apply(split2.nablaB.apply(mu_q.apply(q), b2))
         rhs = split1.nablaB.apply(q, mu_b_t.apply(b2))
         # <mu12(q, .), b2> in Gamma(Q1*)
-        contraction = [section_pair(mu12_form.eval_sections(
-            [q, unit_section(p, rq1, k)]), b2) for k in range(rq1)]
+        contraction = [section_pair(form_value(
+            mu12, [q, unit_section(p, rq1, k)]), b2) for k in range(rq1)]
         return section_add(section_sub(lhs, rhs), partial1.apply(contraction))
 
     # (5) mu_Q^* omega_{R2} - mu_B omega_{R1} = -d_{mu_Q^* nabla2} mu12,
     # with nabla2^* pulled back along mu_Q as a connection on B2^*
     def curvature(*args):
-        lhs = omega2.eval_sections([mu_q.apply(a) for a in args])
-        rhs = mu_b.apply(omega1.eval_sections(args))
-        dmu = form_cartan_differential(
-            mu12_form, lambda q, beta: nabla2_dual(mu_q.apply(q), beta),
-            split1.bracket.apply, args)
+        lhs = form_value(split2.l3, [mu_q.apply(a) for a in args])
+        rhs = mu_b.apply(form_value(split1.l3, args))
+        dmu = koszul(partial(form_value, mu12),
+                     lambda q, rest: nabla2_dual(mu_q.apply(q),
+                                                 form_value(mu12, rest)),
+                     split1.bracket.apply, args)
         return section_add(section_sub(lhs, rhs), dmu)
 
     for names, args in sweep(("q", q1_secs, 2, combinations)):

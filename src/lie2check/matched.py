@@ -12,7 +12,7 @@ from .report import CheckReport, sweep
 from .bundle import (
     AnchoredBundle, DullBracket, LieAlgebroidData, LinearConnection,
     TwoRepData, check_two_rep, curvature_matrix, field_apply, field_bracket,
-    memo, section_add, section_neg, section_pair, section_sub,
+    koszul, memo, section_add, section_neg, section_pair, section_sub,
     unit_sections, zero_section,
 )
 from .lie2 import Dorfman2Rep, SplitLie2Data, build_homological_field
@@ -91,15 +91,17 @@ def _derivation_defect(d, curv, conn, back, bracket, x1, x2, y):
 
 def _curvature_differential(curv, conn_c, conn, bracket, x1, x2, y1, y2):
     """(d_nabla R)(x1, x2) at (y1, y2), for the curvature R(y1, y2) in
-    Hom(X, C): nabla acts along X on C (conn_c), on Y (conn) and on X
-    through the bracket; the callables are the checker's."""
-    def cov(x, xx):
+    Hom(X, C), a C-valued 1-form on X: nabla acts along X on C (conn_c),
+    on Y (conn) and on X through the bracket; the callables are the
+    checker's."""
+    def along(x, secs):
+        (xx,) = secs
         term = conn_c(x, curv(y1, y2).apply(xx))
         term = section_sub(term, curv(conn(x, y1), y2).apply(xx))
         return section_sub(term, curv(y1, conn(x, y2)).apply(xx))
 
-    out = section_sub(cov(x1, x2), cov(x2, x1))
-    return section_sub(out, curv(y1, y2).apply(bracket(x1, x2)))
+    return koszul(lambda secs: curv(y1, y2).apply(secs[0]), along, bracket,
+                  [x1, x2])
 
 
 def check_matched_two_reps(pair: MatchedPair2Reps,
@@ -459,32 +461,30 @@ def check_la_matched_pair(pair: LAPairData, seed: int = 0) -> CheckReport:
     def omega_b(qa, qb, b1, b2):
         return section_pair(RB(b1, b2).apply(qa), qb)
 
-    def cov_b(b, bb, qs):
-        # nabla_b of the 3-form omega_R(. , . , .)(bb), evaluated on qs
-        out = field_apply(S.algebroid.bundle.anchor_field(b),
-                          omega_r(qs[0], qs[1], qs[2], bb))
-        for m in range(3):
-            shifted = list(qs)
-            shifted[m] = nQ(b, qs[m])
-            out = out - omega_r(shifted[0], shifted[1], shifted[2], bb)
-        return out
-
-    def cov_q(q, qa, qb, b1, b2):
-        out = field_apply(D.bundle.anchor_field(q),
-                          omega_b(qa, qb, b1, b2))
-        out = out - omega_b(qa, qb, nB(q, b1), b2)
-        out = out - omega_b(qa, qb, b1, nB(q, b2))
-        return out
-
     def m5(b1, b2, *qs):
-        lhs = cov_b(b1, b2, qs) - cov_b(b2, b1, qs)
-        lhs = lhs - omega_r(qs[0], qs[1], qs[2], brB(b1, b2))
-        rhs = cov_q(qs[0], qs[1], qs[2], b1, b2)
-        rhs = rhs - cov_q(qs[1], qs[0], qs[2], b1, b2)
-        rhs = rhs + cov_q(qs[2], qs[0], qs[1], b1, b2)
-        rhs = rhs - omega_b(brQ(qs[0], qs[1]), qs[2], b1, b2)
-        rhs = rhs + omega_b(brQ(qs[0], qs[2]), qs[1], b1, b2)
-        rhs = rhs - omega_b(brQ(qs[1], qs[2]), qs[0], b1, b2)
+        # d_B of the B-valued 1-form b -> omega_R(qs)(b), with the
+        # covariant derivative moving the Q-slots along b
+        def cov_b(b, secs):
+            out = field_apply(S.algebroid.bundle.anchor_field(b),
+                              omega_r(*qs, secs[0]))
+            for m in range(3):
+                shifted = list(qs)
+                shifted[m] = nQ(b, qs[m])
+                out = out - omega_r(*shifted, secs[0])
+            return [out]
+
+        # d_Q of the 2-form (qa, qb) -> omega_B(qa, qb, b1, b2), with the
+        # covariant derivative moving b1 and b2 along q
+        def cov_q(q, secs):
+            out = field_apply(D.bundle.anchor_field(q), omega_b(*secs, b1, b2))
+            out = out - omega_b(*secs, nB(q, b1), b2)
+            out = out - omega_b(*secs, b1, nB(q, b2))
+            return [out]
+
+        (lhs,) = koszul(lambda secs: [omega_r(*qs, secs[0])], cov_b, brB,
+                        [b1, b2])
+        (rhs,) = koszul(lambda secs: [omega_b(*secs, b1, b2)], cov_q, brQ,
+                        list(qs))
         return lhs - rhs
 
     # (M5) in the expanded componentwise form

@@ -226,9 +226,9 @@ def test_induced_lie_algebroid():
 def test_manin_pair_on_so3_double():
     pair = so3_poisson_pair()
     full = DiracData(PolyMatrix.identity(1, 3), PolyMatrix(1, 0, 0))
-    result = manin_pair(pair, full)
-    assert result.courant.rank == 6
-    rep = check_manin_pair(result, seed=3)
+    ca = manin_pair(pair, full)
+    assert ca.rank == 6
+    rep = check_manin_pair(ca, seed=3)
     assert rep.passed, rep.failing_labels()
 
 

@@ -492,7 +492,7 @@ def _construction_cases():
                     for dname, data in _double_diracs().items()]
     for pname, pair, dname, data in dirac_pairs:
         cases[f"manin-pair/{pname}/{dname}"] = \
-            lambda a=pair, d=data: manin_pair(a, d).courant
+            lambda a=pair, d=data: manin_pair(a, d)
     dirac_pairs = [(rname, rep, dname, data)
                    for rname, rep in dorfmans.items()
                    for dname, data in built["dirac"].items()]

@@ -1,4 +1,4 @@
-"""Differential test of the frame-stored operators.
+"""Differential test of the frame-stored operators, forms and derivations.
 
 Every operator that is stored by its frame components and extended to
 sections by the Leibniz rule goes through ``bundle.covariant_apply``,
@@ -15,24 +15,35 @@ row.  The references share none of them: anchors and vector fields act
 through the dense loops ``ref_matrix_apply`` and ``ref_field_apply``,
 which pass every entry to the kernel, and the frame components are drawn
 sparse often enough that whole zero rows meet nonzero sections.
+
+Module-valued k-forms and their Koszul differentials go through
+``bundle.form_value`` and ``bundle.koszul``, and the graded Leibniz rule
+through ``GradedDerivation.apply``.  Their references are the earlier
+determinant evaluation, the earlier differential of a form with a
+connection on its values, and the earlier apply that multiplies a
+prefix, the image and a suffix for every generator factor.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from functools import partial
+from itertools import combinations, combinations_with_replacement
+
 from lie2check.bundle import (
     AnchoredBundle, DorfmanConnection, DullBracket, LieAlgebroidData,
     LinearConnection, TwoRepData, connection_curvature, covariant_apply,
-    field_apply, field_bracket, section_pair, section_sub, zero_section,
+    field_apply, field_bracket, form_value, koszul, section_add,
+    section_pair, section_sub, zero_section,
 )
 from lie2check.courant import (DegenerateCourant, check_courant_axioms,
                                standard_courant)
-from lie2check.exactpoly import Polynomial, PolyMatrix
-from lie2check.lie2 import Dorfman2Rep
+from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
+from lie2check.lie2 import Dorfman2Rep, GradedDerivation, GradedFunction
 from lie2check.poisson import SelfDual2Rep
 from lie2check.report import CheckReport
 
-from helpers import Draw
+from helpers import Draw, canonical_keys
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +233,80 @@ def ref_dual(comps, rows, r):
             for i in range(rows)]
 
 
+def ref_form_value(tensor, value_rank, args):
+    """The earlier alternating-form evaluation: for each stored key, the
+    determinant of the args' components at its frame indices."""
+    p = tensor.base_dim
+    out = zero_section(p, value_rank)
+    coeffs = {}
+    for idx, val in tensor.entries.items():
+        key, m = idx[:-1], idx[-1]
+        if key not in coeffs:
+            n = len(key)
+            coeffs[key] = PolyMatrix(p, n, n, [[args[a][key[b]]
+                                                for b in range(n)]
+                                               for a in range(n)]
+                                     ).determinant()
+        if coeffs[key].terms:
+            out[m] = out[m] + coeffs[key] * val
+    return out
+
+
+def ref_form_differential(tensor, value_rank, conn, bracket, args):
+    """The earlier Koszul differential of a form with a connection on its
+    values, with 1-based signs."""
+    p = tensor.base_dim
+    k = len(args)
+    out = zero_section(p, value_rank)
+    for i in range(k):
+        rest = args[:i] + args[i + 1:]
+        term = conn(args[i], ref_form_value(tensor, value_rank, rest))
+        out = section_add(out, term) if i % 2 == 0 else section_sub(out, term)
+    for i in range(k):
+        for j in range(i + 1, k):
+            rest = [bracket(args[i], args[j])] + \
+                [args[m] for m in range(k) if m not in (i, j)]
+            term = ref_form_value(tensor, value_rank, rest)
+            # 1-based sign (-1)^{(i+1)+(j+1)} = (-1)^{i+j}
+            out = section_add(out, term) if (i + j) % 2 == 0 else \
+                section_sub(out, term)
+    return out
+
+
+def ref_graded_apply(der, gf):
+    """The earlier graded Leibniz rule: for every generator factor of
+    every term, prefix * image * suffix, times D's Koszul sign through
+    the earlier taus."""
+    shape = (der.base_dim, der.rank_q, der.rank_b)
+    one = Polynomial.const(der.base_dim, 1)
+    out = GradedFunction.zero(*shape)
+    odd = der.degree % 2 == 1
+    for (taus, bs), poly in gf.terms.items():
+        monomial = GradedFunction(*shape, {(taus, bs): one})
+        for i in range(der.base_dim):
+            dpoly = poly.diff(i)
+            if dpoly.is_zero() or der.x_img[i].is_zero():
+                continue
+            out = out + (der.x_img[i] * monomial) * dpoly
+        factors = [("tau", i) for i in taus] + [("b", i) for i in bs]
+        for pos, (kind, idx) in enumerate(factors):
+            img = der.tau_img[idx] if kind == "tau" else der.b_img[idx]
+            if img.is_zero():
+                continue
+            prefix_odd = sum(1 for k, _ in factors[:pos] if k == "tau")
+            sign = -1 if (odd and prefix_odd % 2 == 1) else 1
+
+            def part(fs):
+                return GradedFunction(*shape, {
+                    (tuple(i for k, i in fs if k == "tau"),
+                     tuple(i for k, i in fs if k == "b")): one})
+
+            term = (part(factors[:pos]) * img * part(factors[pos + 1:])) \
+                * poly
+            out = out + term.scale(sign)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # random data
 
@@ -332,6 +417,71 @@ def test_zero_skipping_loops_match_dense_reference(data):
     bundle = AnchoredBundle(p, cols, d.matrix(p, cols))
     assert bundle.anchor_pullback_d(f) == \
         ref_anchor_pullback_d(bundle.anchor, f)
+
+
+def _form(d, rank, arity, n):
+    """A random n-valued arity-form on a rank-``rank`` bundle."""
+    tensor = PolyTensor(d.p, [(rank, arity, True), (n, 1, False)])
+    for key in canonical_keys(tensor):
+        tensor.set(key, d.poly())
+    return tensor
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_forms_and_koszul_differentials_match_reference(data):
+    p = data.draw(st.integers(min_value=1, max_value=2))
+    rq = data.draw(st.integers(min_value=0, max_value=4))
+    n, arity = data.draw(ranks), data.draw(st.integers(1, 3))
+    d, dc = Draw(data.draw, p), _comps_drawer(data, p)
+    bundle = AnchoredBundle(p, rq, d.matrix(p, rq))
+    tensor = _form(d, rq, arity, n)
+    args = [d.section(rq) for _ in range(arity + 1)]
+    assert form_value(tensor, args[:arity]) == \
+        ref_form_value(tensor, n, args[:arity])
+
+    conn = LinearConnection(bundle, n, dc.comps(rq, n, n)).apply
+    bracket = DullBracket(bundle, dc.comps(rq, rq, rq)).apply
+    assert koszul(partial(form_value, tensor),
+                  lambda a, rest: conn(a, form_value(tensor, rest)),
+                  bracket, args) == \
+        ref_form_differential(tensor, n, conn, bracket, args)
+
+
+def _graded_function(d, rq, rb, parity=None, min_size=0, taus_first=False):
+    """Up to three random terms with at most two b factors, repeats
+    allowed; with a parity, only terms whose tau count has it.  Terms
+    with fewer taus come first, or with more if ``taus_first``: shrinking
+    then keeps the signs of the Leibniz rule in play, and the images do
+    not annihilate the function."""
+    order = range(rq, -1, -1) if taus_first else range(rq + 1)
+    keys = [(taus, bs) for k in order
+            if parity is None or k % 2 == parity
+            for taus in combinations(range(rq), k)
+            for nb in range(3)
+            for bs in combinations_with_replacement(range(rb), nb)]
+    chosen = d.draw(st.lists(st.sampled_from(keys), min_size=min_size,
+                             max_size=3)) if keys else []
+    return GradedFunction(d.p, rq, rb, {key: d.poly() for key in chosen})
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_graded_apply_matches_prefix_suffix_reference(data):
+    """A derivation of degree 0, 1 or 2, its generator images of the
+    matching parity, on a random graded function.  At least two taus, so
+    that a tau factor can stand after another one."""
+    p = data.draw(st.integers(min_value=1, max_value=2))
+    rq, rb = data.draw(st.integers(2, 3)), data.draw(st.integers(0, 2))
+    degree = data.draw(st.integers(0, 2))
+    d = Draw(data.draw, p)
+    der = GradedDerivation(
+        p, rq, rb, degree,
+        [_graded_function(d, rq, rb, degree % 2, 1) for _ in range(p)],
+        [_graded_function(d, rq, rb, (degree + 1) % 2, 1) for _ in range(rq)],
+        [_graded_function(d, rq, rb, degree % 2, 1) for _ in range(rb)])
+    gf = _graded_function(d, rq, rb, min_size=1, taus_first=True)
+    assert der.apply(gf) == ref_graded_apply(der, gf)
 
 
 # ---------------------------------------------------------------------------
