@@ -462,7 +462,7 @@ def check_la_matched_pair(pair: LAPairData, seed: int = 0) -> CheckReport:
         return section_pair(RB(b1, b2).apply(qa), qb)
 
     def m5(b1, b2, *qs):
-        # d_B of the B-valued 1-form b -> omega_R(qs)(b), with the
+        # d_B of the 1-form b -> omega_R(qs)(b) on B, with the
         # covariant derivative moving the Q-slots along b
         def cov_b(b, secs):
             out = field_apply(S.algebroid.bundle.anchor_field(b),

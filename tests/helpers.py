@@ -1,6 +1,6 @@
 """Helpers shared by the test modules."""
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from hypothesis import strategies as st
 
@@ -8,7 +8,9 @@ from lie2check import __version__
 from lie2check.courant import standard_courant, tangent_double_pair
 from lie2check.examples import semidirect_flat
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
-from lie2check.lie2 import change_splitting, split_from_dorfman
+from lie2check.lie2 import (
+    GradedFunction, change_splitting, split_from_dorfman,
+)
 from lie2check.serialize import REPORT_FORMAT
 
 
@@ -60,6 +62,23 @@ class Draw:
         for key in canonical_keys(tensor):
             tensor.set(key, self.poly())
         return tensor
+
+
+def graded_function(d, rq, rb, parity=None, min_size=0, taus_first=False):
+    """Up to three random terms of a ``GradedFunction`` with at most two
+    b factors, repeats allowed; with a parity, only terms whose tau count
+    has it.  Terms with fewer taus come first, or with more if
+    ``taus_first``: shrinking then keeps the signs of the graded Leibniz
+    rule in play, and generator images do not annihilate the function."""
+    order = range(rq, -1, -1) if taus_first else range(rq + 1)
+    keys = [(taus, bs) for k in order
+            if parity is None or k % 2 == parity
+            for taus in combinations(range(rq), k)
+            for nb in range(3)
+            for bs in combinations_with_replacement(range(rb), nb)]
+    chosen = d.draw(st.lists(st.sampled_from(keys), min_size=min_size,
+                             max_size=3)) if keys else []
+    return GradedFunction(d.p, rq, rb, {key: d.poly() for key in chosen})
 
 
 def entry_dict(entry):

@@ -1,8 +1,6 @@
 """Split Lie 2-algebroids, Dorfman 2-representations and the
 homological vector field."""
 
-from itertools import combinations
-
 from hypothesis import given, settings, strategies as st
 
 from lie2check.exactpoly import Polynomial, PolyMatrix, PolyTensor
@@ -17,7 +15,7 @@ from lie2check.examples import (
     so3_lie2, so3_string, tm_r1_lie1,
 )
 
-from helpers import Draw
+from helpers import Draw, graded_function
 
 
 def test_so3_string_passes_all_axioms():
@@ -130,17 +128,6 @@ def test_non_morphism_detected():
     assert "bracket" in rep.failing_labels()
 
 
-def _graded_function(d, rq, rb, parity):
-    """A few random terms whose tau count has the given parity (None:
-    any), each with at most one b factor."""
-    keys = [(taus, bs) for k in range(rq + 1)
-            if parity is None or k % 2 == parity
-            for taus in combinations(range(rq), k)
-            for bs in [()] + [(r,) for r in range(rb)]]
-    chosen = d.draw(st.lists(st.sampled_from(keys), max_size=3))
-    return GradedFunction(d.p, rq, rb, {key: d.poly() for key in chosen})
-
-
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_odd_derivation_squares_to_half_its_commutator(data):
@@ -153,9 +140,9 @@ def test_odd_derivation_squares_to_half_its_commutator(data):
     d = Draw(data.draw, p)
     field = GradedDerivation(
         p, rq, rb, 1,
-        [_graded_function(d, rq, rb, 1) for _ in range(p)],
-        [_graded_function(d, rq, rb, 0) for _ in range(rq)],
-        [_graded_function(d, rq, rb, 1) for _ in range(rb)])
-    f = _graded_function(d, rq, rb, None)
+        [graded_function(d, rq, rb, 1) for _ in range(p)],
+        [graded_function(d, rq, rb, 0) for _ in range(rq)],
+        [graded_function(d, rq, rb, 1) for _ in range(rb)])
+    f = graded_function(d, rq, rb)
     assert field.apply(field.apply(f)).scale(2) == \
         graded_commutator(field, field).apply(f)

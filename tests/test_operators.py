@@ -28,8 +28,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from functools import partial
-from itertools import combinations, combinations_with_replacement
-
 from lie2check.bundle import (
     AnchoredBundle, DorfmanConnection, DullBracket, LieAlgebroidData,
     LinearConnection, TwoRepData, connection_curvature, covariant_apply,
@@ -43,7 +41,7 @@ from lie2check.lie2 import Dorfman2Rep, GradedDerivation, GradedFunction
 from lie2check.poisson import SelfDual2Rep
 from lie2check.report import CheckReport
 
-from helpers import Draw, canonical_keys
+from helpers import Draw, canonical_keys, graded_function
 
 
 # ---------------------------------------------------------------------------
@@ -448,23 +446,6 @@ def test_forms_and_koszul_differentials_match_reference(data):
         ref_form_differential(tensor, n, conn, bracket, args)
 
 
-def _graded_function(d, rq, rb, parity=None, min_size=0, taus_first=False):
-    """Up to three random terms with at most two b factors, repeats
-    allowed; with a parity, only terms whose tau count has it.  Terms
-    with fewer taus come first, or with more if ``taus_first``: shrinking
-    then keeps the signs of the Leibniz rule in play, and the images do
-    not annihilate the function."""
-    order = range(rq, -1, -1) if taus_first else range(rq + 1)
-    keys = [(taus, bs) for k in order
-            if parity is None or k % 2 == parity
-            for taus in combinations(range(rq), k)
-            for nb in range(3)
-            for bs in combinations_with_replacement(range(rb), nb)]
-    chosen = d.draw(st.lists(st.sampled_from(keys), min_size=min_size,
-                             max_size=3)) if keys else []
-    return GradedFunction(d.p, rq, rb, {key: d.poly() for key in chosen})
-
-
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_graded_apply_matches_prefix_suffix_reference(data):
@@ -477,10 +458,10 @@ def test_graded_apply_matches_prefix_suffix_reference(data):
     d = Draw(data.draw, p)
     der = GradedDerivation(
         p, rq, rb, degree,
-        [_graded_function(d, rq, rb, degree % 2, 1) for _ in range(p)],
-        [_graded_function(d, rq, rb, (degree + 1) % 2, 1) for _ in range(rq)],
-        [_graded_function(d, rq, rb, degree % 2, 1) for _ in range(rb)])
-    gf = _graded_function(d, rq, rb, min_size=1, taus_first=True)
+        [graded_function(d, rq, rb, degree % 2, 1) for _ in range(p)],
+        [graded_function(d, rq, rb, (degree + 1) % 2, 1) for _ in range(rq)],
+        [graded_function(d, rq, rb, degree % 2, 1) for _ in range(rb)])
+    gf = graded_function(d, rq, rb, min_size=1, taus_first=True)
     assert der.apply(gf) == ref_graded_apply(der, gf)
 
 
